@@ -18,8 +18,8 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/analysis/ ./internal/campaign/ ./internal/harness/ \
-		./internal/obs/ ./cmd/dlfuzz/
+	$(GO) test -race ./internal/sched/ ./internal/analysis/ ./internal/campaign/ \
+		./internal/harness/ ./internal/obs/ ./cmd/dlfuzz/
 
 # Fuzz philosophers with -witness-dir, then replay every emitted witness
 # and require each recorded deadlock to reproduce (the CI replay smoke,

@@ -178,19 +178,38 @@ type runOutcome struct {
 	deadlocks []*sched.DeadlockInfo
 }
 
+// observeFunc executes one observation run; observeRun is the
+// implementation, and the differential test supplies a reference that
+// observes every attempt.
+type observeFunc func(pool *sched.Pool, prog func(*sched.Ctx), base int64, maxSteps int, withHistory bool) runOutcome
+
 // observeRun executes one observation run: seeds from base upward are
-// tried until an execution completes, each attempt running a fresh
-// HB + lock-dependency pipeline on a pooled scheduler shell. Attempts
-// that deadlock are recorded on the outcome, not discarded. withHistory
-// additionally records the run's synchronization history (observers
-// never perturb scheduling, so the executions are unchanged).
+// tried until an execution completes. Attempts that deadlock are
+// recorded on the outcome, not discarded. withHistory additionally
+// records the run's synchronization history.
+//
+// Only the completing attempt's recordings are kept, so only it pays for
+// the observers. The first attempt runs under the full HB +
+// lock-dependency pipeline, which is free when it completes (the common
+// case); every later attempt runs bare, with no observers attached, and
+// the one that completes is executed again, observed. The re-execution
+// is exact: an execution is a pure function of (program, policy, seed)
+// and observers never influence scheduling decisions, the same
+// invariant witness capture relies on. A bare attempt's deadlock report
+// is the scheduler's own, identical with or without observers.
 func observeRun(pool *sched.Pool, prog func(*sched.Ctx), base int64, maxSteps int, withHistory bool) runOutcome {
 	ro := runOutcome{seed: base}
 	for attempt := 0; attempt < maxObserveAttempts; attempt++ {
 		s := base + int64(attempt)
 		ro.seed = s
 		ro.attempts = attempt + 1
-
+		if attempt > 0 {
+			res := pool.Run(sched.Options{Seed: s, MaxSteps: maxSteps}, prog)
+			if res.Outcome != sched.Completed {
+				ro.recordFailure(res)
+				continue
+			}
+		}
 		var p Pipeline
 		tracker := p.HB()
 		rec := p.LockDeps(tracker)
@@ -201,9 +220,7 @@ func observeRun(pool *sched.Pool, prog func(*sched.Ctx), base int64, maxSteps in
 		}
 		res := p.RunPooled(pool, prog, Exec{Seed: s, MaxSteps: maxSteps})
 		if res.Outcome != sched.Completed {
-			if res.Outcome == sched.Deadlock && res.Deadlock != nil {
-				ro.deadlocks = append(ro.deadlocks, res.Deadlock)
-			}
+			ro.recordFailure(res)
 			continue
 		}
 		ro.completed = true
@@ -215,6 +232,14 @@ func observeRun(pool *sched.Pool, prog func(*sched.Ctx), base int64, maxSteps in
 		return ro
 	}
 	return ro
+}
+
+// recordFailure keeps what a non-completing attempt witnessed: a real
+// deadlock is a finding in its own right.
+func (ro *runOutcome) recordFailure(res *sched.Result) {
+	if res.Outcome == sched.Deadlock && res.Deadlock != nil {
+		ro.deadlocks = append(ro.deadlocks, res.Deadlock)
+	}
 }
 
 // partitionCandidates applies the must-happens-before filter to a

@@ -105,18 +105,25 @@ type campaignRun struct {
 // ErrNoCompletedRun is returned only when no run completes; the partial
 // campaign still carries witnessed deadlocks and per-run stats.
 func ObserveMany(prog func(*sched.Ctx), cfg predict.Config, opts CampaignOptions) (*CampaignObservation, error) {
+	co, _, err := observeMany(prog, cfg, opts, observeRun)
+	return co, err
+}
+
+// observeMany is ObserveMany with the observation-run loop as a
+// parameter, also returning the merged observation the finder read.
+func observeMany(prog func(*sched.Ctx), cfg predict.Config, opts CampaignOptions, observe observeFunc) (*CampaignObservation, *predict.Observation, error) {
 	finder := opts.Finder
 	if finder == nil {
 		finder = predict.Default()
 	}
-	co, pobs, err := observeCampaign(prog, cfg, opts, finder, finder.Caps().NeedsHistory)
+	co, pobs, err := observeCampaign(prog, cfg, opts, finder, finder.Caps().NeedsHistory, observe)
 	if err != nil {
-		return co, err
+		return co, pobs, err
 	}
 	cfgMerged := cfg
 	cfgMerged.Parallelism = opts.ClosureParallelism
 	co.Candidates, co.Cycles, co.FalsePositives = partitionCandidates(finder.Find(pobs, cfgMerged))
-	return co, nil
+	return co, pobs, nil
 }
 
 // ObserveRelation runs the observation campaign and returns the merged
@@ -130,14 +137,15 @@ func ObserveRelation(prog func(*sched.Ctx), cfg predict.Config, opts CampaignOpt
 	if finder == nil {
 		finder = predict.Default()
 	}
-	return observeCampaign(prog, cfg, opts, finder, true)
+	return observeCampaign(prog, cfg, opts, finder, true, observeRun)
 }
 
 // observeCampaign is the shared campaign body: observation runs,
 // per-run saturation stats via finder, and the run-order relation
 // merge. withHistory records each run's synchronization history on the
 // returned predict.Observation (keyed by run index, matching Dep.Run).
-func observeCampaign(prog func(*sched.Ctx), cfg predict.Config, opts CampaignOptions, finder predict.CandidateFinder, withHistory bool) (*CampaignObservation, *predict.Observation, error) {
+// observe executes each observation run (observeRun outside tests).
+func observeCampaign(prog func(*sched.Ctx), cfg predict.Config, opts CampaignOptions, finder predict.CandidateFinder, withHistory bool, observe observeFunc) (*CampaignObservation, *predict.Observation, error) {
 	runs := opts.Runs
 	if runs <= 0 {
 		runs = 1
@@ -164,7 +172,7 @@ func observeCampaign(prog func(*sched.Ctx), cfg predict.Config, opts CampaignOpt
 			// retry loop; the runs are too few and too heavy for
 			// cross-run shell reuse to matter.
 			cr := campaignRun{
-				runOutcome: observeRun(sched.NewPool(), prog,
+				runOutcome: observe(sched.NewPool(), prog,
 					opts.Seed+int64(i)*maxObserveAttempts, opts.MaxSteps, withHistory),
 			}
 			if !cr.completed {

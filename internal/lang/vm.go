@@ -234,6 +234,8 @@ type vmThread struct {
 // unwinder releases any sync blocks a panic left open, innermost first,
 // before c.Call's own defer posts the Return — the same event order the
 // walker's per-block `defer Release` plus per-call `defer Return` yield.
+// A scheduler abort posts nothing on the way out, so one abort unwinds
+// the whole VM stack.
 func (t *vmThread) call(fn *compiledFunc, args []vval, pos Pos, site event.Loc) vval {
 	if t.depth >= maxCallDepth {
 		panic(rtErrf(pos, "call depth exceeds %d (runaway recursion?)", maxCallDepth))
@@ -249,6 +251,9 @@ func (t *vmThread) call(fn *compiledFunc, args []vval, pos Pos, site event.Loc) 
 		defer t.run.putFrame(f)
 		defer func() {
 			t.depth--
+			if t.c.Aborting() {
+				return // putFrame drops the open syncs
+			}
 			for i := len(f.syncs) - 1; i >= 0; i-- {
 				s := f.syncs[i]
 				f.syncs = f.syncs[:i]

@@ -33,13 +33,14 @@ func NewPool() *Pool {
 }
 
 // Run executes main under a pooled scheduler and recycles the shell. If
-// main panics, the panic propagates and the shell is abandoned instead
-// of recycled.
+// main (or the policy) panics, the panic propagates after the shell is
+// recycled: Scheduler.Run has torn every thread down by then, and an
+// abandoned shell would keep the pool reachable from its own parked
+// goroutines, so the pool's cleanup could never stop them.
 func (p *Pool) Run(opts Options, main func(*Ctx)) *Result {
 	s := p.Get(opts)
-	res := s.Run(main)
-	p.Put(s)
-	return res
+	defer p.Put(s)
+	return s.Run(main)
 }
 
 // Get returns a scheduler (recycled or fresh) configured by opts and

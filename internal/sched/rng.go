@@ -10,6 +10,12 @@ package sched
 // same LCG as three interleaved jump chains (x[n+3] = A³·x[n] mod M), a
 // ~7× faster fill with instruction-level parallelism across the chains.
 //
+// The fill is also lazy. Most executions draw only a few dozen numbers,
+// and draw k first reads register slots 334−k and 607−k, so Seed fills
+// nothing: the register is filled in chunks of both ranges as the draws
+// reach them, each chunk entering the LCG at its own step through a jump
+// multiplier from an init-time table.
+//
 // Bit-compatibility is a hard requirement — the schedule RNG determines
 // every committed golden, witness and bench report — and is pinned by
 // TestFastSourceMatchesStdlib plus the repo-wide golden suite. Seeding
@@ -27,22 +33,46 @@ const (
 	rngA    = 48271     // Lehmer LCG multiplier
 )
 
+const (
+	// rngFeed0 is the feed index after seeding. Draw k reads feed slot
+	// rngFeed0−k and tap slot rngLen−k, so the slots below rngFeed0 are
+	// first read by a feed and the rest by a tap, both top down.
+	rngFeed0 = rngLen - rngTap
+	// rngChunk slots of each range are filled at a time; rngChunks
+	// chunks cover the longer, lower range, and the upper range's share
+	// of the last chunks is empty.
+	rngChunk  = 32
+	rngChunks = (rngFeed0 + rngChunk - 1) / rngChunk
+)
+
 // rngCooked is math/rand's seeding table, recovered at init.
 var rngCooked [rngLen]int64
 
-// Jump multipliers for the seeding LCG, computed at init: A³ mod M and
-// A²¹ mod M (the first table entry consumes LCG step 21: 20 warmup
-// steps plus the loop-header step).
+// Jump multipliers for the seeding LCG, computed at init. rngJump3 is
+// A³ mod M; rngChunkJump[m] holds A^(21+3i) mod M for the first slot i
+// of chunk m in the lower and the upper range (slot i consumes LCG
+// steps 21+3i to 23+3i: 20 warmup steps plus the loop-header step).
 var (
-	rngJump3  uint64
-	rngJump21 uint64
+	rngJump3     uint64
+	rngChunkJump [rngChunks + 1][2]uint64
 )
 
 // fastSource implements rand.Source64 with the exact output sequence of
 // rand.NewSource(seed) for every seed.
 type fastSource struct {
 	tap, feed int
-	vec       [rngLen]int64
+	// x is the seed's LCG start; chunks counts the chunks filled so far,
+	// and a draw whose tap falls below fillTap needs the next one.
+	x       uint64
+	chunks  int
+	fillTap int
+	vec     [rngLen]int64
+}
+
+// chunkStarts returns the first slot of chunk m in the lower and the
+// upper range; chunk 0 is the empty prefix above both ranges.
+func chunkStarts(m int) (lo, hi int) {
+	return max(0, rngFeed0-m*rngChunk), max(rngFeed0, rngLen-m*rngChunk)
 }
 
 // mulmod31 returns a·b mod 2³¹−1 for a, b < 2³¹, reducing the 62-bit
@@ -70,19 +100,42 @@ func seedInit(seed int64) uint64 {
 	return uint64(seed)
 }
 
-// Seed fills the feedback register with the same state rngSource.Seed
-// produces: vec[i] = (three consecutive LCG outputs packed 40/20/0) XOR
-// rngCooked[i]. Entry i consumes LCG steps 21+3i, 22+3i and 23+3i, so
-// three chains each advancing by A³ cover the sequence with independent
-// multiply chains.
+// Seed arms the register to hold, slot by slot as draws reach it, the
+// state rngSource.Seed produces: vec[i] = (three consecutive LCG outputs
+// packed 40/20/0) XOR rngCooked[i].
 func (s *fastSource) Seed(seed int64) {
 	s.tap = 0
-	s.feed = rngLen - rngTap
-	x := seedInit(seed)
-	c1 := mulmod31(x, rngJump21) // LCG step 21+3i
-	c2 := mulmod31(c1, rngA)     // LCG step 22+3i
-	c3 := mulmod31(c2, rngA)     // LCG step 23+3i
-	for i := 0; i < rngLen; i++ {
+	s.feed = rngFeed0
+	s.x = seedInit(seed)
+	s.chunks = 0
+	s.fillTap = rngLen
+}
+
+// grow fills the next chunk of both ranges. After m chunks, draws up to
+// m·rngChunk read only filled slots — the draw's tap index is then at
+// least rngLen−m·rngChunk — and after the last one every slot is filled.
+func (s *fastSource) grow() {
+	m := s.chunks + 1
+	s.chunks = m
+	lo, hi := chunkStarts(m)
+	prevLo, prevHi := chunkStarts(m - 1)
+	s.fill(lo, prevLo, rngChunkJump[m][0])
+	s.fill(hi, prevHi, rngChunkJump[m][1])
+	if m == rngChunks {
+		s.fillTap = 0
+	} else {
+		s.fillTap = rngLen - m*rngChunk
+	}
+}
+
+// fill computes slots [a, b), given jump = A^(21+3a) mod M. Slot i
+// consumes LCG steps 21+3i, 22+3i and 23+3i, so three chains each
+// advancing by A³ cover the sequence with independent multiply chains.
+func (s *fastSource) fill(a, b int, jump uint64) {
+	c1 := mulmod31(s.x, jump) // LCG step 21+3i
+	c2 := mulmod31(c1, rngA)  // LCG step 22+3i
+	c3 := mulmod31(c2, rngA)  // LCG step 23+3i
+	for i := a; i < b; i++ {
 		s.vec[i] = int64(c1<<40^c2<<20^c3) ^ rngCooked[i]
 		c1 = mulmod31(c1, rngJump3)
 		c2 = mulmod31(c2, rngJump3)
@@ -96,6 +149,9 @@ func (s *fastSource) Uint64() uint64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
+	}
+	if s.tap < s.fillTap {
+		s.grow()
 	}
 	s.feed--
 	if s.feed < 0 {
@@ -143,7 +199,7 @@ func recoverCooked() {
 		v[334-k] = r[k-1] - r[k-274]
 	}
 	x := seedInit(probe)
-	c := mulmod31(x, rngJump21)
+	c := mulmod31(x, powmod31(rngA, 21))
 	for i := 0; i < rngLen; i++ {
 		u := c << 40
 		c = mulmod31(c, rngA)
@@ -155,12 +211,23 @@ func recoverCooked() {
 	}
 }
 
-func init() {
-	rngJump3 = mulmod31(mulmod31(rngA, rngA), rngA)
-	j := uint64(1)
-	for i := 0; i < 21; i++ {
-		j = mulmod31(j, rngA)
+// powmod31 returns a^e mod 2³¹−1.
+func powmod31(a uint64, e int) uint64 {
+	r := uint64(1)
+	for ; e > 0; e >>= 1 {
+		if e&1 != 0 {
+			r = mulmod31(r, a)
+		}
+		a = mulmod31(a, a)
 	}
-	rngJump21 = j
+	return r
+}
+
+func init() {
+	rngJump3 = powmod31(rngA, 3)
+	for m := 1; m <= rngChunks; m++ {
+		lo, hi := chunkStarts(m)
+		rngChunkJump[m] = [2]uint64{powmod31(rngA, 21+3*lo), powmod31(rngA, 21+3*hi)}
+	}
 	recoverCooked()
 }

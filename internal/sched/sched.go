@@ -21,6 +21,11 @@
 // one-request-per-step reference protocol; the differential suite pins
 // the two byte-identical.
 //
+// A run that ends with threads still blocked tears them down: each is
+// woken with an abort and unwinds once, its stack's deferred Returns and
+// Releases skipping their posts (Ctx.Aborting) rather than re-raising
+// the abort frame by frame.
+//
 // The scheduler confirms resource deadlocks the way Algorithm 4 does: the
 // moment an Acquire blocks, it checks the wait-for graph for a cycle and,
 // if one exists, ends the run with a DeadlockInfo carrying the full
@@ -182,7 +187,8 @@ func (s *Scheduler) init(opts Options) {
 	s.opts = opts
 	if s.rng == nil {
 		// fastSource produces the identical stream to
-		// rand.NewSource(opts.Seed) with a ~7× cheaper per-run Seed;
+		// rand.NewSource(opts.Seed) with a far cheaper per-run Seed
+		// (a faster fill, done lazily as draws reach the register);
 		// see rng.go for the bit-compatibility argument.
 		src := &fastSource{}
 		src.Seed(opts.Seed)
@@ -369,8 +375,8 @@ func (s *Scheduler) Run(main func(*Ctx)) *Result {
 	}
 	s.outcome = Completed
 	s.blocked = nil
-	s.newThread("main", mainObj, main)
-	if !s.schedule(nil) {
+	s.retireIfExited(s.newThread("main", mainObj, main))
+	if !s.scheduleFirst() {
 		// The baton moved to a thread goroutine; whichever goroutine
 		// holds it when the run ends signals runDone.
 		<-s.runDone
@@ -390,6 +396,37 @@ func (s *Scheduler) Run(main func(*Ctx)) *Result {
 		Spawned:   len(s.threads),
 		Allocated: s.alloc.Count(),
 	}
+}
+
+// scheduleFirst runs the scheduling loop on Run's goroutine until the
+// baton first leaves it. A policy that panics here panics on Run's
+// goroutine rather than on a thread's, so the still-parked main thread
+// is torn down before the panic propagates.
+func (s *Scheduler) scheduleFirst() bool {
+	defer func() {
+		if r := recover(); r != nil {
+			s.teardown()
+			panic(r)
+		}
+	}()
+	return s.schedule(nil)
+}
+
+// retireIfExited retires a thread whose body returned before its first
+// scheduling point. Such a thread posts Exit to its creator instead of
+// scheduling, so nothing else would ever retire it; its Exit event
+// follows the Spawn event that created it.
+func (s *Scheduler) retireIfExited(t *Thread) {
+	if t.pending.Kind == event.KindExit {
+		s.retire(t)
+	}
+}
+
+// retire marks t terminated and emits its Exit event.
+func (s *Scheduler) retire(t *Thread) {
+	t.alive = false
+	s.dropAlive(t)
+	s.emit(&Ev{Kind: event.KindExit, Thread: t.id, ThreadObj: t.obj})
 }
 
 // schedule is the baton-passing scheduling loop. It runs on whichever
@@ -419,9 +456,7 @@ func (s *Scheduler) schedule(poster *Thread) bool {
 		switch poster.pending.Kind {
 		case event.KindExit:
 			posterExited = true
-			poster.alive = false
-			s.dropAlive(poster)
-			s.emit(&Ev{Kind: event.KindExit, Thread: poster.id, ThreadObj: poster.obj})
+			s.retire(poster)
 		case event.KindAcquire:
 			// checkRealDeadlock (Algorithm 4): the moment a thread wants
 			// a lock, see whether the wait-for graph now has a cycle.
@@ -767,6 +802,7 @@ func (s *Scheduler) applyRequest(t *Thread) bool {
 		base.Obj = tobj
 		base.Target = child.id
 		s.emit(base)
+		s.retireIfExited(child)
 
 	case event.KindJoin:
 		base.Target = r.Target

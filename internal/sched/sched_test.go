@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 
 	"dlfuzz/internal/event"
@@ -266,6 +267,60 @@ func TestExecIndexDistinguishesLoopAllocations(t *testing.T) {
 	}
 	if k := object.KObject.Of(objs[0], 4); k != object.KObject.Of(objs[2], 4) {
 		t.Errorf("k-object should collapse loop allocations, got %q vs %q", k, object.KObject.Of(objs[2], 4))
+	}
+}
+
+// TestEmptyBodiesComplete pins threads whose body returns before its
+// first scheduling point: each is retired at once, with its Exit event
+// right after the Spawn that created it, so a Join on it runs and the
+// run completes instead of stalling.
+func TestEmptyBodiesComplete(t *testing.T) {
+	empty := func(*Ctx) {}
+	joined := false
+	for _, tc := range []struct {
+		name  string
+		main  func(*Ctx)
+		kinds []event.Kind
+	}{
+		{"joined child", func(c *Ctx) {
+			child := c.Spawn("child", nil, "e:1", empty)
+			c.Join(child, "e:2")
+			joined = true
+		}, []event.Kind{event.KindSpawn, event.KindExit, event.KindJoin, event.KindExit}},
+		{"unjoined child", func(c *Ctx) {
+			c.Spawn("child", nil, "e:1", empty)
+		}, []event.Kind{event.KindSpawn, event.KindExit, event.KindExit}},
+		{"empty main", empty, []event.Kind{event.KindExit}},
+	} {
+		for _, pooled := range []bool{false, true} {
+			col := &collector{}
+			opts := Options{Seed: 1, Observers: []Observer{col}}
+			var res *Result
+			if pooled {
+				res = NewPool().Run(opts, tc.main)
+			} else {
+				res = New(opts).Run(tc.main)
+			}
+			if res.Outcome != Completed {
+				t.Fatalf("%s (pooled %v): outcome %v, want completed", tc.name, pooled, res.Outcome)
+			}
+			var kinds []event.Kind
+			for _, ev := range col.evs {
+				kinds = append(kinds, ev.Kind)
+			}
+			if !reflect.DeepEqual(kinds, tc.kinds) {
+				t.Fatalf("%s (pooled %v): events %v, want %v", tc.name, pooled, kinds, tc.kinds)
+			}
+			if tc.kinds[0] == event.KindSpawn && col.evs[1].Thread != col.evs[0].Target {
+				t.Fatalf("%s: Exit of thread %v after Spawn of %v", tc.name, col.evs[1].Thread, col.evs[0].Target)
+			}
+			if res.Events != uint64(len(tc.kinds)) {
+				t.Fatalf("%s: Result.Events = %d, want %d", tc.name, res.Events, len(tc.kinds))
+			}
+		}
+	}
+	if !joined {
+		t.Fatal("the Join on an empty child never returned")
 	}
 }
 

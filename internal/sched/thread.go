@@ -7,7 +7,10 @@ import (
 
 // abortPanic is thrown into thread goroutines when the scheduler tears
 // down an unfinished execution (deadlock, stall, step limit) so they
-// unwind and exit instead of leaking.
+// unwind and exit instead of leaking. Each aborted thread raises it once:
+// the scheduler's own deferred posts (Call's Return, Sync's Release) skip
+// themselves while the thread is aborting, so the one panic unwinds the
+// whole stack.
 type abortPanic struct{}
 
 // Thread is one simulated thread. All fields are owned by the scheduler
@@ -191,11 +194,11 @@ func (t *Thread) recycle() {
 
 // postPending hands the pending request to the scheduler and blocks
 // until the scheduler executes it. It panics with abortPanic when the
-// scheduler is tearing down — including on re-entry from deferred
-// cleanup (e.g. the Release deferred by Sync) while an abort is already
-// unwinding. Callers (the Ctx methods) assign the request literal
-// directly to t.pending (field stores, no 100+-byte struct passed by
-// value) before calling.
+// scheduler is tearing down — including on re-entry from user code that
+// posts while an abort is already unwinding (the deferred posts Call and
+// Sync own check for the abort first and never get here). Callers (the
+// Ctx methods) assign the request literal directly to t.pending (field
+// stores, no 100+-byte struct passed by value) before calling.
 //
 // The first post hands control back to the creator blocked in newThread
 // (the creator holds the scheduling baton) and parks until granted.
@@ -250,6 +253,12 @@ func (c *Ctx) Thread() *Thread { return c.t }
 // Scheduler returns the owning scheduler.
 func (c *Ctx) Scheduler() *Scheduler { return c.t.sched }
 
+// Aborting reports whether teardown is unwinding this thread. Deferred
+// cleanup that would post a request (a Release, a Return) checks it and
+// skips the post: posting while aborting only re-raises the abort, and
+// the run's state is discarded anyway.
+func (c *Ctx) Aborting() bool { return c.t.aborted }
+
 // New allocates an object of the given type at site. The creating object
 // (for k-object-sensitivity) is the receiver of the innermost open call.
 func (c *Ctx) New(typ string, site event.Loc) *object.Obj {
@@ -275,7 +284,11 @@ func (c *Ctx) Release(o *object.Obj, site event.Loc) {
 // synchronized(o){...} block whose opening brace is at site.
 func (c *Ctx) Sync(o *object.Obj, site event.Loc, body func()) {
 	c.Acquire(o, site)
-	defer c.Release(o, site)
+	defer func() {
+		if !c.t.aborted {
+			c.Release(o, site)
+		}
+	}()
 	body()
 }
 
@@ -286,6 +299,9 @@ func (c *Ctx) Call(name string, recv *object.Obj, site event.Loc, body func()) {
 	c.t.pending = Request{Kind: event.KindCall, Method: name, Recv: recv, Loc: site}
 	c.t.postPending()
 	defer func() {
+		if c.t.aborted {
+			return
+		}
 		c.t.pending = Request{Kind: event.KindReturn, Method: name, Loc: site}
 		c.t.postPending()
 	}()

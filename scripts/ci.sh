@@ -5,10 +5,14 @@
 #   2. go build          — every package compiles
 #   3. go test           — the full suite (runs campaigns through the
 #                          parallel engine by default)
-#   4. go test -race     — the analysis pipeline, the concurrent
-#                          campaign engine, the harness built on them,
-#                          the observability layer and the dlfuzz CLI
-#                          must be race-clean
+#   4. go test -race     — the scheduler (whose teardown ends on thread
+#                          goroutines), the analysis pipeline, the
+#                          concurrent campaign engine, the harness built
+#                          on them, the observability layer and the
+#                          dlfuzz CLI must be race-clean
+#   4b. bench module     — the benchmark's own tests (`cd bench && go
+#                          test ./...`): the traced check must match the
+#                          untraced one, and every workload runs once
 #   5. fuzz smoke        — FuzzParser explores for a few seconds from
 #                          the testdata-seeded corpus
 #   6. vm diff           — the bytecode VM and the tree-walking
@@ -63,9 +67,12 @@ go build ./...
 echo "== go test ./... =="
 go test ./...
 
-echo "== go test -race (analysis + campaign + harness + obs + dlfuzz CLI) =="
-go test -race ./internal/analysis/ ./internal/campaign/ ./internal/harness/ \
-	./internal/obs/ ./cmd/dlfuzz/
+echo "== go test -race (sched + analysis + campaign + harness + obs + dlfuzz CLI) =="
+go test -race ./internal/sched/ ./internal/analysis/ ./internal/campaign/ \
+	./internal/harness/ ./internal/obs/ ./cmd/dlfuzz/
+
+echo "== bench module: traced ≡ untraced fidelity and every-workload smoke =="
+(cd bench && go test ./...)
 
 echo "== fuzz smoke: FuzzParser for ${FUZZTIME} =="
 go test -run=Fuzz -fuzz=FuzzParser -fuzztime="${FUZZTIME}" ./internal/lang/
