@@ -64,6 +64,7 @@ profile:
 
 fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzParser -fuzztime=10s ./internal/lang/
+	$(GO) test -run=Fuzz -fuzz=FuzzReadWitness -fuzztime=10s ./internal/obs/
 
 # Byte-identity differential between the bytecode VM and the tree-walking
 # interpreter: scheduled runs, confirm campaigns and blocking analyses

@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"dlfuzz"
+	"dlfuzz/internal/analysis"
 	"dlfuzz/internal/fuzzer"
 	"dlfuzz/internal/harness"
 	"dlfuzz/internal/igoodlock"
@@ -31,9 +32,9 @@ import (
 
 // phase1For runs iGoodlock once for a workload under a variant,
 // outside benchmark timing.
-func phase1For(b *testing.B, w workloads.Workload, v harness.Variant) *harness.Phase1Result {
+func phase1For(b *testing.B, w workloads.Workload, v harness.Variant) *analysis.CampaignObservation {
 	b.Helper()
-	p1, err := harness.RunPhase1(w.Prog, v.Goodlock, 1, 0)
+	p1, err := analysis.ObserveMany(w.Prog, v.Goodlock, analysis.CampaignOptions{Runs: 1, Seed: 1})
 	if err != nil {
 		b.Fatalf("%s: %v", w.Name, err)
 	}
@@ -154,7 +155,7 @@ func BenchmarkSection54Imprecision(b *testing.B) {
 	v := harness.DefaultVariant()
 	var potential, falsePos int
 	for i := 0; i < b.N; i++ {
-		p1, err := harness.RunPhase1(w.Prog, v.Goodlock, int64(i+1), 0)
+		p1, err := analysis.ObserveMany(w.Prog, v.Goodlock, analysis.CampaignOptions{Runs: 1, Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}

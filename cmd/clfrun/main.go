@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"dlfuzz"
+	"dlfuzz/internal/cliflag"
 	"dlfuzz/internal/lang"
 	"dlfuzz/internal/sched"
 	"dlfuzz/internal/trace"
@@ -41,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		replayIn  = fs.String("replay", "", "replay a schedule from this file")
 		tree      = fs.Bool("tree", false, "use the tree-walking interpreter instead of the bytecode VM (identical output, slower)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return 2
 	}
 	if len(fs.Args()) != 1 {

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -126,6 +127,11 @@ func TestRunUsageErrors(t *testing.T) {
 	if code := run([]string{"-replay", filepath.Join(t.TempDir(), "missing.json"),
 		filepath.Join("..", "..", "testdata", "philosophers.clf")}, &stdout, &stderr); code != 2 {
 		t.Errorf("missing schedule: exit %d, want 2", code)
+	}
+	stderr.Reset()
+	if code := run([]string{"-max-steps", "-1", filepath.Join("..", "..", "testdata", "fig1.clf")}, &stdout, &stderr); code != 2 ||
+		strings.Count(stderr.String(), "\n") != 1 {
+		t.Errorf("negative -max-steps: exit %d, stderr %q; want exit 2 and one line", code, stderr.String())
 	}
 }
 

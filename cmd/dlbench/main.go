@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"dlfuzz"
+	"dlfuzz/internal/analysis"
 	"dlfuzz/internal/campaign"
 	"dlfuzz/internal/harness"
 	"dlfuzz/internal/igoodlock"
@@ -228,13 +229,13 @@ func table1(runs, maxCycles, parallel, stopAfter int) error {
 func imprecisionStudy(runs int, copts campaign.Options) error {
 	w, _ := workloads.ByName("jigsaw")
 	v := harness.DefaultVariant()
-	p1, err := harness.RunPhase1(w.Prog, v.Goodlock, 1, 0)
+	p1, err := analysis.ObserveMany(w.Prog, v.Goodlock, analysis.CampaignOptions{Runs: 1, Seed: 1})
 	if err != nil {
 		return err
 	}
 	// One multi-cycle campaign covers all of Jigsaw's candidates with a
 	// runs-per-cycle budget equivalent to the old per-cycle loop.
-	multi := harness.RunPhase2Multi(w.Prog, p1.Cycles, v.Fuzzer, runs*len(p1.Cycles), 0, copts)
+	multi := campaign.ConfirmCycles(w.Prog, p1.Cycles, v.Fuzzer, runs*len(p1.Cycles), 0, copts)
 	confirmed := len(multi.Confirmed())
 	total := len(p1.Cycles) + len(p1.FalsePositives)
 	fmt.Println("Section 5.4: iGoodlock imprecision on Jigsaw")

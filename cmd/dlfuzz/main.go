@@ -34,6 +34,7 @@ import (
 	"strings"
 
 	"dlfuzz"
+	"dlfuzz/internal/cliflag"
 	"dlfuzz/internal/obs"
 	"dlfuzz/internal/workloads"
 )
@@ -71,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		blocking  = fs.Bool("blocking", false, "run a blocking-deadlock campaign (channels, WaitGroups, waits) instead of the two-phase mutex pipeline")
 		bias      = fs.Float64("blocking-bias", 0.7, "with -blocking: per-decision probability of delaying completing operations (0 = uniform scheduler)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return 2
 	}
 

@@ -95,6 +95,30 @@ func TestRunUsageErrors(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 || stdout.Len() == 0 {
 		t.Errorf("-list: exit %d, output %q", code, stdout.String())
 	}
+	// Negative budgets and depths are usage errors with a one-line
+	// message, not silent no-op campaigns or abstraction panics.
+	fig1 := filepath.Join("..", "..", "testdata", "fig1.clf")
+	for _, args := range [][]string{
+		{"-k", "-1", fig1},
+		{"-runs", "-3", fig1},
+		{"-blocking", "-runs", "-1", fig1},
+		{"-p1-runs", "-1", fig1},
+		{"-stop-after", "-1", fig1},
+		{"-max-cycle-len", "-1", fig1},
+	} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(args, &stdout, &stderr); code != 2 || strings.Count(stderr.String(), "\n") != 1 || stdout.Len() != 0 {
+			t.Errorf("%q: exit %d, stderr %q, stdout %q; want exit 2 and one stderr line", args, code, stderr.String(), stdout.String())
+		}
+	}
+	// The exit-code contract's other two values: 0 clean, 1 findings.
+	if code := run([]string{"-workload", "cache4j", "-runs", "5"}, &stdout, &stderr); code != 0 {
+		t.Errorf("deadlock-free workload: exit %d, want 0", code)
+	}
+	if code := run([]string{"-runs", "20", fig1}, &stdout, &stderr); code != 1 {
+		t.Errorf("fig1 deadlock: exit %d, want 1", code)
+	}
 }
 
 // TestWitnessReplayEndToEnd drives the full observability loop through

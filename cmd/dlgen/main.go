@@ -24,6 +24,7 @@ import (
 	"os"
 	"strings"
 
+	"dlfuzz/internal/cliflag"
 	"dlfuzz/internal/corpus"
 	"dlfuzz/internal/lang/gen"
 )
@@ -71,7 +72,7 @@ func runGenerate(args []string, stdout, stderr io.Writer) int {
 		preset = fs.String("preset", "medium", "generator preset: small, medium, large, or blocking")
 		out    = fs.String("o", "", "write the program to this file instead of stdout")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return 2
 	}
 	cfg, ok := presetFlag(*preset, stderr)
@@ -105,7 +106,7 @@ func runHarvest(args []string, stdout, stderr io.Writer) int {
 		maxProgs    = fs.Int("max-programs", 24, "cap on kept programs (0 = no cap)")
 		verbose     = fs.Bool("v", false, "log per-seed progress")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return 2
 	}
 	cfg, ok := presetFlag(*preset, stderr)
@@ -143,7 +144,7 @@ func runMinimize(args []string, stdout, stderr io.Writer) int {
 		budget   = fs.Int("budget", 400, "observation checks the minimizer may spend")
 		out      = fs.String("o", "", "write the minimized program to this file instead of stdout")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 1 {
@@ -192,7 +193,7 @@ func runStatus(args []string, stdout, stderr io.Writer) int {
 		dir   = fs.String("dir", "testdata/corpus", "corpus directory")
 		check = fs.Bool("check", false, "re-validate the corpus (parse, key survival, width differential)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return 2
 	}
 	var m *corpus.Manifest

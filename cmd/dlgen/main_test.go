@@ -76,6 +76,10 @@ func TestUsageErrors(t *testing.T) {
 		{"frobnicate"},
 		{"generate", "-preset", "jumbo"},
 		{"minimize"},
+		{"harvest", "-p1-runs", "-1"},
+		{"harvest", "-max-steps", "-1"},
+		{"minimize", "-p1-runs", "-2", "x.clf"},
+		{"minimize", "-max-steps", "-2", "x.clf"},
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer

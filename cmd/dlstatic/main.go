@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"dlfuzz"
+	"dlfuzz/internal/cliflag"
 	"dlfuzz/internal/lang"
 	"dlfuzz/internal/static"
 )
@@ -33,7 +34,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runs     = fs.Int("runs", 50, "Phase II executions per cycle in -compare mode")
 		showEdge = fs.Bool("edges", false, "print the full lock-order graph")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return 2
 	}
 	if len(fs.Args()) != 1 {

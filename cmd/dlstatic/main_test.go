@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -71,5 +72,10 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 	if code := run([]string{"-bad-flag"}, &stdout, &stderr); code != 2 {
 		t.Errorf("bad flag: exit %d, want 2", code)
+	}
+	stderr.Reset()
+	if code := run([]string{"-compare", "-runs", "-1", filepath.Join("..", "..", "testdata", "fig1.clf")}, &stdout, &stderr); code != 2 ||
+		strings.Count(stderr.String(), "\n") != 1 {
+		t.Errorf("negative -runs: exit %d, stderr %q; want exit 2 and one line", code, stderr.String())
 	}
 }

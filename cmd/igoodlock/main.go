@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"dlfuzz"
+	"dlfuzz/internal/cliflag"
 	"dlfuzz/internal/workloads"
 )
 
@@ -35,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		parallel = fs.Int("parallel", 0, "campaign and closure workers (0 = all cores, 1 = serial); results are identical")
 		showDeps = fs.Bool("deps", false, "also print the lock dependency relation size")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflag.Parse(fs, args); err != nil {
 		return 2
 	}
 

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -94,5 +95,16 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 	if code := run([]string{filepath.Join(t.TempDir(), "missing.clf")}, &stdout, &stderr); code != 2 {
 		t.Errorf("missing file: exit %d, want 2", code)
+	}
+	fig1 := filepath.Join("..", "..", "testdata", "fig1.clf")
+	for _, args := range [][]string{
+		{"-k", "-1", fig1},
+		{"-runs", "-1", fig1},
+		{"-max-cycle-len", "-1", fig1},
+	} {
+		stderr.Reset()
+		if code := run(args, &stdout, &stderr); code != 2 || strings.Count(stderr.String(), "\n") != 1 {
+			t.Errorf("%q: exit %d, stderr %q; want exit 2 and one line", args, code, stderr.String())
+		}
 	}
 }

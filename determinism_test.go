@@ -119,6 +119,13 @@ func TestConfirmParallelismInvariant(t *testing.T) {
 			t.Errorf("parallelism %d diverged:\nserial %+v\ngot    %+v", par, serial, got)
 		}
 	}
+	// Confirm targets one cycle, so report-wide ranks (here not even
+	// parallel to it) are ignored rather than tripping the campaign's
+	// length check.
+	opts.Ranks = []float64{2, 1}
+	if got := dlfuzz.Confirm(body, find.Cycles[0], opts); !reflect.DeepEqual(serial, got) {
+		t.Errorf("ranks changed a single-cycle report:\nserial %+v\ngot    %+v", serial, got)
+	}
 }
 
 // TestConfirmAllParallelismInvariant extends the guarantee to

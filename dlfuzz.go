@@ -9,7 +9,6 @@ import (
 	"dlfuzz/internal/campaign"
 	"dlfuzz/internal/event"
 	"dlfuzz/internal/fuzzer"
-	"dlfuzz/internal/harness"
 	"dlfuzz/internal/igoodlock"
 	"dlfuzz/internal/lang"
 	"dlfuzz/internal/object"
@@ -175,11 +174,14 @@ func Find(prog func(*Ctx), opts FindOptions) (*FindReport, error) {
 		K:           opts.K,
 		MaxLen:      opts.MaxCycleLen,
 	}
+	if opts.K < 0 {
+		return nil, fmt.Errorf("dlfuzz: negative abstraction depth K=%d", opts.K)
+	}
 	finder, err := predict.ByName(opts.Finder)
 	if err != nil {
 		return nil, err
 	}
-	p1, err := harness.RunPhase1Campaign(prog, cfg, analysis.CampaignOptions{
+	p1, err := analysis.ObserveMany(prog, cfg, analysis.CampaignOptions{
 		Runs:               opts.Runs,
 		Parallelism:        opts.Parallelism,
 		ClosureParallelism: opts.Parallelism,
@@ -187,6 +189,10 @@ func Find(prog func(*Ctx), opts FindOptions) (*FindReport, error) {
 		MaxSteps:           opts.MaxSteps,
 		Finder:             finder,
 	})
+	newCycles := make([]int, len(p1.PerRun))
+	for i, rs := range p1.PerRun {
+		newCycles[i] = rs.NewCycles
+	}
 	return &FindReport{
 		Cycles:            p1.Cycles,
 		Candidates:        p1.Candidates,
@@ -198,7 +204,7 @@ func Find(prog func(*Ctx), opts FindOptions) (*FindReport, error) {
 		ObservationRuns:   p1.Runs,
 		CompletedRuns:     p1.Completed,
 		RawDeps:           p1.RawDeps,
-		NewCyclesByRun:    p1.NewCyclesByRun(),
+		NewCyclesByRun:    newCycles,
 	}, err
 }
 
@@ -214,7 +220,7 @@ func (r *FindReport) Ranks() []float64 {
 
 // ErrNoCompletedRun is returned by Find when every attempted observation
 // run deadlocks or stalls.
-var ErrNoCompletedRun = harness.ErrNoCompletedRun
+var ErrNoCompletedRun = analysis.ErrNoCompletedRun
 
 // ConfirmOptions configures Phase II.
 type ConfirmOptions struct {
@@ -276,19 +282,15 @@ type ConfirmReport struct {
 	campaign.CycleSummary
 }
 
-// Confirm runs the active random checker against one potential cycle.
-// The campaign is sharded across workers per opts.Parallelism; see
-// internal/campaign for why the report is identical at any setting.
+// Confirm runs the active random checker against one potential cycle:
+// a ConfirmAll campaign over that cycle alone, so every run targets it
+// with scheduler seeds 0..Runs-1. opts.Ranks is ignored (one cycle has
+// no budget to order). The campaign is sharded across workers per
+// opts.Parallelism; see internal/campaign for why the report is
+// identical at any setting.
 func Confirm(prog func(*Ctx), cycle *Cycle, opts ConfirmOptions) *ConfirmReport {
-	if opts.Runs == 0 {
-		opts.Runs = 100
-	}
-	sum := campaign.Confirm(prog, cycle, opts.fuzzerConfig(), opts.Runs, opts.MaxSteps, campaign.Options{
-		Parallelism: opts.Parallelism,
-		StopAfter:   opts.StopAfter,
-		OnRun:       opts.OnRun,
-	})
-	return &ConfirmReport{CycleSummary: campaign.CycleSummary{Summary: *sum}}
+	opts.Ranks = nil
+	return ConfirmAll(prog, []*Cycle{cycle}, opts).Reports[0]
 }
 
 // fuzzerConfig lowers the public options to the internal checker config.

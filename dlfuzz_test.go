@@ -176,6 +176,13 @@ func TestFindOnDeadlockFreeProgram(t *testing.T) {
 	if len(find.Cycles) != 0 {
 		t.Errorf("cycles = %v", find.Cycles)
 	}
+	// A negative abstraction depth is an error, not a panic inside the
+	// abstraction.
+	opts := dlfuzz.DefaultFindOptions()
+	opts.K = -1
+	if _, err := dlfuzz.Find(clean, opts); err == nil {
+		t.Error("Find accepted K = -1")
+	}
 }
 
 func TestMaxCycleLenBudget(t *testing.T) {

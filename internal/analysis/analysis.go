@@ -256,47 +256,3 @@ func partitionCandidates(cands []*predict.Candidate) (keep []*predict.Candidate,
 	}
 	return keep, cycles, fps
 }
-
-// Observe runs the Phase I observation pass with the default finder:
-// seeds from seed upward are tried until an execution completes, each
-// attempt running a fresh HB + lock-dependency pipeline. Attempts that
-// deadlock are recorded on the result, not discarded. If no seed
-// completes within the attempt budget, Observe returns ErrNoCompletedRun
-// together with a partial (cycle-less) Observation carrying whatever
-// deadlocks were witnessed — callers that give up on prediction can
-// still report those.
-func Observe(prog func(*sched.Ctx), cfg predict.Config, seed int64, maxSteps int) (*Observation, error) {
-	return ObserveWith(prog, nil, cfg, seed, maxSteps)
-}
-
-// ObserveWith is Observe with an explicit candidate finder (nil means
-// the default iGoodlock closure). The observation execution is
-// identical for every finder — only the prediction over the recorded
-// relation differs (plus a synchronization-history observer when the
-// finder needs one, which does not perturb scheduling).
-func ObserveWith(prog func(*sched.Ctx), f predict.CandidateFinder, cfg predict.Config, seed int64, maxSteps int) (*Observation, error) {
-	if f == nil {
-		f = predict.Default()
-	}
-	ro := observeRun(sched.NewPool(), prog, seed, maxSteps, f.Caps().NeedsHistory)
-	obs := &Observation{
-		Seed:              ro.seed,
-		Attempts:          ro.attempts,
-		ObservedDeadlocks: ro.deadlocks,
-	}
-	if !ro.completed {
-		return obs, ErrNoCompletedRun
-	}
-	pobs := &predict.Observation{Deps: ro.deps}
-	if ro.hist != nil {
-		pobs.Histories = map[int]*predict.History{0: ro.hist}
-	}
-	cfgRun := cfg
-	cfgRun.Parallelism = 1 // single-run relations close serially
-	obs.Candidates, obs.Cycles, obs.FalsePositives = partitionCandidates(f.Find(pobs, cfgRun))
-	obs.Deps = len(ro.deps)
-	obs.Steps = ro.steps
-	obs.Events = ro.events
-	obs.Stats = ro.stats
-	return obs, nil
-}

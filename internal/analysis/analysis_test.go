@@ -12,7 +12,7 @@ import (
 
 // inversion is the classic two-lock inversion with no timing skew: both
 // completion and deadlock are common under the plain random scheduler,
-// which is what the Observe tests need.
+// which is what the observation tests need.
 func inversion(c *sched.Ctx) {
 	o1 := c.New("Object", "inv:1")
 	o2 := c.New("Object", "inv:2")
@@ -107,7 +107,7 @@ func TestObserveSurfacesDeadlocks(t *testing.T) {
 		if first.Outcome != sched.Deadlock {
 			continue
 		}
-		obs, err := analysis.Observe(inversion, cfg, seed, 0)
+		obs, err := analysis.ObserveMany(inversion, cfg, analysis.CampaignOptions{Runs: 1, Seed: seed})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -132,7 +132,7 @@ func TestObserveSurfacesDeadlocks(t *testing.T) {
 // that always deadlocks exhausts the attempt budget, but the partial
 // observation still carries every witnessed deadlock.
 func TestObservePartialResultOnFailure(t *testing.T) {
-	obs, err := analysis.Observe(certainDeadlock, predict.Config{K: 10}, 1, 0)
+	obs, err := analysis.ObserveMany(certainDeadlock, predict.Config{K: 10}, analysis.CampaignOptions{Runs: 1, Seed: 1})
 	if !errors.Is(err, analysis.ErrNoCompletedRun) {
 		t.Fatalf("err = %v", err)
 	}

@@ -10,7 +10,7 @@ import (
 // CampaignOptions sizes a multi-seed Phase I observation campaign.
 type CampaignOptions struct {
 	// Runs is the number of observation executions; 0 and 1 both mean a
-	// single run (ObserveMany then matches Observe exactly).
+	// single run.
 	Runs int
 	// Parallelism is the number of worker goroutines running
 	// observations: 0 means one per available core, 1 means serial on
@@ -24,7 +24,7 @@ type CampaignOptions struct {
 	ClosureParallelism int
 	// Seed is the base scheduler seed. Run i retries seeds
 	// Seed+i*100 .. Seed+i*100+99, so the runs' retry ranges never
-	// overlap and run 0 behaves exactly like Observe(seed).
+	// overlap and run 0 retries from Seed itself.
 	Seed int64
 	// MaxSteps bounds each execution; 0 means no bound.
 	MaxSteps int
@@ -63,8 +63,8 @@ type RunStats struct {
 // were one big observation: Cycles and FalsePositives come from the
 // closure of the merged relation, Deps is the merged relation's size,
 // Steps/Events/Stats/Attempts are totals across runs, and Seed is the
-// first completed run's completing seed. With Runs=1 every field equals
-// what Observe returns.
+// first completed run's completing seed. With Runs=1 it is exactly that
+// run's own observation.
 type CampaignObservation struct {
 	Observation
 	// Runs is the number of observation runs executed; Completed counts
@@ -88,8 +88,8 @@ type campaignRun struct {
 }
 
 // ObserveMany runs a multi-seed Phase I observation campaign: opts.Runs
-// observation executions (each with its own retry loop, exactly like
-// Observe) across opts.Parallelism pooled workers, their dependency
+// observation executions (each with its own retry loop over seeds; see
+// observeRun) across opts.Parallelism pooled workers, their dependency
 // relations folded into one merged relation in run order, and a single
 // finder pass (sharded per opts.ClosureParallelism when the finder
 // supports it) plus happens-before filter over the merge.

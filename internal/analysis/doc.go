@@ -4,9 +4,9 @@
 // The paper's two phases are really one event stream consumed by several
 // analyses — the lock-dependency recorder (Definition 1), the vector-clock
 // tracker behind the happens-before filter, the trace collector, simple
-// event statistics. Before this package each consumer was hand-threaded
-// through harness code: RunPhase1 hardcoded its observer list and every
-// new consumer meant another bespoke wiring site. A Pipeline makes the
+// event statistics. Without a shared pipeline each consumer is
+// hand-threaded through its caller: a hardcoded observer list per entry
+// point, and another bespoke wiring site for every new consumer. A Pipeline makes the
 // wiring declarative: attach the analyses you want, run the program once,
 // and read each analysis's typed result. Single-pass sharing is the
 // architectural direction of the linear-time prediction line of work

@@ -3,6 +3,7 @@ package avoid
 import (
 	"testing"
 
+	"dlfuzz/internal/analysis"
 	"dlfuzz/internal/fuzzer"
 	"dlfuzz/internal/harness"
 	"dlfuzz/internal/igoodlock"
@@ -32,7 +33,7 @@ func hotInversion(c *sched.Ctx) {
 // patterns learns the program's cycles via Phase I.
 func patterns(t *testing.T) []*igoodlock.Cycle {
 	t.Helper()
-	p1, err := harness.RunPhase1(hotInversion, harness.DefaultVariant().Goodlock, 1, 0)
+	p1, err := analysis.ObserveMany(hotInversion, harness.DefaultVariant().Goodlock, analysis.CampaignOptions{Runs: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"dlfuzz/internal/fuzzer"
-	"dlfuzz/internal/igoodlock"
 	"dlfuzz/internal/obs"
 	"dlfuzz/internal/sched"
 )
@@ -25,11 +22,11 @@ type Options struct {
 	// then reports how many seeds actually contributed.
 	StopAfter int
 	// OnRun, when non-nil, receives one observability record per
-	// contributing execution of a confirm campaign (Confirm, ConfirmEach,
-	// ConfirmCycles), in strict seed order on the consuming goroutine —
-	// the journal/metrics hook. Setting it turns on per-run wall-time
-	// measurement; leaving it nil keeps the engine's hot path untouched.
-	// Baseline campaigns do not report.
+	// contributing execution of a ConfirmCycles campaign, in strict seed
+	// order on the consuming goroutine — the journal/metrics hook.
+	// Setting it turns on per-run wall-time measurement; leaving it nil
+	// keeps the engine's hot path untouched. Baseline campaigns do not
+	// report.
 	OnRun func(*obs.RunRecord)
 	// Ranks, when non-nil, orders ConfirmCycles' round-robin targeting
 	// by candidate rank: the seed budget is spent on higher-ranked
@@ -170,10 +167,9 @@ func runParallel[T any](runs int, opts Options, setup func() func(seed int) T, h
 }
 
 // Summary is the merged outcome of a Phase II reproduction campaign:
-// the active checker run once per seed against one target cycle. It
-// carries every total the serial loops used to track, so both
-// harness.Phase2Summary and the public ConfirmReport are projections of
-// it.
+// the active checker run once per seed against one target cycle. It is
+// the per-cycle core of CycleSummary, and so of the public
+// ConfirmReport.
 type Summary struct {
 	// Runs is the number of seeds that contributed (all of them unless
 	// StopAfter ended the campaign early).
@@ -196,8 +192,7 @@ type Summary struct {
 }
 
 // Probability returns the empirical reproduction probability, the
-// paper's Table 1 column 9. Both harness.Phase2Summary and the public
-// ConfirmReport derive it from here.
+// paper's Table 1 column 9.
 func (s *Summary) Probability() float64 {
 	if s.Runs == 0 {
 		return 0
@@ -223,26 +218,12 @@ func (s *Summary) AvgSteps() float64 {
 	return float64(s.Steps) / float64(s.Runs)
 }
 
-// Confirm runs the active checker over seeds 0..runs-1 against cycle
-// and merges the results. StopAfter counts reproductions.
-func Confirm(prog func(*sched.Ctx), cycle *igoodlock.Cycle, cfg fuzzer.Config, runs, maxSteps int, opts Options) *Summary {
-	return ConfirmEach(prog, cycle, cfg, runs, maxSteps, opts, nil)
-}
-
-// confirmRun is one execution's result plus its observability envelope
-// (wall time and worker id, filled only when Options.OnRun is set).
-type confirmRun struct {
-	r      *fuzzer.RunResult
-	wallNs int64
-	worker int
-}
-
-// runRecord assembles the OnRun record for one execution.
-func runRecord(seed int64, target int, schedSeed int64, cr confirmRun) *obs.RunRecord {
-	r := cr.r
+// runRecord assembles the OnRun record for one multi-cycle execution.
+func runRecord(seed, schedSeed int64, m *multiRun) *obs.RunRecord {
+	r := m.r
 	return &obs.RunRecord{
 		Seed:       seed,
-		Target:     target,
+		Target:     m.target,
 		SchedSeed:  schedSeed,
 		Outcome:    r.Result.Outcome.String(),
 		Reproduced: r.Reproduced,
@@ -253,61 +234,9 @@ func runRecord(seed int64, target int, schedSeed int64, cr confirmRun) *obs.RunR
 		Thrashes:   r.Stats.Thrashes,
 		Yields:     r.Stats.Yields,
 		Evictions:  r.Stats.Evictions,
-		WallNs:     cr.wallNs,
-		Worker:     cr.worker,
+		WallNs:     m.wallNs,
+		Worker:     m.worker,
 	}
-}
-
-// ConfirmEach is Confirm with a per-run hook: each is invoked in seed
-// order with every contributing run's full result, for experiments that
-// need per-run observations (e.g. the Figure 2 thrash/reproduction
-// correlation). each may be nil.
-func ConfirmEach(prog func(*sched.Ctx), cycle *igoodlock.Cycle, cfg fuzzer.Config, runs, maxSteps int, opts Options, each func(seed int, r *fuzzer.RunResult)) *Summary {
-	sum := &Summary{}
-	var workerSeq atomic.Int32
-	timed := opts.OnRun != nil
-	sum.Runs = RunWorkers(runs, opts,
-		func() func(seed int) confirmRun {
-			// One pooled runner per worker: scheduler and policy shells
-			// are recycled across that worker's seeds.
-			r := fuzzer.NewRunner()
-			worker := int(workerSeq.Add(1)) - 1
-			return func(seed int) confirmRun {
-				cr := confirmRun{worker: worker}
-				if timed {
-					start := time.Now()
-					cr.r = r.Run(prog, cycle, cfg, int64(seed), maxSteps)
-					cr.wallNs = time.Since(start).Nanoseconds()
-				} else {
-					cr.r = r.Run(prog, cycle, cfg, int64(seed), maxSteps)
-				}
-				return cr
-			}
-		},
-		func(cr confirmRun) bool { return cr.r.Reproduced },
-		func(seed int, cr confirmRun) {
-			r := cr.r
-			if r.Result.Outcome == sched.Deadlock {
-				sum.Deadlocked++
-			}
-			if r.Reproduced {
-				sum.Reproduced++
-				if sum.Example == nil {
-					sum.Example = r.Result.Deadlock
-					sum.ExampleSeed = int64(seed)
-				}
-			}
-			sum.Thrashes += r.Stats.Thrashes
-			sum.Yields += r.Stats.Yields
-			sum.Steps += r.Result.Steps
-			if each != nil {
-				each(seed, r)
-			}
-			if opts.OnRun != nil {
-				opts.OnRun(runRecord(int64(seed), 0, int64(seed), cr))
-			}
-		})
-	return sum
 }
 
 // BaselineSummary is the merged outcome of an uninstrumented control

@@ -10,9 +10,13 @@ import (
 	"reflect"
 	"testing"
 
+	"dlfuzz/internal/analysis"
 	"dlfuzz/internal/campaign"
 	"dlfuzz/internal/fuzzer"
 	"dlfuzz/internal/harness"
+	"dlfuzz/internal/igoodlock"
+	"dlfuzz/internal/obs"
+	"dlfuzz/internal/sched"
 	"dlfuzz/internal/workloads"
 )
 
@@ -81,13 +85,27 @@ func TestRunStopAfter(t *testing.T) {
 
 // phase1Cycles finds a workload's potential cycles with the default
 // variant, skipping the test when observation fails.
-func phase1Cycles(t *testing.T, w workloads.Workload) *harness.Phase1Result {
+func phase1Cycles(t *testing.T, w workloads.Workload) *analysis.CampaignObservation {
 	t.Helper()
-	p1, err := harness.RunPhase1(w.Prog, harness.DefaultVariant().Goodlock, 1, 0)
+	return observeOnce(t, w.Prog)
+}
+
+// observeOnce runs the paper's single Phase I observation (seed 1) with
+// the default variant, failing the test when no run completes.
+func observeOnce(t *testing.T, prog func(*sched.Ctx)) *analysis.CampaignObservation {
+	t.Helper()
+	p1, err := analysis.ObserveMany(prog, harness.DefaultVariant().Goodlock,
+		analysis.CampaignOptions{Runs: 1, Seed: 1})
 	if err != nil {
-		t.Fatalf("%s: %v", w.Name, err)
+		t.Fatal(err)
 	}
 	return p1
+}
+
+// confirmOne runs a single-cycle campaign against cyc and returns its
+// per-cycle summary.
+func confirmOne(prog func(*sched.Ctx), cyc *igoodlock.Cycle, cfg fuzzer.Config, runs int, opts campaign.Options) campaign.Summary {
+	return campaign.ConfirmCycles(prog, []*igoodlock.Cycle{cyc}, cfg, runs, 0, opts).Cycles[0].Summary
 }
 
 // TestParallelConfirmMatchesSerial is the headline determinism
@@ -107,9 +125,9 @@ func TestParallelConfirmMatchesSerial(t *testing.T) {
 		}
 		cfg := harness.DefaultVariant().Fuzzer
 		for i, cyc := range cycles {
-			serial := campaign.Confirm(w.Prog, cyc, cfg, 32, 0, campaign.Options{Parallelism: 1})
+			serial := confirmOne(w.Prog, cyc, cfg, 32, campaign.Options{Parallelism: 1})
 			for _, par := range []int{0, 4} {
-				parallel := campaign.Confirm(w.Prog, cyc, cfg, 32, 0, campaign.Options{Parallelism: par})
+				parallel := confirmOne(w.Prog, cyc, cfg, 32, campaign.Options{Parallelism: par})
 				if !reflect.DeepEqual(serial, parallel) {
 					t.Errorf("%s cycle %d: parallelism %d diverged:\nserial   %+v\nparallel %+v",
 						w.Name, i, par, serial, parallel)
@@ -149,7 +167,7 @@ func TestConfirmStopAfter(t *testing.T) {
 		t.Fatal("dbcp reported no cycles")
 	}
 	cfg := harness.DefaultVariant().Fuzzer
-	serial := campaign.Confirm(w.Prog, p1.Cycles[0], cfg, 100, 0,
+	serial := confirmOne(w.Prog, p1.Cycles[0], cfg, 100,
 		campaign.Options{Parallelism: 1, StopAfter: 3})
 	if serial.Reproduced != 3 {
 		t.Fatalf("serial stopped at %d reproductions, want 3 (summary %+v)", serial.Reproduced, serial)
@@ -157,16 +175,18 @@ func TestConfirmStopAfter(t *testing.T) {
 	if serial.Runs >= 100 || serial.Runs < 3 {
 		t.Fatalf("serial consumed %d seeds", serial.Runs)
 	}
-	parallel := campaign.Confirm(w.Prog, p1.Cycles[0], cfg, 100, 0,
+	parallel := confirmOne(w.Prog, p1.Cycles[0], cfg, 100,
 		campaign.Options{Parallelism: 4, StopAfter: 3})
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("early-stopped campaigns diverged:\nserial   %+v\nparallel %+v", serial, parallel)
 	}
 }
 
-// TestConfirmEachSeesEveryContributingRun checks the per-run hook fires
-// once per consumed seed, in seed order, and agrees with the summary.
-func TestConfirmEachSeesEveryContributingRun(t *testing.T) {
+// TestConfirmOnRunSeesEveryContributingRun checks the per-run hook of a
+// single-cycle campaign fires once per consumed seed, in seed order,
+// with the scheduler seed equal to the campaign seed and target 0, and
+// agrees with the summary.
+func TestConfirmOnRunSeesEveryContributingRun(t *testing.T) {
 	w, _ := workloads.ByName("dbcp")
 	p1 := phase1Cycles(t, w)
 	if len(p1.Cycles) == 0 {
@@ -175,14 +195,18 @@ func TestConfirmEachSeesEveryContributingRun(t *testing.T) {
 	cfg := harness.DefaultVariant().Fuzzer
 	var seeds []int
 	reproduced := 0
-	sum := campaign.ConfirmEach(w.Prog, p1.Cycles[0], cfg, 16, 0,
-		campaign.Options{Parallelism: 4},
-		func(seed int, r *fuzzer.RunResult) {
-			seeds = append(seeds, seed)
+	sum := confirmOne(w.Prog, p1.Cycles[0], cfg, 16, campaign.Options{
+		Parallelism: 4,
+		OnRun: func(r *obs.RunRecord) {
+			if r.Target != 0 || r.SchedSeed != r.Seed {
+				t.Errorf("seed %d: target %d, scheduler seed %d", r.Seed, r.Target, r.SchedSeed)
+			}
+			seeds = append(seeds, int(r.Seed))
 			if r.Reproduced {
 				reproduced++
 			}
-		})
+		},
+	})
 	if len(seeds) != 16 || sum.Runs != 16 {
 		t.Fatalf("hook fired %d times for %d consumed seeds", len(seeds), sum.Runs)
 	}

@@ -18,10 +18,11 @@ package campaign
 // per-cycle path: campaign seed s maps to target s % C and scheduler
 // seed s / C. Cycle i's targeted runs therefore use scheduler seeds
 // 0,1,2,… — exactly the executions a single-cycle campaign of the same
-// size would have run — so a CycleSummary's embedded Summary is
-// *identical* to Confirm's over the same per-target seed range (the
-// equivalence tests pin this down). Cross-credits are tracked separately
-// so that identity is not disturbed.
+// size runs — so a CycleSummary's embedded Summary is *identical* to
+// that of a one-cycle ConfirmCycles over the same per-target seed range
+// (the equivalence tests pin this down). With C=1 the split is the
+// identity, which is why one engine serves both shapes. Cross-credits
+// are tracked separately so that identity is not disturbed.
 //
 // Everything runs through Run, so the parallel ≡ serial byte-identity
 // guarantee carries over: results merge in ascending campaign-seed
@@ -203,8 +204,7 @@ func ConfirmCycles(prog func(*sched.Ctx), cycles []*igoodlock.Cycle, cfg fuzzer.
 			out.Yields += r.Stats.Yields
 			out.Steps += r.Result.Steps
 			if opts.OnRun != nil {
-				defer opts.OnRun(runRecord(int64(seed), m.target, int64(seed/c),
-					confirmRun{r: r, wallNs: m.wallNs, worker: m.worker}))
+				defer opts.OnRun(runRecord(int64(seed), int64(seed/c), m))
 			}
 			if r.Result.Outcome != sched.Deadlock {
 				return

@@ -1,7 +1,7 @@
 package campaign_test
 
-// Multi-cycle campaign contract: per-cycle summaries identical to the
-// legacy per-cycle campaigns over the same scheduler seeds, the total
+// Multi-cycle campaign contract: per-cycle summaries identical to
+// one-cycle campaigns over the same scheduler seeds, the total
 // execution budget near ~runs instead of cycles × runs, cross-crediting
 // of deadlocks reached while aiming at another candidate, and the same
 // parallel ≡ serial byte-identity the single-cycle engine guarantees.
@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dlfuzz/internal/analysis"
 	"dlfuzz/internal/campaign"
 	"dlfuzz/internal/harness"
 	"dlfuzz/internal/igoodlock"
@@ -17,10 +18,8 @@ import (
 	"dlfuzz/internal/workloads"
 )
 
-// cappedCycles runs Phase I and caps the cycle list, skipping the test
-// when the workload reports fewer than two cycles (a multi-cycle
-// campaign over one cycle is just Confirm).
-func cappedCycles(t *testing.T, w workloads.Workload, max int) *harness.Phase1Result {
+// cappedCycles runs Phase I and caps the cycle list.
+func cappedCycles(t *testing.T, w workloads.Workload, max int) *analysis.CampaignObservation {
 	t.Helper()
 	p1 := phase1Cycles(t, w)
 	if len(p1.Cycles) > max {
@@ -31,9 +30,9 @@ func cappedCycles(t *testing.T, w workloads.Workload, max int) *harness.Phase1Re
 
 // TestConfirmCyclesMatchesPerCycleCampaigns is the equivalence
 // regression: when the budget divides evenly (runs = N × cycles), every
-// cycle's slice of the multi-cycle campaign must be *identical* to a
-// legacy N-run single-cycle campaign — the seed split guarantees the
-// targeted runs are the same executions.
+// cycle's slice of the multi-cycle campaign must be *identical* to an
+// N-run single-cycle campaign — the seed split guarantees the targeted
+// runs are the same executions.
 func TestConfirmCyclesMatchesPerCycleCampaigns(t *testing.T) {
 	const perCycle = 16
 	cfg := harness.DefaultVariant().Fuzzer
@@ -54,10 +53,10 @@ func TestConfirmCyclesMatchesPerCycleCampaigns(t *testing.T) {
 			t.Errorf("%s: executions = %d, want %d", name, multi.Executions, perCycle*c)
 		}
 		for i, cyc := range p1.Cycles {
-			legacy := campaign.Confirm(w.Prog, cyc, cfg, perCycle, 0, campaign.Options{})
-			if !reflect.DeepEqual(*legacy, multi.Cycles[i].Summary) {
-				t.Errorf("%s cycle %d: multi-cycle slice diverged from legacy campaign:\nlegacy %+v\nmulti  %+v",
-					name, i, *legacy, multi.Cycles[i].Summary)
+			single := confirmOne(w.Prog, cyc, cfg, perCycle, campaign.Options{})
+			if !reflect.DeepEqual(single, multi.Cycles[i].Summary) {
+				t.Errorf("%s cycle %d: multi-cycle slice diverged from single-cycle campaign:\nsingle %+v\nmulti  %+v",
+					name, i, single, multi.Cycles[i].Summary)
 			}
 		}
 	}
@@ -107,10 +106,10 @@ func TestConfirmCyclesConfirmsSameSetAsPerCycle(t *testing.T) {
 	cfg := harness.DefaultVariant().Fuzzer
 	multi := campaign.ConfirmCycles(w.Prog, p1.Cycles, cfg, runs, 0, campaign.Options{})
 	for i, cyc := range p1.Cycles {
-		legacy := campaign.Confirm(w.Prog, cyc, cfg, runs, 0, campaign.Options{})
-		if legacy.Reproduced > 0 != multi.Cycles[i].Confirmed() {
-			t.Errorf("cycle %d: legacy confirmed=%v (%d/%d), multi confirmed=%v (%d reproduced + %d cross of %d)",
-				i, legacy.Reproduced > 0, legacy.Reproduced, legacy.Runs,
+		single := confirmOne(w.Prog, cyc, cfg, runs, campaign.Options{})
+		if single.Reproduced > 0 != multi.Cycles[i].Confirmed() {
+			t.Errorf("cycle %d: per-cycle confirmed=%v (%d/%d), multi confirmed=%v (%d reproduced + %d cross of %d)",
+				i, single.Reproduced > 0, single.Reproduced, single.Runs,
 				multi.Cycles[i].Confirmed(), multi.Cycles[i].Reproduced,
 				multi.Cycles[i].CrossMatches, multi.Cycles[i].Runs)
 		}
@@ -167,10 +166,7 @@ func hotInversion(c *sched.Ctx) {
 // the real cycle. The foreign cycle itself can never be confirmed.
 func TestConfirmCyclesCrossCredit(t *testing.T) {
 	v := harness.DefaultVariant()
-	p1, err := harness.RunPhase1(hotInversion, v.Goodlock, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p1 := observeOnce(t, hotInversion)
 	if len(p1.Cycles) != 1 {
 		t.Fatalf("hot inversion reported %d cycles", len(p1.Cycles))
 	}

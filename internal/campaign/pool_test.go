@@ -32,10 +32,10 @@ func TestConfirmBackToBack(t *testing.T) {
 	}
 	cfg := harness.DefaultVariant().Fuzzer
 	cyc := p1.Cycles[0]
-	ref := campaign.Confirm(w.Prog, cyc, cfg, 48, 0, campaign.Options{Parallelism: 1})
+	ref := confirmOne(w.Prog, cyc, cfg, 48, campaign.Options{Parallelism: 1})
 	for _, par := range []int{1, 2, 4} {
 		for round := 0; round < 2; round++ {
-			got := campaign.Confirm(w.Prog, cyc, cfg, 48, 0, campaign.Options{Parallelism: par})
+			got := confirmOne(w.Prog, cyc, cfg, 48, campaign.Options{Parallelism: par})
 			if !reflect.DeepEqual(ref, got) {
 				t.Errorf("parallelism %d round %d diverged from serial reference:\nref %+v\ngot %+v",
 					par, round, ref, got)
@@ -83,11 +83,11 @@ func TestRunWorkersSharedRunner(t *testing.T) {
 	}
 	cfg := harness.DefaultVariant().Fuzzer
 	cyc := p1.Cycles[0]
-	ref := campaign.Confirm(w.Prog, cyc, cfg, 32, 0, campaign.Options{Parallelism: 1})
+	ref := confirmOne(w.Prog, cyc, cfg, 32, campaign.Options{Parallelism: 1})
 
 	runner := fuzzer.NewRunner()
 	for round := 0; round < 2; round++ {
-		sum := &campaign.Summary{}
+		sum := campaign.Summary{}
 		sum.Runs = campaign.RunWorkers(32, campaign.Options{Parallelism: 1},
 			func() func(seed int) *fuzzer.RunResult {
 				return func(seed int) *fuzzer.RunResult {

@@ -3,12 +3,22 @@ package harness
 import (
 	"fmt"
 	"math"
+	"time"
 
+	"dlfuzz/internal/analysis"
 	"dlfuzz/internal/campaign"
-	"dlfuzz/internal/fuzzer"
+	"dlfuzz/internal/igoodlock"
 	"dlfuzz/internal/obs"
+	"dlfuzz/internal/predict"
+	"dlfuzz/internal/sched"
 	"dlfuzz/internal/workloads"
 )
+
+// observe is the paper's Phase I: one observation run, retrying from
+// seed 1 until an execution completes.
+func observe(prog func(*sched.Ctx), cfg predict.Config, maxSteps int) (*analysis.CampaignObservation, error) {
+	return analysis.ObserveMany(prog, cfg, analysis.CampaignOptions{Runs: 1, Seed: 1, MaxSteps: maxSteps})
+}
 
 // Table1Row is one benchmark's row of the paper's Table 1.
 type Table1Row struct {
@@ -90,17 +100,19 @@ func BuildTable1Row(w workloads.Workload, opt Table1Options) (Table1Row, error) 
 
 	// The baseline control always runs every seed; StopAfter only
 	// bounds the per-cycle reproduction campaigns.
-	base := RunBaselineCampaign(w.Prog, opt.BaselineRuns, opt.MaxSteps,
+	start := time.Now()
+	base := campaign.Baseline(w.Prog, opt.BaselineRuns, opt.MaxSteps,
 		campaign.Options{Parallelism: opt.Parallelism})
-	row.NormalMs = float64(base.Elapsed.Microseconds()) / float64(base.Runs) / 1000
+	row.NormalMs = ms(time.Since(start)) / float64(base.Runs)
 	row.NormalSteps = base.AvgSteps()
 	row.BaselineDeadlocks = base.Deadlocked
 
-	p1, err := RunPhase1(w.Prog, v.Goodlock, 1, opt.MaxSteps)
+	start = time.Now()
+	p1, err := observe(w.Prog, v.Goodlock, opt.MaxSteps)
 	if err != nil {
 		return row, fmt.Errorf("workload %s: %w", w.Name, err)
 	}
-	row.Phase1Ms = float64(p1.Elapsed.Microseconds()) / 1000
+	row.Phase1Ms = ms(time.Since(start))
 	row.Potential = len(p1.Cycles) + len(p1.FalsePositives)
 	row.ProvablyFalse = len(p1.FalsePositives)
 
@@ -112,7 +124,9 @@ func BuildTable1Row(w workloads.Workload, opt Table1Options) (Table1Row, error) 
 		// One multi-cycle campaign covers every cycle: ~Runs executions
 		// total instead of Runs per cycle, with deadlocks credited to
 		// every candidate they match.
-		multi := RunPhase2Multi(w.Prog, cycles, v.Fuzzer, opt.Runs, opt.MaxSteps, copts)
+		start = time.Now()
+		multi := campaign.ConfirmCycles(w.Prog, cycles, v.Fuzzer, opt.Runs, opt.MaxSteps, copts)
+		elapsed := time.Since(start)
 		var probSum, thrashSum float64
 		for i := range multi.Cycles {
 			cs := &multi.Cycles[i]
@@ -130,11 +144,15 @@ func BuildTable1Row(w workloads.Workload, opt Table1Options) (Table1Row, error) 
 		row.AvgThrashes = thrashSum / n
 		row.Phase2Execs = multi.Executions
 		if multi.Executions > 0 {
-			row.Phase2Ms = float64(multi.Elapsed.Microseconds()) / float64(multi.Executions) / 1000
+			row.Phase2Ms = ms(elapsed) / float64(multi.Executions)
 		}
 	}
 	return row, nil
 }
+
+// ms converts a wall time to fractional milliseconds at microsecond
+// resolution, the precision Table 1 reports.
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // Figure2Point is one (benchmark, variant) measurement of Figure 2:
 // runtime (normalized to the uninstrumented baseline), reproduction
@@ -170,9 +188,9 @@ func Figure2Benchmarks() []workloads.Workload {
 func BuildFigure2(runs, maxCycles, maxSteps int, opts campaign.Options) ([]Figure2Point, error) {
 	var out []Figure2Point
 	for _, w := range Figure2Benchmarks() {
-		base := RunBaselineCampaign(w.Prog, 10, maxSteps, opts)
+		base := campaign.Baseline(w.Prog, 10, maxSteps, opts)
 		for _, v := range Variants() {
-			p1, err := RunPhase1(w.Prog, v.Goodlock, 1, maxSteps)
+			p1, err := observe(w.Prog, v.Goodlock, maxSteps)
 			if err != nil {
 				return nil, fmt.Errorf("figure2 %s/%s: %w", w.Name, v.Name, err)
 			}
@@ -183,7 +201,7 @@ func BuildFigure2(runs, maxCycles, maxSteps int, opts campaign.Options) ([]Figur
 			pt := Figure2Point{Benchmark: w.Name, Variant: v.Name}
 			var steps float64
 			for _, cyc := range cycles {
-				sum := RunPhase2Campaign(w.Prog, cyc, v.Fuzzer, runs, maxSteps, opts)
+				sum := campaign.ConfirmCycles(w.Prog, []*igoodlock.Cycle{cyc}, v.Fuzzer, runs, maxSteps, opts).Cycles[0]
 				pt.Probability += sum.Probability()
 				pt.AvgThrashes += sum.AvgThrashes()
 				steps += sum.AvgSteps()
@@ -214,12 +232,18 @@ type CorrelationPoint struct {
 // The sweep must include the imprecise variants: the well-tuned default
 // barely ever thrashes, so the thrash axis only has support when coarse
 // abstractions and missing contexts are in the mix — which is exactly
-// the paper's point about why those runs fail.
+// the paper's point about why those runs fail. The points are
+// collected through opts.OnRun, which BuildCorrelation sets.
 func BuildCorrelation(runs, maxCycles, maxSteps int, opts campaign.Options) ([]CorrelationPoint, error) {
 	var out []CorrelationPoint
+	// The per-run hook fires in seed order, so the point list is
+	// identical at every parallelism.
+	opts.OnRun = func(r *obs.RunRecord) {
+		out = append(out, CorrelationPoint{Thrashes: r.Thrashes, Reproduced: r.Reproduced})
+	}
 	for _, w := range Figure2Benchmarks() {
 		for _, v := range Variants() {
-			p1, err := RunPhase1(w.Prog, v.Goodlock, 1, maxSteps)
+			p1, err := observe(w.Prog, v.Goodlock, maxSteps)
 			if err != nil {
 				return nil, fmt.Errorf("correlation %s/%s: %w", w.Name, v.Name, err)
 			}
@@ -228,15 +252,7 @@ func BuildCorrelation(runs, maxCycles, maxSteps int, opts campaign.Options) ([]C
 				cycles = cycles[:maxCycles]
 			}
 			for _, cyc := range cycles {
-				// The per-run hook fires in seed order, so the point
-				// list is identical at every parallelism.
-				campaign.ConfirmEach(w.Prog, cyc, v.Fuzzer, runs, maxSteps, opts,
-					func(_ int, r *fuzzer.RunResult) {
-						out = append(out, CorrelationPoint{
-							Thrashes:   r.Stats.Thrashes,
-							Reproduced: r.Reproduced,
-						})
-					})
+				campaign.ConfirmCycles(w.Prog, []*igoodlock.Cycle{cyc}, v.Fuzzer, runs, maxSteps, opts)
 			}
 		}
 	}

@@ -1,154 +1,15 @@
-// Package harness runs the paper's experiments: Phase I observation
-// runs, Phase II reproduction campaigns over many seeds, uninstrumented
-// baselines, and the five DeadlockFuzzer variants of Figure 2.
+// Package harness runs the paper's experiments over its five
+// DeadlockFuzzer variants: Table 1, the Figure 2 variant sweep and its
+// thrash/reproduction correlation, and the Phase I finder bakeoff. Each
+// experiment drives the two phases through their single entry points,
+// analysis.ObserveMany and campaign.ConfirmCycles.
 package harness
 
 import (
-	"time"
-
-	"dlfuzz/internal/analysis"
-	"dlfuzz/internal/campaign"
 	"dlfuzz/internal/fuzzer"
-	"dlfuzz/internal/igoodlock"
 	"dlfuzz/internal/object"
 	"dlfuzz/internal/predict"
-	"dlfuzz/internal/sched"
 )
-
-// Phase1Result is the outcome of an iGoodlock observation pass. It wraps
-// the analysis-pipeline Observation with the wall time the harness
-// measured around it.
-type Phase1Result struct {
-	analysis.Observation
-	// Elapsed is the wall time of instrumented execution + analysis.
-	Elapsed time.Duration
-}
-
-// ErrNoCompletedRun is returned when no seed yields a completed
-// observation execution.
-var ErrNoCompletedRun = analysis.ErrNoCompletedRun
-
-// RunPhase1 observes the program under the plain random scheduler with
-// dependency recording and happens-before tracking sharing one pipeline
-// execution, then runs the default candidate finder (iGoodlock). Seeds
-// from seed upward are tried until an execution completes; attempts
-// that deadlock have already found a real deadlock, which is preserved
-// on the result (ObservedDeadlocks) rather than discarded. On
-// ErrNoCompletedRun the returned result is non-nil and carries the
-// witnessed deadlocks.
-func RunPhase1(prog func(*sched.Ctx), cfg predict.Config, seed int64, maxSteps int) (*Phase1Result, error) {
-	start := time.Now()
-	obs, err := analysis.Observe(prog, cfg, seed, maxSteps)
-	res := &Phase1Result{Observation: *obs, Elapsed: time.Since(start)}
-	return res, err
-}
-
-// Phase1Campaign is the outcome of a multi-seed Phase I observation
-// campaign: per-run observations merged into one relation and closed
-// once (see analysis.ObserveMany), plus the wall time around the whole
-// campaign.
-type Phase1Campaign struct {
-	analysis.CampaignObservation
-	// Elapsed is the wall time of all observation runs, the relation
-	// merge and the closure of the merged relation.
-	Elapsed time.Duration
-}
-
-// NewCyclesByRun returns the campaign's saturation curve: for each run,
-// in run order, how many of its plausible cycles no earlier run had
-// reported. A flat tail means further observation runs stopped
-// discovering candidates.
-func (c *Phase1Campaign) NewCyclesByRun() []int {
-	out := make([]int, len(c.PerRun))
-	for i, rs := range c.PerRun {
-		out[i] = rs.NewCycles
-	}
-	return out
-}
-
-// RunPhase1Campaign runs opts.Runs observation executions across pooled
-// workers, merges their dependency relations in run order, and runs one
-// finder pass (opts.Finder; nil means the default iGoodlock closure,
-// sharded per opts.ClosureParallelism) over the merged relation. The
-// merged result is identical at every opts.Parallelism and
-// opts.ClosureParallelism; with opts.Runs <= 1 it matches RunPhase1. On
-// ErrNoCompletedRun (no run completed) the returned campaign still
-// carries witnessed deadlocks and per-run stats.
-func RunPhase1Campaign(prog func(*sched.Ctx), cfg predict.Config, opts analysis.CampaignOptions) (*Phase1Campaign, error) {
-	start := time.Now()
-	co, err := analysis.ObserveMany(prog, cfg, opts)
-	return &Phase1Campaign{CampaignObservation: *co, Elapsed: time.Since(start)}, err
-}
-
-// Phase2Summary aggregates a reproduction campaign: the checker run
-// `Runs` times against one target cycle, with seeds 0..Runs-1. The
-// aggregate totals and derived statistics (Probability, AvgThrashes,
-// AvgSteps) come from the embedded campaign.Summary; this type adds the
-// target cycle and wall time.
-type Phase2Summary struct {
-	Cycle *igoodlock.Cycle
-	campaign.Summary
-	Elapsed time.Duration
-}
-
-// RunPhase2 runs the active checker `runs` times against cycle, sharded
-// across all cores (the aggregate is identical to a serial campaign;
-// see internal/campaign).
-func RunPhase2(prog func(*sched.Ctx), cycle *igoodlock.Cycle, cfg fuzzer.Config, runs, maxSteps int) *Phase2Summary {
-	return RunPhase2Campaign(prog, cycle, cfg, runs, maxSteps, campaign.Options{})
-}
-
-// RunPhase2Campaign is RunPhase2 with explicit campaign sizing: opts
-// selects the worker count and an optional early stop after N
-// reproductions. Runs in the summary is the number of seeds that
-// contributed, which StopAfter can make smaller than runs.
-func RunPhase2Campaign(prog func(*sched.Ctx), cycle *igoodlock.Cycle, cfg fuzzer.Config, runs, maxSteps int, opts campaign.Options) *Phase2Summary {
-	start := time.Now()
-	sum := campaign.Confirm(prog, cycle, cfg, runs, maxSteps, opts)
-	return &Phase2Summary{Cycle: cycle, Summary: *sum, Elapsed: time.Since(start)}
-}
-
-// Phase2Multi is the outcome of one multi-cycle campaign: ~runs
-// executions shared across every candidate cycle (see
-// campaign.ConfirmCycles), plus wall time.
-type Phase2Multi struct {
-	campaign.MultiSummary
-	Elapsed time.Duration
-}
-
-// RunPhase2Multi runs one multi-cycle campaign targeting all candidate
-// cycles at once: each execution biases toward one cycle round-robin in
-// seed order, every confirmed deadlock is credited to every candidate it
-// matches. Total executions ≤ runs + len(cycles) - 1 instead of the
-// per-cycle path's len(cycles) × runs.
-func RunPhase2Multi(prog func(*sched.Ctx), cycles []*igoodlock.Cycle, cfg fuzzer.Config, runs, maxSteps int, opts campaign.Options) *Phase2Multi {
-	start := time.Now()
-	sum := campaign.ConfirmCycles(prog, cycles, cfg, runs, maxSteps, opts)
-	return &Phase2Multi{MultiSummary: *sum, Elapsed: time.Since(start)}
-}
-
-// Baseline is the uninstrumented control: the program under the plain
-// random scheduler, no observers, no biasing.
-type Baseline struct {
-	campaign.BaselineSummary
-	Elapsed time.Duration
-}
-
-// RunBaseline executes the program `runs` times under Algorithm 2,
-// counting how often normal testing stumbles into a deadlock (the
-// paper's 100-run control that never deadlocked). Runs are sharded
-// across all cores.
-func RunBaseline(prog func(*sched.Ctx), runs, maxSteps int) *Baseline {
-	return RunBaselineCampaign(prog, runs, maxSteps, campaign.Options{})
-}
-
-// RunBaselineCampaign is RunBaseline with explicit campaign sizing;
-// StopAfter ends the control early after N deadlocked runs.
-func RunBaselineCampaign(prog func(*sched.Ctx), runs, maxSteps int, opts campaign.Options) *Baseline {
-	start := time.Now()
-	sum := campaign.Baseline(prog, runs, maxSteps, opts)
-	return &Baseline{BaselineSummary: *sum, Elapsed: time.Since(start)}
-}
 
 // Variant is one of the five DeadlockFuzzer configurations compared in
 // Figure 2. Phase I and Phase II must agree on the abstraction, so each

@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"dlfuzz/internal/analysis"
 	"dlfuzz/internal/campaign"
+	"dlfuzz/internal/igoodlock"
 	"dlfuzz/internal/object"
 	"dlfuzz/internal/sched"
 	"dlfuzz/internal/workloads"
@@ -28,15 +30,16 @@ func inversion(c *sched.Ctx) {
 	c.Join(t2, "h:8")
 }
 
+// The experiments' Phase I step: one observation run from seed 1.
 func TestRunPhase1FindsCycle(t *testing.T) {
-	p1, err := RunPhase1(inversion, DefaultVariant().Goodlock, 1, 0)
+	p1, err := observe(inversion, DefaultVariant().Goodlock, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p1.Cycles) != 1 || p1.Deps != 2 {
 		t.Fatalf("cycles=%d deps=%d", len(p1.Cycles), p1.Deps)
 	}
-	if p1.Steps == 0 || p1.Events == 0 || p1.Elapsed <= 0 {
+	if p1.Steps == 0 || p1.Events == 0 {
 		t.Errorf("missing run statistics: %+v", p1)
 	}
 }
@@ -59,8 +62,8 @@ func TestRunPhase1GivesUp(t *testing.T) {
 	// Not every seed deadlocks, so run the check only if all attempts
 	// fail; what must hold is that a returned error is ErrNoCompletedRun
 	// and a nil error comes with a usable result.
-	p1, err := RunPhase1(always, DefaultVariant().Goodlock, 1, 0)
-	if err != nil && err != ErrNoCompletedRun {
+	p1, err := observe(always, DefaultVariant().Goodlock, 0)
+	if err != nil && err != analysis.ErrNoCompletedRun {
 		t.Fatalf("unexpected error %v", err)
 	}
 	if err == nil && p1 == nil {
@@ -68,12 +71,14 @@ func TestRunPhase1GivesUp(t *testing.T) {
 	}
 }
 
+// The experiments' Phase II step: a single-cycle campaign.
 func TestRunPhase2Campaign(t *testing.T) {
-	p1, err := RunPhase1(inversion, DefaultVariant().Goodlock, 1, 0)
+	p1, err := observe(inversion, DefaultVariant().Goodlock, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := RunPhase2(inversion, p1.Cycles[0], DefaultVariant().Fuzzer, 20, 0)
+	sum := campaign.ConfirmCycles(inversion, []*igoodlock.Cycle{p1.Cycles[0]},
+		DefaultVariant().Fuzzer, 20, 0, campaign.Options{}).Cycles[0]
 	if sum.Runs != 20 {
 		t.Errorf("runs = %d", sum.Runs)
 	}
@@ -88,8 +93,9 @@ func TestRunPhase2Campaign(t *testing.T) {
 	}
 }
 
+// The experiments' uninstrumented control.
 func TestRunBaseline(t *testing.T) {
-	base := RunBaseline(inversion, 20, 0)
+	base := campaign.Baseline(inversion, 20, 0, campaign.Options{})
 	if base.Runs != 20 {
 		t.Errorf("runs = %d", base.Runs)
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"dlfuzz/internal/analysis"
 	"dlfuzz/internal/campaign"
 	"dlfuzz/internal/harness"
 	"dlfuzz/internal/igoodlock"
@@ -27,7 +28,7 @@ func journalFixture(t *testing.T) (func(*sched.Ctx), []*igoodlock.Cycle) {
 		t.Fatal("lists workload missing")
 	}
 	v := harness.DefaultVariant()
-	p1, err := harness.RunPhase1(w.Prog, v.Goodlock, 1, 0)
+	p1, err := analysis.ObserveMany(w.Prog, v.Goodlock, analysis.CampaignOptions{Runs: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

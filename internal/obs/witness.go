@@ -42,11 +42,15 @@ func witnessConfig(cfg fuzzer.Config) WitnessConfig {
 	}
 }
 
-// FuzzerConfig decodes the serialized configuration.
+// FuzzerConfig decodes the serialized configuration, rejecting values
+// no capture could have recorded.
 func (wc WitnessConfig) FuzzerConfig() (fuzzer.Config, error) {
 	abs, ok := object.AbstractionByName(wc.Abstraction)
 	if !ok {
 		return fuzzer.Config{}, fmt.Errorf("obs: unknown abstraction %q", wc.Abstraction)
+	}
+	if wc.K < 0 {
+		return fuzzer.Config{}, fmt.Errorf("obs: negative abstraction depth k=%d", wc.K)
 	}
 	return fuzzer.Config{
 		Abstraction:  abs,
@@ -226,7 +230,8 @@ func (w *Witness) Encode(out io.Writer) error {
 }
 
 // ReadWitness decodes a witness written by Encode. The deadlock trailer
-// is required; its key must agree with the header.
+// is required; its key must agree with the header, and the header's
+// checker configuration must decode (see WitnessConfig.FuzzerConfig).
 func ReadWitness(r io.Reader) (*Witness, error) {
 	dec := json.NewDecoder(r)
 	var hdr witnessHeader
@@ -238,6 +243,9 @@ func ReadWitness(r io.Reader) (*Witness, error) {
 	}
 	if hdr.V != WitnessVersion {
 		return nil, fmt.Errorf("obs: witness version %d, want %d", hdr.V, WitnessVersion)
+	}
+	if _, err := hdr.Config.FuzzerConfig(); err != nil {
+		return nil, err
 	}
 	w := &Witness{
 		Program: hdr.Program, SchedSeed: hdr.SchedSeed, Target: hdr.Target,

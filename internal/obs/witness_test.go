@@ -7,8 +7,10 @@ package obs_test
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
+	"dlfuzz/internal/analysis"
 	"dlfuzz/internal/campaign"
 	"dlfuzz/internal/fuzzer"
 	"dlfuzz/internal/harness"
@@ -22,14 +24,14 @@ import (
 // named workload and hands back everything witness capture needs: the
 // program, the first candidate cycle, the checker config, and the
 // scheduler seed of the first run that reproduced it.
-func confirmedCycle(t *testing.T, name string) (func(*sched.Ctx), *igoodlock.Cycle, fuzzer.Config, int64) {
+func confirmedCycle(t testing.TB, name string) (func(*sched.Ctx), *igoodlock.Cycle, fuzzer.Config, int64) {
 	t.Helper()
 	w, ok := workloads.ByName(name)
 	if !ok {
 		t.Fatalf("workload %s missing", name)
 	}
 	v := harness.DefaultVariant()
-	p1, err := harness.RunPhase1(w.Prog, v.Goodlock, 1, 0)
+	p1, err := analysis.ObserveMany(w.Prog, v.Goodlock, analysis.CampaignOptions{Runs: 1, Seed: 1})
 	if err != nil {
 		t.Fatalf("%s phase 1: %v", name, err)
 	}
@@ -37,7 +39,7 @@ func confirmedCycle(t *testing.T, name string) (func(*sched.Ctx), *igoodlock.Cyc
 		t.Fatalf("%s: no cycles", name)
 	}
 	cyc := p1.Cycles[0]
-	sum := campaign.Confirm(w.Prog, cyc, v.Fuzzer, 60, 0, campaign.Options{Parallelism: 1})
+	sum := campaign.ConfirmCycles(w.Prog, []*igoodlock.Cycle{cyc}, v.Fuzzer, 60, 0, campaign.Options{Parallelism: 1}).Cycles[0]
 	if sum.Example == nil {
 		t.Fatalf("%s: cycle not reproduced in 60 runs", name)
 	}
@@ -125,14 +127,14 @@ func TestCaptureMatchesPlainRun(t *testing.T) {
 func TestWitnessParallelismInvariant(t *testing.T) {
 	w, _ := workloads.ByName("lists")
 	v := harness.DefaultVariant()
-	p1, err := harness.RunPhase1(w.Prog, v.Goodlock, 1, 0)
+	p1, err := analysis.ObserveMany(w.Prog, v.Goodlock, analysis.CampaignOptions{Runs: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cyc := p1.Cycles[0]
 	var ref []byte
 	for _, par := range []int{1, 2, 0} {
-		sum := campaign.Confirm(w.Prog, cyc, v.Fuzzer, 60, 0, campaign.Options{Parallelism: par})
+		sum := campaign.ConfirmCycles(w.Prog, []*igoodlock.Cycle{cyc}, v.Fuzzer, 60, 0, campaign.Options{Parallelism: par}).Cycles[0]
 		if sum.Example == nil {
 			t.Fatalf("parallelism %d: not reproduced", par)
 		}
@@ -203,4 +205,39 @@ func TestWitnessCycleReconstruction(t *testing.T) {
 	if !reflect.DeepEqual(dec.Components, wit.Components) {
 		t.Fatal("components changed across encode/decode")
 	}
+}
+
+// FuzzReadWitness holds the witness decoder to the no-panic contract:
+// any input either fails with an error or decodes to a witness whose
+// checker configuration and target cycle are usable, and which replays
+// (to success or an error) against its built-in workload. The committed
+// regression seed under testdata/fuzz is a dbcp witness whose config
+// says "k":-1, which used to decode and then crash replay with a
+// slice-bounds panic in the abstraction.
+func FuzzReadWitness(f *testing.F) {
+	prog, cyc, cfg, seed := confirmedCycle(f, "dbcp")
+	wit, err := obs.Capture(prog, "workload:dbcp", cyc, 0, cfg, seed, 0)
+	if err != nil {
+		f.Fatalf("capture: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := wit.Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, err := obs.ReadWitness(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if _, err := w.Config.FuzzerConfig(); err != nil {
+			t.Fatalf("accepted witness has an unusable config: %v", err)
+		}
+		_ = w.Cycle().Key()
+		if name, ok := strings.CutPrefix(w.Program, "workload:"); ok {
+			if wl, ok := workloads.ByName(name); ok {
+				_, _ = obs.Replay(wl.Prog, w)
+			}
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	dynamic "dlfuzz/internal/analysis"
 	"dlfuzz/internal/harness"
 	"dlfuzz/internal/lang"
 )
@@ -127,7 +128,8 @@ func TestStaticFalsePositiveSingleThread(t *testing.T) {
 		t.Fatal(err)
 	}
 	interp := lang.NewInterp(prog, nil)
-	p1, err := harness.RunPhase1(interp.Main(), harness.DefaultVariant().Goodlock, 1, 0)
+	p1, err := dynamic.ObserveMany(interp.Main(), harness.DefaultVariant().Goodlock,
+		dynamic.CampaignOptions{Runs: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

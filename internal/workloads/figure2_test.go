@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dlfuzz/internal/analysis"
 	"dlfuzz/internal/harness"
 	. "dlfuzz/internal/workloads"
 )
@@ -17,7 +18,7 @@ import (
 // cycles and seeds.
 func variantCampaign(t *testing.T, w Workload, v harness.Variant, maxCycles, runs int) (prob, thrash float64) {
 	t.Helper()
-	p1, err := harness.RunPhase1(w.Prog, v.Goodlock, 1, 0)
+	p1, err := analysis.ObserveMany(w.Prog, v.Goodlock, analysis.CampaignOptions{Runs: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func variantCampaign(t *testing.T, w Workload, v harness.Variant, maxCycles, run
 		t.Fatalf("%s/%s: no cycles", w.Name, v.Name)
 	}
 	for _, cyc := range cycles {
-		sum := harness.RunPhase2(w.Prog, cyc, v.Fuzzer, runs, 0)
+		sum := confirmOne(w, cyc, v.Fuzzer, runs)
 		prob += sum.Probability()
 		thrash += sum.AvgThrashes()
 	}
@@ -133,14 +134,14 @@ func TestJigsawModestProbability(t *testing.T) {
 		t.Skip("campaign")
 	}
 	w, _ := ByName("jigsaw")
-	p1, err := harness.RunPhase1(w.Prog, harness.DefaultVariant().Goodlock, 1, 0)
+	p1, err := analysis.ObserveMany(w.Prog, harness.DefaultVariant().Goodlock, analysis.CampaignOptions{Runs: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var probSum float64
 	clientCycles := 0
 	for _, cyc := range p1.Cycles {
-		sum := harness.RunPhase2(w.Prog, cyc, harness.DefaultVariant().Fuzzer, 20, 0)
+		sum := confirmOne(w, cyc, harness.DefaultVariant().Fuzzer, 20)
 		// Only the client cycles are budget-gated; the idle-killer
 		// cycle reproduces nearly always.
 		if strings.Contains(cyc.String(), "clientConnectionFinished") {

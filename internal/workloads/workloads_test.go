@@ -3,7 +3,11 @@ package workloads_test
 import (
 	"testing"
 
+	"dlfuzz/internal/analysis"
+	"dlfuzz/internal/campaign"
+	"dlfuzz/internal/fuzzer"
 	"dlfuzz/internal/harness"
+	"dlfuzz/internal/igoodlock"
 	"dlfuzz/internal/sched"
 	. "dlfuzz/internal/workloads"
 )
@@ -37,7 +41,7 @@ func TestDeadlockFreeWorkloads(t *testing.T) {
 	for _, name := range []string{"cache4j", "sor", "hedc", "jspider"} {
 		w, _ := ByName(name)
 		t.Run(name, func(t *testing.T) {
-			p1, err := harness.RunPhase1(w.Prog, harness.DefaultVariant().Goodlock, 1, 0)
+			p1, err := analysis.ObserveMany(w.Prog, harness.DefaultVariant().Goodlock, analysis.CampaignOptions{Runs: 1, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,7 +52,7 @@ func TestDeadlockFreeWorkloads(t *testing.T) {
 			if p1.Deps == 0 {
 				t.Error("expected a non-trivial dependency relation (nested locking exists)")
 			}
-			base := harness.RunBaseline(w.Prog, 20, 0)
+			base := campaign.Baseline(w.Prog, 20, 0, campaign.Options{})
 			if base.Deadlocked != 0 {
 				t.Errorf("deadlock-free workload deadlocked %d/20 times", base.Deadlocked)
 			}
@@ -56,10 +60,16 @@ func TestDeadlockFreeWorkloads(t *testing.T) {
 	}
 }
 
+// confirmOne runs a single-cycle Phase II campaign against cyc over
+// seeds 0..runs-1.
+func confirmOne(w Workload, cyc *igoodlock.Cycle, cfg fuzzer.Config, runs int) campaign.CycleSummary {
+	return campaign.ConfirmCycles(w.Prog, []*igoodlock.Cycle{cyc}, cfg, runs, 0, campaign.Options{}).Cycles[0]
+}
+
 // expectCycles runs Phase 1 and checks the potential-cycle counts.
-func expectCycles(t *testing.T, w Workload, wantPlausible, wantFiltered int) *harness.Phase1Result {
+func expectCycles(t *testing.T, w Workload, wantPlausible, wantFiltered int) *analysis.CampaignObservation {
 	t.Helper()
-	p1, err := harness.RunPhase1(w.Prog, harness.DefaultVariant().Goodlock, 1, 0)
+	p1, err := analysis.ObserveMany(w.Prog, harness.DefaultVariant().Goodlock, analysis.CampaignOptions{Runs: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +87,11 @@ func expectCycles(t *testing.T, w Workload, wantPlausible, wantFiltered int) *ha
 
 // expectReproduction runs Phase 2 campaigns and checks that every cycle
 // reproduces with probability at least minProb.
-func expectReproduction(t *testing.T, w Workload, p1 *harness.Phase1Result, runs int, minProb float64) {
+func expectReproduction(t *testing.T, w Workload, p1 *analysis.CampaignObservation, runs int, minProb float64) {
 	t.Helper()
 	v := harness.DefaultVariant()
 	for i, cyc := range p1.Cycles {
-		sum := harness.RunPhase2(w.Prog, cyc, v.Fuzzer, runs, 0)
+		sum := confirmOne(w, cyc, v.Fuzzer, runs)
 		if got := sum.Probability(); got < minProb {
 			t.Errorf("%s cycle %d: reproduction probability %.2f < %.2f (deadlocked %d/%d)",
 				w.Name, i, got, minProb, sum.Deadlocked, sum.Runs)
@@ -121,7 +131,7 @@ func TestSyncListsCycles(t *testing.T) {
 	}
 	v := harness.DefaultVariant()
 	for i, cyc := range sample {
-		sum := harness.RunPhase2(w.Prog, cyc, v.Fuzzer, 10, 0)
+		sum := confirmOne(w, cyc, v.Fuzzer, 10)
 		if got := sum.Probability(); got < 0.9 {
 			t.Errorf("lists cycle %d: probability %.2f < 0.9", i, got)
 		}
@@ -141,7 +151,7 @@ func TestSyncMapsCompetingDeadlocks(t *testing.T) {
 	}
 	var repro, dead, runs int
 	for _, cyc := range sample {
-		sum := harness.RunPhase2(w.Prog, cyc, v.Fuzzer, 15, 0)
+		sum := confirmOne(w, cyc, v.Fuzzer, 15)
 		repro += sum.Reproduced
 		dead += sum.Deadlocked
 		runs += sum.Runs
@@ -171,7 +181,7 @@ func TestJigsawCyclesAndFalsePositives(t *testing.T) {
 	// checker against a filtered cycle and require zero reproductions.
 	v := harness.DefaultVariant()
 	for i, cyc := range p1.FalsePositives {
-		sum := harness.RunPhase2(w.Prog, cyc, v.Fuzzer, 10, 0)
+		sum := confirmOne(w, cyc, v.Fuzzer, 10)
 		if sum.Reproduced > 0 {
 			t.Errorf("jigsaw filtered cycle %d reproduced %d times; the HB filter is unsound here",
 				i, sum.Reproduced)
@@ -184,14 +194,14 @@ func TestJigsawRealCyclesConfirmable(t *testing.T) {
 		t.Skip("long campaign")
 	}
 	w, _ := ByName("jigsaw")
-	p1, err := harness.RunPhase1(w.Prog, harness.DefaultVariant().Goodlock, 1, 0)
+	p1, err := analysis.ObserveMany(w.Prog, harness.DefaultVariant().Goodlock, analysis.CampaignOptions{Runs: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := harness.DefaultVariant()
 	confirmed, deadlocked := 0, 0
 	for _, cyc := range p1.Cycles {
-		sum := harness.RunPhase2(w.Prog, cyc, v.Fuzzer, 20, 0)
+		sum := confirmOne(w, cyc, v.Fuzzer, 20)
 		if sum.Reproduced > 0 {
 			confirmed++
 		}

@@ -9,12 +9,12 @@
 #                          goroutines), the analysis pipeline, the
 #                          concurrent campaign engine, the harness built
 #                          on them, the observability layer and the
-#                          dlfuzz CLI must be race-clean
+#                          dlfuzz CLI must be race-clean (`make race`)
 #   4b. bench module     — the benchmark's own tests (`cd bench && go
 #                          test ./...`): the traced check must match the
 #                          untraced one, and every workload runs once
-#   5. fuzz smoke        — FuzzParser explores for a few seconds from
-#                          the testdata-seeded corpus
+#   5. fuzz smoke        — FuzzParser and FuzzReadWitness each explore
+#                          for a few seconds from their seeded corpora
 #   6. vm diff           — the bytecode VM and the tree-walking
 #                          interpreter must be byte-identical (events,
 #                          output, campaign reports) over the curated
@@ -68,14 +68,14 @@ echo "== go test ./... =="
 go test ./...
 
 echo "== go test -race (sched + analysis + campaign + harness + obs + dlfuzz CLI) =="
-go test -race ./internal/sched/ ./internal/analysis/ ./internal/campaign/ \
-	./internal/harness/ ./internal/obs/ ./cmd/dlfuzz/
+make race
 
 echo "== bench module: traced ≡ untraced fidelity and every-workload smoke =="
 (cd bench && go test ./...)
 
-echo "== fuzz smoke: FuzzParser for ${FUZZTIME} =="
+echo "== fuzz smoke: FuzzParser and FuzzReadWitness for ${FUZZTIME} each =="
 go test -run=Fuzz -fuzz=FuzzParser -fuzztime="${FUZZTIME}" ./internal/lang/
+go test -run=Fuzz -fuzz=FuzzReadWitness -fuzztime="${FUZZTIME}" ./internal/obs/
 
 echo "== vm diff: bytecode VM vs tree-walker byte identity =="
 # The full differential (curated programs + committed corpus at widths
