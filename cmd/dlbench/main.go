@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -32,6 +33,7 @@ import (
 	"dlfuzz"
 	"dlfuzz/internal/analysis"
 	"dlfuzz/internal/campaign"
+	"dlfuzz/internal/cliflag"
 	"dlfuzz/internal/harness"
 	"dlfuzz/internal/igoodlock"
 	"dlfuzz/internal/lang/gen"
@@ -42,29 +44,44 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command with its I/O injected. Exit status: 0
+// success, 1 a failed benchmark or gate (an I/O error, a sound finder
+// with unconfirmed candidates), 2 usage error.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("dlbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		table        = flag.String("table", "", "regenerate one table (\"1\")")
-		fig          = flag.String("fig", "", "regenerate one figure graph (\"2a\", \"2b\", \"2c\", \"2d\")")
-		imprecision  = flag.Bool("imprecision", false, "run the Section 5.4 imprecision study on Jigsaw")
-		pipelineJSON = flag.String("pipeline-json", "", "write a machine-readable Check benchmark over the Figure-2 workloads to this file and exit")
-		phase1JSON   = flag.String("phase1-json", "", "write a machine-readable Phase I campaign + sharded closure benchmark to this file and exit")
-		bakeoffJSON  = flag.String("bakeoff-json", "", "write a Phase I finder bakeoff over the committed corpus to this file and exit")
-		bakeoffDir   = flag.String("bakeoff-corpus", "testdata/corpus", "corpus directory for -bakeoff-json")
-		bakeoffN     = flag.Int("bakeoff-entries", 0, "cap corpus entries for -bakeoff-json (0 = all)")
-		checkSound   = flag.Bool("check-sound", false, "with -bakeoff-json: fail if a sound finder has Phase-II-unconfirmed candidates")
-		workload     = flag.String("workload", "", "restrict -pipeline-json to one workload (useful with the profile flags)")
-		runs         = flag.Int("runs", 100, "Phase II execution budget per workload (shared across its cycles)")
-		p1runs       = flag.Int("p1-runs", 1, "Phase I observation runs per workload (-phase1-json defaults to 8)")
-		p1par        = flag.Int("p1-parallel", 0, "Phase I campaign and closure workers (0 = all cores); results are identical")
-		genSeeds     = flag.Int("gen-seeds", 0, "with -phase1-json: also bench Phase I over N generated programs (medium preset, seeds 1..N)")
-		maxCycles    = flag.Int("max-cycles", 0, "cap cycles per benchmark (0 = all)")
-		parallel     = flag.Int("parallel", 0, "campaign workers (0 = all cores, 1 = serial); results are identical")
-		stopAfter    = flag.Int("stop-after", 0, "stop each campaign after N targeted reproductions (0 = run all seeds)")
-		metricsOut   = flag.String("metrics-out", "", "write an expvar-style campaign metrics snapshot of the -pipeline-json run to this file")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		table        = fs.String("table", "", "regenerate one table (\"1\")")
+		fig          = fs.String("fig", "", "regenerate one figure graph (\"2a\", \"2b\", \"2c\", \"2d\")")
+		imprecision  = fs.Bool("imprecision", false, "run the Section 5.4 imprecision study on Jigsaw")
+		pipelineJSON = fs.String("pipeline-json", "", "write a machine-readable Check benchmark over the Figure-2 workloads to this file and exit")
+		phase1JSON   = fs.String("phase1-json", "", "write a machine-readable Phase I campaign + sharded closure benchmark to this file and exit")
+		bakeoffJSON  = fs.String("bakeoff-json", "", "write a Phase I finder bakeoff over the committed corpus to this file and exit")
+		bakeoffDir   = fs.String("bakeoff-corpus", "testdata/corpus", "corpus directory for -bakeoff-json")
+		bakeoffN     = fs.Int("bakeoff-entries", 0, "cap corpus entries for -bakeoff-json (0 = all)")
+		checkSound   = fs.Bool("check-sound", false, "with -bakeoff-json: fail if a sound finder has Phase-II-unconfirmed candidates")
+		workload     = fs.String("workload", "", "restrict -pipeline-json to one workload (useful with the profile flags)")
+		runs         = fs.Int("runs", 100, "Phase II execution budget per workload (shared across its cycles)")
+		p1runs       = fs.Int("p1-runs", 1, "Phase I observation runs per workload (-phase1-json defaults to 8)")
+		p1par        = fs.Int("p1-parallel", 0, "Phase I campaign and closure workers (0 = all cores); results are identical")
+		genSeeds     = fs.Int("gen-seeds", 0, "with -phase1-json: also bench Phase I over N generated programs (medium preset, seeds 1..N)")
+		maxCycles    = fs.Int("max-cycles", 0, "cap cycles per benchmark (0 = all)")
+		parallel     = fs.Int("parallel", 0, "campaign workers (0 = all cores, 1 = serial); results are identical")
+		stopAfter    = fs.Int("stop-after", 0, "stop each campaign after N targeted reproductions (0 = run all seeds)")
+		metricsOut   = fs.String("metrics-out", "", "write an expvar-style campaign metrics snapshot of the -pipeline-json run to this file")
+		cpuprofile   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memprofile   = fs.String("memprofile", "", "write a heap profile at exit to this file")
 	)
-	flag.Parse()
+	if err := cliflag.Parse(fs, args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "dlbench:", err)
+		return 1
+	}
 
 	// A bad -workload is a usage error: report it like flag parsing does
 	// (exit status 2, message on stderr) and list what would have worked.
@@ -73,50 +90,63 @@ func main() {
 	// "clf/NAME") are resolved later, against the filesystem.
 	if *workload != "" && !strings.HasPrefix(*workload, "clf") {
 		if _, ok := figure2Workload(*workload); !ok {
-			fmt.Fprintf(os.Stderr, "dlbench: unknown workload %q\nvalid workloads: %s\n",
+			fmt.Fprintf(stderr, "dlbench: unknown workload %q\nvalid workloads: %s\n",
 				*workload, strings.Join(figure2WorkloadNames(), ", "))
-			os.Exit(2)
+			return 2
 		}
+	}
+	if *checkSound && *bakeoffJSON == "" {
+		fmt.Fprintln(stderr, "dlbench: -check-sound requires -bakeoff-json")
+		return 2
+	}
+	if *metricsOut != "" && *pipelineJSON == "" {
+		fmt.Fprintln(stderr, "dlbench: -metrics-out requires -pipeline-json")
+		return 2
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows retained state
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fail(err)
+			if err := writeHeapProfile(*memprofile); err != nil && code == 0 {
+				code = fail(err)
 			}
 		}()
 	}
 
+	var err error
 	if *bakeoffJSON != "" {
-		if err := bakeoffBench(*bakeoffJSON, *bakeoffDir, *bakeoffN, *runs, *parallel, *checkSound); err != nil {
-			fail(err)
-		}
-		return
+		err = bakeoffBench(stdout, *bakeoffJSON, *bakeoffDir, *bakeoffN, *runs, *parallel, *checkSound)
+	} else {
+		err = regenerate(stdout, *table, *fig, *imprecision, *pipelineJSON, *phase1JSON, *workload, *metricsOut,
+			*runs, *maxCycles, *parallel, *stopAfter, *p1runs, *p1par, *genSeeds)
 	}
-	if *checkSound {
-		fail(fmt.Errorf("-check-sound requires -bakeoff-json"))
+	if err != nil {
+		return fail(err)
 	}
+	return 0
+}
 
-	if err := run(*table, *fig, *imprecision, *pipelineJSON, *phase1JSON, *workload, *metricsOut,
-		*runs, *maxCycles, *parallel, *stopAfter, *p1runs, *p1par, *genSeeds); err != nil {
-		fail(err)
+// writeHeapProfile writes a heap profile of the settled heap to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
+	runtime.GC() // settle the heap so the profile shows retained state
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // bakeoffBench writes BENCH_bakeoff.json: every registered Phase I
@@ -125,7 +155,7 @@ func main() {
 // closure cost are tracked side by side across revisions. With
 // checkSound it doubles as the CI gate: a finder that declares itself
 // sound must have zero Phase-II-unconfirmed candidates.
-func bakeoffBench(path, dir string, maxEntries, confirmRuns, parallel int, checkSound bool) error {
+func bakeoffBench(w io.Writer, path, dir string, maxEntries, confirmRuns, parallel int, checkSound bool) error {
 	// The default -runs (100, the Phase II paper budget) is excessive per
 	// bakeoff candidate; unless overridden, let RunBakeoff pick its
 	// default of 5 confirmations per candidate.
@@ -136,48 +166,45 @@ func bakeoffBench(path, dir string, maxEntries, confirmRuns, parallel int, check
 		ConfirmRuns: confirmRuns,
 		MaxEntries:  maxEntries,
 		Parallelism: parallel,
-		Log:         func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
+		Log:         func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) },
 	})
 	if err != nil {
 		return err
 	}
 	for _, f := range b.Finders {
-		fmt.Printf("finder %-10s sound=%-5v candidates=%-4d confirmed=%-4d unconfirmed=%-3d fp-rate=%.2f closure=%.1fms\n",
+		fmt.Fprintf(w, "finder %-10s sound=%-5v candidates=%-4d confirmed=%-4d unconfirmed=%-3d fp-rate=%.2f closure=%.1fms\n",
 			f.Finder, f.Sound, f.Candidates, f.Confirmed, f.Unconfirmed, f.FalsePositiveRate, f.ClosureMs)
 	}
 	if err := b.WriteJSON(path); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d corpus entries, %d confirm runs per candidate)\n", path, b.Entries, b.ConfirmRuns)
+	fmt.Fprintf(w, "wrote %s (%d corpus entries, %d confirm runs per candidate)\n", path, b.Entries, b.ConfirmRuns)
 	if checkSound {
 		for _, f := range b.Finders {
 			if f.Sound && f.Unconfirmed > 0 {
 				return fmt.Errorf("sound finder %q has %d unconfirmed candidates", f.Finder, f.Unconfirmed)
 			}
 		}
-		fmt.Println("check-sound: every sound finder confirmed all of its candidates")
+		fmt.Fprintln(w, "check-sound: every sound finder confirmed all of its candidates")
 	}
 	return nil
 }
 
-// run is main minus flag parsing and profiling, so the profile teardown
-// deferred in main still executes on the error paths.
-func run(table, fig string, imprecision bool, pipelineJSON, phase1JSON, workload, metricsOut string, runs, maxCycles, parallel, stopAfter, p1runs, p1par, genSeeds int) error {
+// regenerate writes the paper's tables and figures, or one of the
+// machine-readable benchmarks, to w.
+func regenerate(w io.Writer, table, fig string, imprecision bool, pipelineJSON, phase1JSON, workload, metricsOut string, runs, maxCycles, parallel, stopAfter, p1runs, p1par, genSeeds int) error {
 	copts := campaign.Options{Parallelism: parallel, StopAfter: stopAfter}
 
 	if pipelineJSON != "" {
-		return pipelineBench(pipelineJSON, metricsOut, workload, runs, parallel, p1runs, p1par)
-	}
-	if metricsOut != "" {
-		return fmt.Errorf("-metrics-out requires -pipeline-json")
+		return pipelineBench(w, pipelineJSON, metricsOut, workload, runs, parallel, p1runs, p1par)
 	}
 	if phase1JSON != "" {
-		return phase1Bench(phase1JSON, p1runs, p1par, genSeeds)
+		return phase1Bench(w, phase1JSON, p1runs, p1par, genSeeds)
 	}
 
 	all := table == "" && fig == "" && !imprecision
 	if table == "1" || all {
-		if err := table1(runs, maxCycles, parallel, stopAfter); err != nil {
+		if err := table1(w, runs, maxCycles, parallel, stopAfter); err != nil {
 			return err
 		}
 	}
@@ -187,63 +214,63 @@ func run(table, fig string, imprecision bool, pipelineJSON, phase1JSON, workload
 		if err != nil {
 			return err
 		}
-		report.WriteFigure2(os.Stdout, points)
+		report.WriteFigure2(w, points)
 	}
 	if wantFig("2d") {
 		points, err := harness.BuildCorrelation(runs, maxCycles, 0, copts)
 		if err != nil {
 			return err
 		}
-		report.WriteCorrelation(os.Stdout, points)
+		report.WriteCorrelation(w, points)
 	}
 	if imprecision || all {
-		if err := imprecisionStudy(runs, copts); err != nil {
+		if err := imprecisionStudy(w, runs, copts); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func table1(runs, maxCycles, parallel, stopAfter int) error {
-	fmt.Println("Table 1: two-phase results per benchmark")
+func table1(w io.Writer, runs, maxCycles, parallel, stopAfter int) error {
+	fmt.Fprintln(w, "Table 1: two-phase results per benchmark")
 	opt := harness.Table1Options{
 		Runs: runs, BaselineRuns: runs, MaxCycles: maxCycles,
 		Parallelism: parallel, StopAfter: stopAfter,
 	}
 	var rows []harness.Table1Row
-	for _, w := range workloads.All() {
-		row, err := harness.BuildTable1Row(w, opt)
+	for _, wl := range workloads.All() {
+		row, err := harness.BuildTable1Row(wl, opt)
 		if err != nil {
 			return err
 		}
 		rows = append(rows, row)
 	}
-	report.WriteTable1(os.Stdout, rows)
-	fmt.Println()
+	report.WriteTable1(w, rows)
+	fmt.Fprintln(w)
 	return nil
 }
 
 // imprecisionStudy reproduces Section 5.4: how many of Jigsaw's
 // potential cycles are provably false (happens-before ordered) and how
 // many the checker confirms.
-func imprecisionStudy(runs int, copts campaign.Options) error {
-	w, _ := workloads.ByName("jigsaw")
+func imprecisionStudy(w io.Writer, runs int, copts campaign.Options) error {
+	wl, _ := workloads.ByName("jigsaw")
 	v := harness.DefaultVariant()
-	p1, err := analysis.ObserveMany(w.Prog, v.Goodlock, analysis.CampaignOptions{Runs: 1, Seed: 1})
+	p1, err := analysis.ObserveMany(wl.Prog, v.Goodlock, analysis.CampaignOptions{Runs: 1, Seed: 1})
 	if err != nil {
 		return err
 	}
 	// One multi-cycle campaign covers all of Jigsaw's candidates with a
 	// runs-per-cycle budget equivalent to the old per-cycle loop.
-	multi := campaign.ConfirmCycles(w.Prog, p1.Cycles, v.Fuzzer, runs*len(p1.Cycles), 0, copts)
+	multi := campaign.ConfirmCycles(wl.Prog, p1.Cycles, v.Fuzzer, runs*len(p1.Cycles), 0, copts)
 	confirmed := len(multi.Confirmed())
 	total := len(p1.Cycles) + len(p1.FalsePositives)
-	fmt.Println("Section 5.4: iGoodlock imprecision on Jigsaw")
-	fmt.Printf("  potential cycles reported:        %d\n", total)
-	fmt.Printf("  confirmed real by DeadlockFuzzer: %d\n", confirmed)
-	fmt.Printf("  provably false (happens-before):  %d\n", len(p1.FalsePositives))
-	fmt.Printf("  undetermined:                     %d\n", total-confirmed-len(p1.FalsePositives))
-	fmt.Println("  (paper: 283 reported, 29 confirmed, 18 provably false, rest undetermined)")
+	fmt.Fprintln(w, "Section 5.4: iGoodlock imprecision on Jigsaw")
+	fmt.Fprintf(w, "  potential cycles reported:        %d\n", total)
+	fmt.Fprintf(w, "  confirmed real by DeadlockFuzzer: %d\n", confirmed)
+	fmt.Fprintf(w, "  provably false (happens-before):  %d\n", len(p1.FalsePositives))
+	fmt.Fprintf(w, "  undetermined:                     %d\n", total-confirmed-len(p1.FalsePositives))
+	fmt.Fprintln(w, "  (paper: 283 reported, 29 confirmed, 18 provably false, rest undetermined)")
 	return nil
 }
 
@@ -297,7 +324,7 @@ func figure2WorkloadNames() []string {
 // moved. Executions and Steps are deterministic for a fixed runs value;
 // the wall-time columns, StepsPerSec and AllocsPerStep are
 // machine-dependent.
-func pipelineBench(path, metricsOut, only string, runs, parallel, p1runs, p1par int) error {
+func pipelineBench(w io.Writer, path, metricsOut, only string, runs, parallel, p1runs, p1par int) error {
 	type doc struct {
 		Runs        int           `json:"runs"`
 		Parallelism int           `json:"parallelism"`
@@ -359,11 +386,11 @@ func pipelineBench(path, metricsOut, only string, runs, parallel, p1runs, p1par 
 		}
 		return row, phase2, mallocs, nil
 	}
-	for _, w := range harness.Figure2Benchmarks() {
-		if only != "" && w.Name != only {
+	for _, wl := range harness.Figure2Benchmarks() {
+		if only != "" && wl.Name != only {
 			continue
 		}
-		row, _, _, err := benchOne(w.Name, "", w.Prog)
+		row, _, _, err := benchOne(wl.Name, "", wl.Prog)
 		if err != nil {
 			return err
 		}
@@ -389,7 +416,7 @@ func pipelineBench(path, metricsOut, only string, runs, parallel, p1runs, p1par 
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", metricsOut)
+		fmt.Fprintf(w, "wrote %s\n", metricsOut)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -401,7 +428,7 @@ func pipelineBench(path, metricsOut, only string, runs, parallel, p1runs, p1par 
 		f.Close()
 		return err
 	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(w, "wrote %s\n", path)
 	return f.Close()
 }
 
@@ -567,7 +594,7 @@ type closureTiming struct {
 // newCyclesByRun curves keep discovering where the fixed models flatten
 // after run 1) and wall-time measurements of the sharded closure on the
 // synthetic wide relation.
-func phase1Bench(path string, p1runs, p1par, genSeeds int) error {
+func phase1Bench(w io.Writer, path string, p1runs, p1par, genSeeds int) error {
 	if p1runs <= 1 {
 		p1runs = 8
 	}
@@ -581,7 +608,7 @@ func phase1Bench(path string, p1runs, p1par, genSeeds int) error {
 	out := doc{P1Runs: p1runs, Parallelism: p1par, Gomaxprocs: runtime.GOMAXPROCS(0)}
 
 	for _, name := range []string{"lists", "maps", "dbcp"} {
-		w, ok := workloads.ByName(name)
+		wl, ok := workloads.ByName(name)
 		if !ok {
 			return fmt.Errorf("phase1 bench: unknown workload %q", name)
 		}
@@ -590,7 +617,7 @@ func phase1Bench(path string, p1runs, p1par, genSeeds int) error {
 		opts.Runs = p1runs
 		opts.Parallelism = p1par
 		start := time.Now()
-		rep, err := dlfuzz.Find(w.Prog, opts)
+		rep, err := dlfuzz.Find(wl.Prog, opts)
 		wall := time.Since(start)
 		if err != nil {
 			return fmt.Errorf("phase1 bench %s: %w", name, err)
@@ -628,7 +655,7 @@ func phase1Bench(path string, p1runs, p1par, genSeeds int) error {
 			// A generated program can deadlock every observation attempt;
 			// the row records the empty campaign rather than failing the
 			// whole benchmark.
-			fmt.Printf("phase1 bench %s: %v\n", name, err)
+			fmt.Fprintf(w, "phase1 bench %s: %v\n", name, err)
 		}
 		out.Workloads = append(out.Workloads, phase1Row{
 			Workload:       name,
@@ -672,7 +699,7 @@ func phase1Bench(path string, p1runs, p1par, genSeeds int) error {
 		f.Close()
 		return err
 	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(w, "wrote %s\n", path)
 	return f.Close()
 }
 
@@ -691,9 +718,4 @@ func timeClosure(deps []*lockset.Dep, cfg igoodlock.Config, workers int) (time.D
 		cycles = len(got)
 	}
 	return best, cycles
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "dlbench:", err)
-	os.Exit(1)
 }

@@ -166,32 +166,34 @@ func observeCampaign(prog func(*sched.Ctx), cfg predict.Config, opts CampaignOpt
 		histories = make(map[int]*predict.History, runs)
 	}
 
-	campaign.Run(runs, campaign.Options{Parallelism: opts.Parallelism},
-		func(i int) campaignRun {
-			// Per-seed scheduler pooling happens inside observeRun's
-			// retry loop; the runs are too few and too heavy for
-			// cross-run shell reuse to matter.
-			cr := campaignRun{
-				runOutcome: observe(sched.NewPool(), prog,
-					opts.Seed+int64(i)*maxObserveAttempts, opts.MaxSteps, withHistory),
-			}
-			if !cr.completed {
+	campaign.RunWorkers(runs, campaign.Options{Parallelism: opts.Parallelism},
+		func() func(int) campaignRun {
+			// One scheduler pool per worker, shared by its runs and
+			// their retries.
+			pool := sched.NewPool()
+			return func(i int) campaignRun {
+				cr := campaignRun{
+					runOutcome: observe(pool, prog,
+						opts.Seed+int64(i)*maxObserveAttempts, opts.MaxSteps, withHistory),
+				}
+				if !cr.completed {
+					return cr
+				}
+				// The run's own finder pass, for the saturation stats.
+				// Serial: single-run relations are small, and the
+				// campaign already runs these on parallel workers.
+				runObs := &predict.Observation{Deps: cr.deps}
+				if cr.hist != nil {
+					runObs.Histories = map[int]*predict.History{0: cr.hist}
+				}
+				plausible, _, _ := partitionCandidates(finder.Find(runObs, cfgRun))
+				cr.cycles = len(plausible)
+				cr.cycleKeys = make([]string, len(plausible))
+				for k, c := range plausible {
+					cr.cycleKeys[k] = c.Cycle.Key()
+				}
 				return cr
 			}
-			// The run's own finder pass, for the saturation stats.
-			// Serial: single-run relations are small, and the campaign
-			// already runs these on parallel workers.
-			runObs := &predict.Observation{Deps: cr.deps}
-			if cr.hist != nil {
-				runObs.Histories = map[int]*predict.History{0: cr.hist}
-			}
-			plausible, _, _ := partitionCandidates(finder.Find(runObs, cfgRun))
-			cr.cycles = len(plausible)
-			cr.cycleKeys = make([]string, len(plausible))
-			for k, c := range plausible {
-				cr.cycleKeys[k] = c.Cycle.Key()
-			}
-			return cr
 		},
 		nil,
 		func(i int, cr campaignRun) {

@@ -384,9 +384,21 @@ func Load(dir string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeManifest(dir, data)
+}
+
+// decodeManifest parses the manifest bytes read from dir. Every entry
+// must name a file directly inside dir, since Validate and the bakeoff
+// read each entry's program from filepath.Join(dir, e.File).
+func decodeManifest(dir string, data []byte) (*Manifest, error) {
 	m := &Manifest{}
 	if err := json.Unmarshal(data, m); err != nil {
 		return nil, fmt.Errorf("corpus: bad manifest in %s: %w", dir, err)
+	}
+	for _, e := range m.Entries {
+		if e.File != filepath.Base(e.File) || e.File == "." || e.File == ".." {
+			return nil, fmt.Errorf("corpus: bad manifest in %s: entry %q is not a file name in the corpus directory", dir, e.File)
+		}
 	}
 	return m, nil
 }

@@ -6,6 +6,8 @@ package obs_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -194,4 +196,29 @@ func TestReadJournalValidates(t *testing.T) {
 	if _, err := obs.ReadJournal(strings.NewReader(full)); err != nil {
 		t.Errorf("valid journal rejected: %v", err)
 	}
+}
+
+// FuzzReadJournal feeds arbitrary bytes to the journal reader, seeded
+// with a committed journal. Bad input must come back as an "obs:"
+// error, never a panic; an accepted journal carries the current
+// version and a totals trailer that matched its run lines.
+func FuzzReadJournal(f *testing.F) {
+	seed, err := os.ReadFile(filepath.Join("testdata", "fig1.journal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"k":"journal","v":1}` + "\n" + `{"k":"total","runs":1}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		jf, err := obs.ReadJournal(bytes.NewReader(data))
+		if err != nil {
+			if jf != nil || !strings.HasPrefix(err.Error(), "obs: ") {
+				t.Fatalf("bad journal: got %v, %q", jf, err)
+			}
+			return
+		}
+		if jf.Version != obs.JournalVersion {
+			t.Fatalf("accepted journal version %d", jf.Version)
+		}
+	})
 }

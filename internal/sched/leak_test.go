@@ -247,48 +247,60 @@ func settle(t *testing.T, what string, base int) {
 // thread deep in Call/Sync or VM frames, and requires the goroutine
 // count to return to its baseline after each: through a fresh
 // scheduler, through a pool that is then dropped, and through
-// campaigns of pooled workers at widths 1, 2 and 4.
+// campaigns of pooled workers at widths 1, 2 and 4. Each case runs at
+// GOMAXPROCS 1 and 4.
 func TestTeardownLeaksNoGoroutines(t *testing.T) {
+	for _, c := range leakCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			for _, procs := range []int{1, 4} {
+				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					checkNoLeaks(t, c)
+				})
+			}
+		})
+	}
+}
+
+// checkNoLeaks runs c through every entry point and requires the
+// goroutine count to settle back to its baseline after each.
+func checkNoLeaks(t *testing.T, c leakCase) {
+	base := runtime.NumGoroutine()
+
 	fresh := func(opts sched.Options, body func(*sched.Ctx)) *sched.Result {
 		return sched.New(opts).Run(body)
 	}
-	for _, c := range leakCases(t) {
-		t.Run(c.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
+	if err := runLeakCase(c, fresh); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, "sched.New", base)
 
-			if err := runLeakCase(c, fresh); err != nil {
+	func() {
+		pool := sched.NewPool()
+		for i := 0; i < 3; i++ {
+			if err := runLeakCase(c, pool.Run); err != nil {
 				t.Fatal(err)
 			}
-			settle(t, "sched.New", base)
+		}
+	}()
+	settle(t, "dropped pool", base)
 
-			func() {
+	for _, width := range []int{1, 2, 4} {
+		var errs []error
+		campaign.RunWorkers(8, campaign.Options{Parallelism: width},
+			func() func(int) error {
 				pool := sched.NewPool()
-				for i := 0; i < 3; i++ {
-					if err := runLeakCase(c, pool.Run); err != nil {
-						t.Fatal(err)
-					}
+				return func(int) error { return runLeakCase(c, pool.Run) }
+			},
+			nil,
+			func(_ int, err error) {
+				if err != nil {
+					errs = append(errs, err)
 				}
-			}()
-			settle(t, "dropped pool", base)
-
-			for _, width := range []int{1, 2, 4} {
-				var errs []error
-				campaign.RunWorkers(8, campaign.Options{Parallelism: width},
-					func() func(int) error {
-						pool := sched.NewPool()
-						return func(int) error { return runLeakCase(c, pool.Run) }
-					},
-					nil,
-					func(_ int, err error) {
-						if err != nil {
-							errs = append(errs, err)
-						}
-					})
-				if len(errs) > 0 {
-					t.Fatalf("width %d: %v", width, errs[0])
-				}
-				settle(t, fmt.Sprintf("campaign width %d", width), base)
-			}
-		})
+			})
+		if len(errs) > 0 {
+			t.Fatalf("width %d: %v", width, errs[0])
+		}
+		settle(t, fmt.Sprintf("campaign width %d", width), base)
 	}
 }

@@ -1,7 +1,5 @@
 package sched
 
-import "runtime"
-
 // Pool recycles Scheduler and Thread shells across the seeded runs of a
 // campaign worker, so a 100-run campaign allocates scheduler state once
 // per worker instead of once per seed. Recycled shells are reset to the
@@ -9,34 +7,26 @@ import "runtime"
 // counters, cleared (capacity-retaining) maps and stacks — so pooled
 // results and event streams are byte-identical to New(opts).Run(main).
 //
-// Pooled thread shells also keep their goroutine: it parks on the
-// shell's work channel between runs (see Thread.loop), so re-spawning a
-// recycled thread skips goroutine creation and keeps its grown stack.
-// The goroutines watch stop, which a runtime cleanup closes once the
-// pool itself becomes unreachable, so abandoned pools leak nothing.
+// Pooled thread shells also keep their coroutine: it parks between
+// bodies (see Thread.loop), so re-spawning a recycled thread skips
+// creating one and keeps its grown stack. A runtime cleanup stops the
+// parked coroutines once the pool itself becomes unreachable (see
+// NewPool), so abandoned pools leak nothing.
 //
 // A Pool is not safe for concurrent use; give each worker goroutine its
 // own.
 type Pool struct {
-	scheds  []*Scheduler
-	threads []*Thread
-	stop    chan struct{}
-}
-
-// NewPool returns an empty pool.
-func NewPool() *Pool {
-	p := &Pool{stop: make(chan struct{})}
-	// The cleanup must not reference p (it would never run); closing the
-	// channel is all the parked thread goroutines need.
-	runtime.AddCleanup(p, func(stop chan struct{}) { close(stop) }, p.stop)
-	return p
+	scheds []*Scheduler
+	// shells is the thread-shell free list. It lives apart from the
+	// Pool so that the cleanup stopping its coroutines does not keep the
+	// pool reachable.
+	shells *[]*Thread
 }
 
 // Run executes main under a pooled scheduler and recycles the shell. If
 // main (or the policy) panics, the panic propagates after the shell is
-// recycled: Scheduler.Run has torn every thread down by then, and an
-// abandoned shell would keep the pool reachable from its own parked
-// goroutines, so the pool's cleanup could never stop them.
+// recycled: Scheduler.Run has torn every thread down by then, and the
+// pool's cleanup stops only the shells on its free list.
 func (p *Pool) Run(opts Options, main func(*Ctx)) *Result {
 	s := p.Get(opts)
 	defer p.Put(s)
@@ -66,7 +56,7 @@ func (p *Pool) Get(opts Options) *Scheduler {
 func (p *Pool) Put(s *Scheduler) {
 	for i, t := range s.threads {
 		t.recycle()
-		p.threads = append(p.threads, t)
+		*p.shells = append(*p.shells, t)
 		s.threads[i] = nil
 	}
 	s.threads = s.threads[:0]
@@ -100,12 +90,13 @@ func (p *Pool) Put(s *Scheduler) {
 // takeThread pops a recycled thread shell, or returns nil when the free
 // list is empty.
 func (p *Pool) takeThread() *Thread {
-	n := len(p.threads)
+	free := *p.shells
+	n := len(free)
 	if n == 0 {
 		return nil
 	}
-	t := p.threads[n-1]
-	p.threads[n-1] = nil
-	p.threads = p.threads[:n-1]
+	t := free[n-1]
+	free[n-1] = nil
+	*p.shells = free[:n-1]
 	return t
 }

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dlfuzz/internal/event"
@@ -26,18 +28,24 @@ func acquireHeavy(n int) func(*Ctx) {
 
 // TestPoolRunMatchesFresh pins the pool's core guarantee: a recycled
 // shell produces results deeply equal to a fresh scheduler's, for both
-// completing and deadlocking seeds, run after run.
+// completing and deadlocking seeds, run after run, at one P and at
+// several.
 func TestPoolRunMatchesFresh(t *testing.T) {
-	pool := NewPool()
-	for round := 0; round < 2; round++ {
-		for seed := int64(0); seed < 40; seed++ {
-			fresh := New(Options{Seed: seed}).Run(fig1(0))
-			pooled := pool.Run(Options{Seed: seed}, fig1(0))
-			if !reflect.DeepEqual(fresh, pooled) {
-				t.Fatalf("round %d seed %d: pooled result differs\nfresh:  %+v\npooled: %+v",
-					round, seed, fresh, pooled)
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			pool := NewPool()
+			for round := 0; round < 2; round++ {
+				for seed := int64(0); seed < 40; seed++ {
+					fresh := New(Options{Seed: seed}).Run(fig1(0))
+					pooled := pool.Run(Options{Seed: seed}, fig1(0))
+					if !reflect.DeepEqual(fresh, pooled) {
+						t.Fatalf("round %d seed %d: pooled result differs\nfresh:  %+v\npooled: %+v",
+							round, seed, fresh, pooled)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -129,5 +137,57 @@ func TestPoolLazyMaps(t *testing.T) {
 	}
 	if s.locks != nil || s.latches != nil {
 		t.Fatal("lock/latch maps allocated by a lock-free run")
+	}
+}
+
+// spawnJoin spawns n workers that each take one step, then joins them.
+func spawnJoin(n int) func(*Ctx) {
+	worker := func(c *Ctx) { c.Step("pool:work") }
+	return func(c *Ctx) {
+		ts := make([]*Thread, n)
+		for i := range ts {
+			ts[i] = c.Spawn("w", nil, "pool:spawn", worker)
+		}
+		for _, t := range ts {
+			c.Join(t, "pool:join")
+		}
+	}
+}
+
+// spawnJoinAllocs is what a warm pooled spawnJoin(4) run allocates,
+// per-run objects such as the spawned thread objects and the Result.
+// Creating even one coroutine would exceed it.
+const spawnJoinAllocs = 12
+
+// TestPoolReusesCoroutines pins shell reuse: once the pool is warm, a
+// run that spawns and joins four threads takes its five shells off the
+// free list with their coroutines still parked, and creates none.
+func TestPoolReusesCoroutines(t *testing.T) {
+	pool := NewPool()
+	prog := spawnJoin(4)
+	pool.Run(Options{Seed: 1}, prog) // warm the shells
+	warm := append([]*Thread(nil), *pool.shells...)
+	avg := testing.AllocsPerRun(10, func() {
+		pool.Run(Options{Seed: 1}, prog)
+	})
+	perCoro := testing.AllocsPerRun(10, func() {
+		var th Thread
+		th.startCoro()
+		th.stop()
+	})
+	if perCoro < 1 {
+		t.Fatalf("creating a coroutine allocates %.0f objects; the bound below cannot see one", perCoro)
+	}
+	if avg > spawnJoinAllocs {
+		t.Errorf("warm pooled spawn/join run allocates %.0f objects, want <= %d (a fresh coroutine costs %.0f)",
+			avg, spawnJoinAllocs, perCoro)
+	}
+	if got := *pool.shells; len(got) != len(warm) {
+		t.Fatalf("pool holds %d shells after reuse, want %d", len(got), len(warm))
+	}
+	for _, th := range warm {
+		if th.next == nil {
+			t.Fatal("a pooled shell's coroutine exited between runs")
+		}
 	}
 }

@@ -52,7 +52,7 @@ type Request struct {
 	// requests). Zero and one both mean a single step. The scheduler
 	// grants a batched request Steps times — each grant is a full
 	// scheduling decision, consuming the same policy/RNG draws as a
-	// per-step execution — but only resumes the goroutine on the last
+	// per-step execution — but only resumes the thread on the last
 	// grant, eliminating the per-step handshake on the dominant path.
 	Steps int
 }

@@ -1,18 +1,18 @@
 // Package sched implements the deterministic cooperative scheduler that
 // substitutes for the JVM thread scheduler the paper instruments.
 //
-// Simulated threads run as goroutines under a baton-passing protocol: a
-// thread posts its next observable operation (a Request) and the
-// scheduling loop runs on whichever goroutine holds the baton — the
-// poster itself, between its post and its next grant. The loop picks one
-// enabled thread per step (delegating the choice to a pluggable Policy)
-// and executes its request; when the chosen thread is the poster, the
-// grant is a plain return with zero context switches, and only a grant
-// to a different thread hands the baton across a channel. Exactly one
-// goroutine runs at any instant and the decision sequence is identical
-// to a strict lockstep loop, so an execution remains a pure function of
-// (program, policy, seed). This is what makes the paper's probabilities
-// measurable and its experiments replayable.
+// Each simulated thread runs as a coroutine (iter.Pull): a thread posts
+// its next observable operation (a Request) and runs the scheduling loop
+// on its own stack, between its post and its next grant. The loop picks
+// one enabled thread per step (delegating the choice to a pluggable
+// Policy) and executes its request; when the chosen thread is the
+// poster, the grant is a plain return with zero switches, and only a
+// grant to a different thread yields to Run's goroutine, which resumes
+// the chosen coroutine directly — no channel and no trip through the Go
+// run queue. Exactly one stack runs at any instant and the decision
+// sequence is identical to a strict lockstep loop, so an execution
+// remains a pure function of (program, policy, seed). This is what makes
+// the paper's probabilities measurable and its experiments replayable.
 //
 // Invisible work (Ctx.Work) is batched: a thread posts one request for n
 // steps and receives its n grants without reposting, so the policy is
@@ -22,9 +22,9 @@
 // the two byte-identical.
 //
 // A run that ends with threads still blocked tears them down: each is
-// woken with an abort and unwinds once, its stack's deferred Returns and
-// Releases skipping their posts (Ctx.Aborting) rather than re-raising
-// the abort frame by frame.
+// resumed once with an abort and unwinds, its stack's deferred Returns
+// and Releases skipping their posts (Ctx.Aborting) rather than
+// re-raising the abort frame by frame.
 //
 // The scheduler confirms resource deadlocks the way Algorithm 4 does: the
 // moment an Acquire blocks, it checks the wait-for graph for a cycle and,
@@ -32,14 +32,14 @@
 // context of every edge.
 //
 // The execution hot path is engineered to be allocation-free at steady
-// state (see DESIGN.md "Performance"): the per-thread handshake is one
-// bidirectional channel, event construction is skipped entirely when no
-// observer is attached, event snapshots of lock and context stacks are
-// O(1) persistent shares guarded by copy-on-write watermarks rather than
-// per-event clones, lock state is a dense slice indexed by object ID,
-// the wait-for graph and the enabled set are reused scratch buffers, and
-// a Pool recycles whole scheduler/thread shells — goroutines included —
-// across the seeded runs of a campaign.
+// state (see DESIGN.md "Performance"): a cross-thread grant is two
+// direct coroutine switches, event construction is skipped entirely when
+// no observer is attached, event snapshots of lock and context stacks
+// are O(1) persistent shares guarded by copy-on-write watermarks rather
+// than per-event clones, lock state is a dense slice indexed by object
+// ID, the wait-for graph and the enabled set are reused scratch buffers,
+// and a Pool recycles whole scheduler/thread shells — coroutines
+// included — across the seeded runs of a campaign.
 package sched
 
 import (
@@ -89,7 +89,7 @@ type Ev struct {
 }
 
 // Observer receives every event of an execution, in order. Observers run
-// on the scheduler goroutine and may not call back into the scheduler.
+// inside the scheduling loop and may not call back into the scheduler.
 type Observer interface {
 	OnEvent(ev Ev)
 }
@@ -144,9 +144,9 @@ type Scheduler struct {
 	panicVal any
 	outcome  Outcome
 
-	// runDone wakes Run's goroutine when a thread goroutine holding the
-	// scheduling baton ends the run (see schedule).
-	runDone chan struct{}
+	// handoff is the thread a cross-grant chose: the granting coroutine
+	// yields to Run's goroutine, which resumes handoff (see schedule).
+	handoff *Thread
 
 	// pool, when non-nil, supplies recycled thread shells and receives
 	// this scheduler back after Pool.Run.
@@ -283,7 +283,10 @@ func (s *Scheduler) registerLatch(l *Latch) {
 	s.latches[l.obj.ID] = l
 }
 
-// newThread registers a thread structure (without starting its goroutine).
+// newThread registers a thread and runs its body up to its first
+// scheduling point: only its coroutine runs until it yields, so
+// determinism holds. Pooled shells keep their coroutine parked between
+// bodies, so re-spawning one skips creating it and keeps its grown stack.
 func (s *Scheduler) newThread(name string, obj *object.Obj, body func(*Ctx)) *Thread {
 	t := s.takeThread()
 	t.id = event.TID(len(s.threads))
@@ -291,67 +294,60 @@ func (s *Scheduler) newThread(name string, obj *object.Obj, body func(*Ctx)) *Th
 	t.obj = obj
 	t.sched = s
 	t.alive = true
+	t.body = body
 	s.threads = append(s.threads, t)
 	s.alive = append(s.alive, t) // ids are minted ascending, so alive stays sorted
-	// Launch (or wake) the goroutine and run it to its first scheduling
-	// point. Only that goroutine runs until it posts, so determinism
-	// holds. Pooled shells keep a persistent goroutine parked on work
-	// across runs; handing it the body skips goroutine creation and
-	// reuses its grown stack.
-	t.started = true
-	if t.looping {
-		t.work <- body
-	} else if s.pool != nil {
-		t.looping = true
-		t.work = make(chan func(*Ctx))
-		go t.loop(s.pool.stop)
-		t.work <- body
-	} else {
-		go t.run(body)
+	if t.next == nil {
+		t.startCoro()
 	}
-	<-t.hs
+	t.next()
 	return t
 }
 
-// loop is the body of a pooled shell's persistent goroutine: one thread
-// body per wakeup, parked on work between runs, exiting when the owning
-// pool is dropped (stop is closed by the pool's runtime cleanup).
-func (t *Thread) loop(stop chan struct{}) {
+// loop is a shell's coroutine: it runs one thread body per resume from
+// its park between bodies, and returns when stopped.
+func (t *Thread) loop(yield func(struct{}) bool) {
+	t.yield = yield
+	defer func() { t.next = nil }()
 	for {
-		select {
-		case body := <-t.work:
-			t.run(body)
-		case <-stop:
+		t.run()
+		if !yield(struct{}{}) {
 			return
 		}
 	}
 }
 
-// run is the body of a thread goroutine: execute body under the
-// baton-passing protocol, posting Exit (or propagating a user panic) on
-// the way out.
-func (t *Thread) run(body func(*Ctx)) {
-	defer func() { t.done <- struct{}{} }()
+// run executes the current body, posting Exit (or recording a user
+// panic) on the way out.
+func (t *Thread) run() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(abortPanic); ok {
 				return
 			}
 			// Propagate user panics to Run via the scheduler.
-			t.pending = Request{Kind: event.KindExit}
 			t.sched.panicVal = r
 			t.postExit()
-			return
 		}
 	}()
-	t.ctx.t = t
-	body(&t.ctx)
-	t.pending = Request{Kind: event.KindExit}
+	t.body(&t.ctx)
 	t.postExit()
 }
 
+// postExit posts the Exit request, which is never granted. A body that
+// never reached a scheduling point leaves it to its creator to retire;
+// otherwise the scheduling loop retires the thread and runs until the
+// turn moves on or the run ends. Either way the coroutine then parks
+// between bodies.
+func (t *Thread) postExit() {
+	t.pending = Request{Kind: event.KindExit}
+	if t.posted {
+		t.sched.schedule(t)
+	}
+}
+
 // takeThread returns a recycled thread shell from the pool, or a fresh
-// one. Recycled shells were fully reset at recycle time; their channels
+// one. Recycled shells were fully reset at recycle time; their coroutine
 // and stack/indexer capacity carry over.
 func (s *Scheduler) takeThread() *Thread {
 	if s.pool != nil {
@@ -359,30 +355,17 @@ func (s *Scheduler) takeThread() *Thread {
 			return t
 		}
 	}
-	return &Thread{
-		hs:      make(chan bool),
-		done:    make(chan struct{}, 1),
-		indexer: object.NewIndexer(),
-	}
+	t := &Thread{indexer: object.NewIndexer()}
+	t.ctx.t = t
+	return t
 }
 
 // Run executes main as the initial thread and returns the result.
 // It panics if a thread body panicked.
 func (s *Scheduler) Run(main func(*Ctx)) *Result {
-	mainObj := s.alloc.New("Thread", "main", nil, []object.IndexEntry{{Loc: "main", Count: 1}})
-	if s.runDone == nil {
-		s.runDone = make(chan struct{}, 1)
-	}
 	s.outcome = Completed
 	s.blocked = nil
-	s.retireIfExited(s.newThread("main", mainObj, main))
-	if !s.scheduleFirst() {
-		// The baton moved to a thread goroutine; whichever goroutine
-		// holds it when the run ends signals runDone.
-		<-s.runDone
-	}
-
-	s.teardown()
+	s.drive(main)
 	if s.panicVal != nil {
 		panic(s.panicVal)
 	}
@@ -398,18 +381,19 @@ func (s *Scheduler) Run(main func(*Ctx)) *Result {
 	}
 }
 
-// scheduleFirst runs the scheduling loop on Run's goroutine until the
-// baton first leaves it. A policy that panics here panics on Run's
-// goroutine rather than on a thread's, so the still-parked main thread
-// is torn down before the panic propagates.
-func (s *Scheduler) scheduleFirst() bool {
-	defer func() {
-		if r := recover(); r != nil {
-			s.teardown()
-			panic(r)
-		}
-	}()
-	return s.schedule(nil)
+// drive runs the execution on Run's goroutine: it schedules until the
+// main thread's first grant, then resumes each cross-granted thread in
+// turn until the run is over. Teardown is deferred so that a policy
+// panic on this goroutine still unwinds every parked thread.
+func (s *Scheduler) drive(main func(*Ctx)) {
+	defer s.teardown()
+	mainObj := s.alloc.New("Thread", "main", nil, []object.IndexEntry{{Loc: "main", Count: 1}})
+	s.retireIfExited(s.newThread("main", mainObj, main))
+	s.schedule(nil)
+	for t := s.handoff; t != nil; t = s.handoff {
+		s.handoff = nil
+		t.next()
+	}
 }
 
 // retireIfExited retires a thread whose body returned before its first
@@ -429,33 +413,26 @@ func (s *Scheduler) retire(t *Thread) {
 	s.emit(&Ev{Kind: event.KindExit, Thread: t.id, ThreadObj: t.obj})
 }
 
-// schedule is the baton-passing scheduling loop. It runs on whichever
-// goroutine is active: a thread goroutine whose user code just posted
-// (poster — it holds the baton between its post and its next grant), or
-// Run's goroutine right after the main thread's first post (poster ==
-// nil). It returns true when the run is over, false when the baton was
-// handed to another goroutine.
+// schedule is the scheduling loop. It runs on the coroutine of a thread
+// whose user code just posted (poster), or on Run's goroutine right
+// after the main thread's first post (poster == nil). It returns true
+// when it granted the poster itself, false when the poster must yield:
+// either the turn went to s.handoff, or the run is over (handoff nil).
 //
 // Each iteration takes one scheduling decision and applies the chosen
 // request. Granting the poster itself simply returns: user code resumes
-// on this very goroutine with zero context switches — this is what makes
-// runs of consecutive grants to one thread (program prologues, solo
-// sections) handshake-free. Granting another thread wakes it with a
-// single channel send (one switch, half the lockstep protocol's cost)
-// and parks the poster until its own grant; the woken thread continues
-// the loop at its next post. The decision sequence, RNG draws and event
-// stream are identical to the classic one-goroutine scheduler loop —
-// only which goroutine evaluates each decision changes, and execution
-// stays strictly serial throughout.
+// on this very stack with zero switches — this is what makes runs of
+// consecutive grants to one thread (program prologues, solo sections)
+// switch-free. Granting another thread records it in s.handoff; the
+// poster yields to Run's goroutine, which resumes the chosen thread, and
+// that thread continues the loop at its next post. The decision
+// sequence, RNG draws and event stream are identical to a classic
+// one-goroutine scheduler loop — only which stack evaluates each
+// decision changes, and exactly one of them runs at any instant.
 func (s *Scheduler) schedule(poster *Thread) bool {
-	// posterExited is latched before the baton can move: after a
-	// handoff another goroutine may grant (and so mutate) poster's
-	// pending request concurrently with the tail of this call.
-	posterExited := false
 	if poster != nil {
 		switch poster.pending.Kind {
 		case event.KindExit:
-			posterExited = true
 			s.retire(poster)
 		case event.KindAcquire:
 			// checkRealDeadlock (Algorithm 4): the moment a thread wants
@@ -468,10 +445,10 @@ func (s *Scheduler) schedule(poster *Thread) bool {
 	for {
 		if s.deadlock != nil {
 			s.outcome = Deadlock
-			break
+			return false
 		}
 		if s.panicVal != nil {
-			break
+			return false
 		}
 		if s.steps >= s.opts.MaxSteps {
 			s.outcome = StepLimit
@@ -480,7 +457,7 @@ func (s *Scheduler) schedule(poster *Thread) bool {
 			// blocked forever — a partial deadlock the cut-off run can
 			// still report soundly.
 			s.blocked = s.classifyBlocked(len(s.enabled()))
-			break
+			return false
 		}
 		var enabled []event.TID
 		if s.enabledValid {
@@ -502,46 +479,34 @@ func (s *Scheduler) schedule(poster *Thread) bool {
 				// forever; classify the blocking-op deadlock.
 				s.blocked = s.classifyBlocked(0)
 			}
-			break
+			return false
 		}
 		s.steps++
 		t := s.threads[s.policy.Next(s, enabled)]
 		if !s.applyRequest(t) {
-			continue // mid-batch grant or scheduler error: baton stays put
+			continue // mid-batch grant or scheduler error: the loop goes on
 		}
 		if t == poster {
-			return false // self-grant: poster's post returns, no switch
+			return true // self-grant: poster's post returns, no switch
 		}
-		t.hs <- true // hand the user-execution turn (and the baton) to t
-		if poster == nil {
-			return false // Run's goroutine goes to wait on runDone
-		}
-		if posterExited {
-			return false // poster's goroutine exits
-		}
-		poster.park()
+		s.handoff = t
 		return false
 	}
-	// The run is over. Wake Run's goroutine if the baton ever left it,
-	// then park a still-live poster so teardown can abort-unwind it.
-	if poster == nil {
-		return true
-	}
-	s.runDone <- struct{}{}
-	if !posterExited {
-		poster.park()
-	}
-	return true
 }
 
-// teardown aborts every still-blocked thread goroutine and waits for all
-// goroutines to exit, so repeated executions never leak.
+// teardown resumes every still-blocked thread once with an abort so its
+// body unwinds, leaving each coroutine parked between bodies. A pooled
+// shell keeps its coroutine for the next run; a fresh scheduler's shells
+// are stopped, so repeated executions never leak.
 func (s *Scheduler) teardown() {
 	for _, t := range s.threads {
-		if t.alive && t.pending.Kind != event.KindExit {
-			t.hs <- false
+		if t.alive && t.pending.Kind != event.KindExit && t.next != nil {
+			t.aborted = true
+			t.next()
 		}
-		<-t.done
+		if s.pool == nil {
+			t.stop()
+		}
 	}
 }
 
@@ -881,13 +846,13 @@ func (s *Scheduler) applyRequest(t *Thread) bool {
 		s.emit(base)
 		if r.Steps > 1 {
 			// Batched invisible steps (Ctx.Work): account the grant
-			// locally and leave the goroutine parked. The decremented
+			// locally and leave the thread parked. The decremented
 			// request is indistinguishable from a freshly posted Step, no
 			// scheduler state the enabled set reads has changed, and the
 			// policy is consulted once per step either way — so the
 			// decision sequence, RNG draws and event stream are exactly
-			// those of the per-step protocol, minus two channel
-			// operations and a goroutine wakeup.
+			// those of the per-step protocol, minus a switch to the
+			// thread and back.
 			r.Steps--
 			s.enabledValid = true
 			return false

@@ -5,46 +5,41 @@ import (
 	"dlfuzz/internal/object"
 )
 
-// abortPanic is thrown into thread goroutines when the scheduler tears
-// down an unfinished execution (deadlock, stall, step limit) so they
-// unwind and exit instead of leaking. Each aborted thread raises it once:
+// abortPanic is raised in a thread's coroutine when the scheduler tears
+// down an unfinished execution (deadlock, stall, step limit) so its body
+// unwinds instead of staying parked. Each aborted thread raises it once:
 // the scheduler's own deferred posts (Call's Return, Sync's Release) skip
 // themselves while the thread is aborting, so the one panic unwinds the
 // whole stack.
 type abortPanic struct{}
 
-// Thread is one simulated thread. All fields are owned by the scheduler
-// goroutine; the thread goroutine only touches them inside post(), which
-// is serialized with the scheduler by the handshake channel.
+// Thread is one simulated thread. Its body runs as a coroutine (see
+// Thread.loop), and of Run's goroutine and the run's coroutines exactly
+// one runs at any instant, so every field is touched by one flow of
+// control at a time.
 type Thread struct {
 	id    event.TID
 	name  string
 	obj   *object.Obj // the thread object, carries the abstractions
 	sched *Scheduler
 
-	// hs is the single bidirectional handshake channel. The lockstep
-	// protocol strictly alternates directions, so one unbuffered channel
-	// carries both signals: thread -> scheduler sends mean "pending
-	// request posted" (the value is ignored), scheduler -> thread sends
-	// mean "resume" (true = proceed, false = abort and unwind).
-	hs chan bool
-	// done receives exactly one value when the goroutine exits. It is
-	// buffered so the exiting goroutine never blocks, and drained by
-	// teardown, which leaves it empty for pooled reuse of the shell.
-	done chan struct{}
-	// work delivers the next run's body to a pooled shell's persistent
-	// goroutine (see loop); nil on shells that never joined a pool.
-	work chan func(*Ctx)
-	// looping marks the persistent goroutine as parked on work.
-	looping bool
+	// next resumes the shell's coroutine until it yields; yield, called
+	// on the coroutine, suspends it and returns from next. stop ends a
+	// coroutine parked between bodies. next is nil until the coroutine
+	// is created, and again once it has returned.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+	// body is the thread body the coroutine runs at its next resume
+	// between bodies.
+	body func(*Ctx)
 	// ctx is the reusable Ctx handed to this shell's bodies, so starting
 	// a thread does not allocate one.
 	ctx Ctx
 
 	pending Request
 	alive   bool
-	started bool // goroutine launched
-	posted  bool // first request posted (creator handshake done)
+	posted  bool // first request posted (the creator got control back)
 	aborted bool // teardown told this thread to unwind
 
 	// Return values for requests that produce results (New, Spawn).
@@ -154,7 +149,7 @@ func (t *Thread) publishCtx() event.Context {
 }
 
 // recycle resets a thread shell for reuse by a pooled scheduler. The
-// handshake channels and the stack/indexer capacity are retained; stack
+// coroutine and the stack/indexer capacity are retained; stack
 // slots below the watermarks are still aliased by snapshots retained
 // from the finished run (e.g. lockset deps), so only slots at or above
 // the watermark are zeroed.
@@ -163,8 +158,8 @@ func (t *Thread) recycle() {
 	t.obj = nil
 	t.sched = nil
 	t.pending = Request{}
+	t.body = nil
 	t.alive = false
-	t.started = false
 	t.posted = false
 	t.aborted = false
 	t.retObj = nil
@@ -192,50 +187,34 @@ func (t *Thread) recycle() {
 	t.retVal = nil
 }
 
-// postPending hands the pending request to the scheduler and blocks
-// until the scheduler executes it. It panics with abortPanic when the
+// postPending hands the pending request to the scheduler and returns
+// once the scheduler has executed it. It panics with abortPanic when the
 // scheduler is tearing down — including on re-entry from user code that
 // posts while an abort is already unwinding (the deferred posts Call and
 // Sync own check for the abort first and never get here). Callers (the
 // Ctx methods) assign the request literal directly to t.pending (field
 // stores, no 100+-byte struct passed by value) before calling.
 //
-// The first post hands control back to the creator blocked in newThread
-// (the creator holds the scheduling baton) and parks until granted.
-// Every later post happens while this goroutine holds the baton — its
-// previous grant resumed user code on this very goroutine — so the
-// thread runs the scheduling loop itself until it is granted again
-// (possibly immediately, with no context switch) or the baton moves on.
+// The first post yields straight back to the creator, which resumed this
+// coroutine to run it up to its first scheduling point. Every later post
+// runs the scheduling loop on this coroutine: a self-grant returns at
+// once, with no switch, and otherwise the coroutine parks until Run's
+// goroutine resumes it with its next grant or its abort.
 func (t *Thread) postPending() {
 	if t.aborted {
 		panic(abortPanic{})
 	}
-	if !t.posted {
-		t.posted = true
-		t.hs <- true
-		t.park()
+	if t.posted && t.sched.schedule(t) {
 		return
 	}
-	t.sched.schedule(t)
+	t.posted = true
+	t.park()
 }
 
-// postExit posts the pending Exit request. Exit requests are never
-// granted, so the goroutine hands control away — to the creator for a
-// body that never reached a scheduling point, otherwise by scheduling
-// until the baton moves on or the run ends — and then exits.
-func (t *Thread) postExit() {
-	if !t.posted {
-		t.posted = true
-		t.hs <- true
-		return
-	}
-	t.sched.schedule(t)
-}
-
-// park blocks until the thread is granted (true) or aborted by teardown
-// (false).
+// park yields to whoever resumed this coroutine and panics with
+// abortPanic when it is resumed by teardown rather than granted.
 func (t *Thread) park() {
-	if !<-t.hs {
+	if !t.yield(struct{}{}) || t.aborted {
 		t.aborted = true
 		panic(abortPanic{})
 	}
@@ -335,8 +314,8 @@ func (c *Ctx) Step(site event.Loc) {
 // deadlock window.
 //
 // The n steps are posted as one batched request: the thread parks once
-// and the scheduler accounts each grant locally, waking the goroutine
-// only on the last one (see execute). Every grant is still a full
+// and the scheduler accounts each grant locally, resuming the thread
+// only on the last one (see applyRequest). Every grant is still a full
 // scheduling decision, so the schedule is byte-identical to n separate
 // Steps — Options.UnbatchedWork selects that reference protocol for the
 // differential tests.

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dlfuzz/internal/event"
@@ -170,4 +173,44 @@ func TestEventStringHasKind(t *testing.T) {
 	if col.Records()[0].Kind != "Wait" {
 		t.Errorf("kind = %q", col.Records()[0].Kind)
 	}
+}
+
+// FuzzReadSchedule feeds arbitrary bytes to the two trace decoders,
+// ReadSchedule and Read, seeded with a committed schedule and event
+// trace. Bad input must come back as a "trace:" error, never a panic;
+// an accepted schedule must survive an Encode/ReadSchedule round trip.
+func FuzzReadSchedule(f *testing.F) {
+	for _, name := range []string{"fig1.schedule", "fig1.trace"} {
+		seed, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wellFormed := func(what string, err error) {
+			if !strings.HasPrefix(err.Error(), "trace: ") {
+				t.Fatalf("%s: malformed error %q", what, err)
+			}
+		}
+		if recs, err := Read(bytes.NewReader(data)); err != nil {
+			if recs != nil {
+				t.Fatalf("Read: records alongside error %v", err)
+			}
+			wellFormed("Read", err)
+		}
+		s, err := ReadSchedule(bytes.NewReader(data))
+		if err != nil {
+			wellFormed("ReadSchedule", err)
+			return
+		}
+		var buf bytes.Buffer
+		if err := s.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadSchedule(&buf)
+		if err != nil || !reflect.DeepEqual(again, s) {
+			t.Fatalf("schedule round trip: %v, %v != %v", err, again, s)
+		}
+	})
 }

@@ -5,16 +5,22 @@
 #   2. go build          — every package compiles
 #   3. go test           — the full suite (runs campaigns through the
 #                          parallel engine by default)
-#   4. go test -race     — the scheduler (whose teardown ends on thread
-#                          goroutines), the analysis pipeline, the
-#                          concurrent campaign engine, the harness built
-#                          on them, the observability layer and the
-#                          dlfuzz CLI must be race-clean (`make race`)
+#   3b. go test at one P — the scheduler, the campaign engine and the
+#                          root suites again at GOMAXPROCS=1, the P
+#                          count the benchmark runs at
+#   4. go test -race     — the scheduler (whose thread coroutines hand
+#                          the turn between goroutines), the analysis
+#                          pipeline, the concurrent campaign engine, the
+#                          harness built on them, the observability layer
+#                          and the dlfuzz CLI must be race-clean
+#                          (`make race`)
 #   4b. bench module     — the benchmark's own tests (`cd bench && go
 #                          test ./...`): the traced check must match the
 #                          untraced one, and every workload runs once
-#   5. fuzz smoke        — FuzzParser and FuzzReadWitness each explore
-#                          for a few seconds from their seeded corpora
+#   5. fuzz smoke        — FuzzParser, FuzzReadWitness, FuzzReadJournal,
+#                          FuzzReadSchedule and FuzzDecodeManifest each
+#                          explore for a few seconds from their seeded
+#                          corpora
 #   6. vm diff           — the bytecode VM and the tree-walking
 #                          interpreter must be byte-identical (events,
 #                          output, campaign reports) over the curated
@@ -67,15 +73,21 @@ go build ./...
 echo "== go test ./... =="
 go test ./...
 
+echo "== go test at GOMAXPROCS=1 (sched + campaign + root suites) =="
+GOMAXPROCS=1 go test -count=1 ./internal/sched/ ./internal/campaign/ .
+
 echo "== go test -race (sched + analysis + campaign + harness + obs + dlfuzz CLI) =="
 make race
 
 echo "== bench module: traced ≡ untraced fidelity and every-workload smoke =="
 (cd bench && go test ./...)
 
-echo "== fuzz smoke: FuzzParser and FuzzReadWitness for ${FUZZTIME} each =="
+echo "== fuzz smoke: every decoder target for ${FUZZTIME} each =="
 go test -run=Fuzz -fuzz=FuzzParser -fuzztime="${FUZZTIME}" ./internal/lang/
 go test -run=Fuzz -fuzz=FuzzReadWitness -fuzztime="${FUZZTIME}" ./internal/obs/
+go test -run=Fuzz -fuzz=FuzzReadJournal -fuzztime="${FUZZTIME}" ./internal/obs/
+go test -run=Fuzz -fuzz=FuzzReadSchedule -fuzztime="${FUZZTIME}" ./internal/trace/
+go test -run=Fuzz -fuzz=FuzzDecodeManifest -fuzztime="${FUZZTIME}" ./internal/corpus/
 
 echo "== vm diff: bytecode VM vs tree-walker byte identity =="
 # The full differential (curated programs + committed corpus at widths
