@@ -65,6 +65,7 @@ profile:
 fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzParser -fuzztime=10s ./internal/lang/
 	$(GO) test -run=Fuzz -fuzz=FuzzReadWitness -fuzztime=10s ./internal/obs/
+	$(GO) test -run=Fuzz -fuzz=FuzzWitnessEncode -fuzztime=10s ./internal/obs/
 	$(GO) test -run=Fuzz -fuzz=FuzzReadJournal -fuzztime=10s ./internal/obs/
 	$(GO) test -run=Fuzz -fuzz=FuzzReadSchedule -fuzztime=10s ./internal/trace/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeManifest -fuzztime=10s ./internal/corpus/

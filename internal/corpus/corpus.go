@@ -396,7 +396,8 @@ func decodeManifest(dir string, data []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("corpus: bad manifest in %s: %w", dir, err)
 	}
 	for _, e := range m.Entries {
-		if e.File != filepath.Base(e.File) || e.File == "." || e.File == ".." {
+		// Base leaves a lone separator as is, so "/" needs its own check.
+		if e.File != filepath.Base(e.File) || e.File == "." || e.File == ".." || e.File == string(filepath.Separator) {
 			return nil, fmt.Errorf("corpus: bad manifest in %s: entry %q is not a file name in the corpus directory", dir, e.File)
 		}
 	}

@@ -48,6 +48,15 @@ func (c *absCache) of(a object.Abstraction, o *object.Obj, k int) object.Key {
 	return key
 }
 
+// appendOf appends a.Of(o, k) to dst: through the cache when c is
+// non-nil, directly otherwise.
+func (c *absCache) appendOf(dst []byte, a object.Abstraction, o *object.Obj, k int) []byte {
+	if c == nil {
+		return a.AppendOf(dst, o, k)
+	}
+	return append(dst, c.of(a, o, k)...)
+}
+
 // reset drops the per-run object mapping, keeping the intern table and
 // map capacity.
 func (c *absCache) reset() { clear(c.byObj) }

@@ -2,9 +2,7 @@ package fuzzer
 
 import (
 	"bytes"
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"dlfuzz/internal/igoodlock"
 	"dlfuzz/internal/sched"
@@ -17,38 +15,89 @@ import (
 // same cycle; witness traces persist the key so a replay can assert it
 // reproduced the identical deadlock.
 func DeadlockKey(dl *sched.DeadlockInfo, cfg Config) string {
-	if dl == nil {
-		return ""
-	}
-	if cfg.K == 0 {
-		cfg.K = 10
-	}
-	parts := make([]string, 0, len(dl.Edges))
-	for _, e := range dl.Edges {
-		key := fmt.Sprintf("%s/%s", cfg.Abstraction.Of(e.ThreadObj, cfg.K), cfg.Abstraction.Of(e.Want, cfg.K))
-		if cfg.UseContext {
-			key += "/" + e.Context.Key()
-		}
-		parts = append(parts, key)
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, "~")
+	var b keyBuilder
+	return string(b.deadlock(dl, cfg, nil))
 }
 
 // CycleKey is DeadlockKey's counterpart for a potential cycle: the same
 // canonical triple multiset, built from iGoodlock's component
 // abstractions instead of a live deadlock's edges.
 func CycleKey(cycle *igoodlock.Cycle, cfg Config) string {
-	parts := make([]string, 0, len(cycle.Components))
-	for _, c := range cycle.Components {
-		key := fmt.Sprintf("%s/%s", c.ThreadAbs, c.LockAbs)
-		if cfg.UseContext {
-			key += "/" + c.Context.Key()
+	var b keyBuilder
+	return string(b.cycle(cycle, cfg))
+}
+
+// keyBuilder renders canonical keys into reusable buffers: every
+// triple is appended to buf back to back (ends holds the boundaries),
+// parts holds the per-triple views for sorting, and key the joined
+// result. A zero keyBuilder is ready to use.
+type keyBuilder struct {
+	buf   []byte
+	ends  []int
+	parts [][]byte
+	key   []byte
+}
+
+// deadlock renders DeadlockKey(dl, cfg), abstracting through abs when
+// it is non-nil. The returned bytes are valid until the next render.
+func (b *keyBuilder) deadlock(dl *sched.DeadlockInfo, cfg Config, abs *absCache) []byte {
+	b.buf, b.ends = b.buf[:0], b.ends[:0]
+	if dl != nil {
+		if cfg.K == 0 {
+			cfg.K = 10
 		}
-		parts = append(parts, key)
+		for _, e := range dl.Edges {
+			b.buf = abs.appendOf(b.buf, cfg.Abstraction, e.ThreadObj, cfg.K)
+			b.buf = append(b.buf, '/')
+			b.buf = abs.appendOf(b.buf, cfg.Abstraction, e.Want, cfg.K)
+			if cfg.UseContext {
+				b.buf = append(b.buf, '/')
+				b.buf = e.Context.AppendKey(b.buf)
+			}
+			b.ends = append(b.ends, len(b.buf))
+		}
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, "~")
+	return b.join()
+}
+
+// cycle renders CycleKey(cycle, cfg). The returned bytes are valid
+// until the next render.
+func (b *keyBuilder) cycle(cycle *igoodlock.Cycle, cfg Config) []byte {
+	b.buf, b.ends = b.buf[:0], b.ends[:0]
+	for _, c := range cycle.Components {
+		b.buf = append(b.buf, c.ThreadAbs...)
+		b.buf = append(b.buf, '/')
+		b.buf = append(b.buf, c.LockAbs...)
+		if cfg.UseContext {
+			b.buf = append(b.buf, '/')
+			b.buf = c.Context.AppendKey(b.buf)
+		}
+		b.ends = append(b.ends, len(b.buf))
+	}
+	return b.join()
+}
+
+// join sorts the rendered triples and joins them with "~" into key.
+// The sortable views are only taken here, once appends can no longer
+// move buf.
+func (b *keyBuilder) join() []byte {
+	b.parts = b.parts[:0]
+	start := 0
+	for _, end := range b.ends {
+		b.parts = append(b.parts, b.buf[start:end])
+		start = end
+	}
+	// Byte order is sort.Strings' order, and equal triples are
+	// interchangeable, so any sort reproduces the canonical key.
+	slices.SortFunc(b.parts, bytes.Compare)
+	b.key = b.key[:0]
+	for i, p := range b.parts {
+		if i > 0 {
+			b.key = append(b.key, '~')
+		}
+		b.key = append(b.key, p...)
+	}
+	return b.key
 }
 
 // MatchesCycle reports whether a confirmed deadlock corresponds to the
@@ -106,17 +155,10 @@ type Runner struct {
 	keysCfg Config
 	lastDL  *sched.DeadlockInfo
 	// abs interns abstraction keys across the campaign's deadlock-key
-	// renders; repeat thread/lock abstractions cost no allocations.
-	abs absCache
-	// Deadlock keys render into reused buffers: partBuf holds every
-	// edge's triple back to back (partEnds the boundaries), parts the
-	// per-edge views for sorting, keyBuf the joined key. A confirm
-	// campaign renders one key per deadlocked run, so this is the
-	// campaign hot path's last per-run allocation site.
-	partBuf  []byte
-	partEnds []int
-	parts    [][]byte
-	keyBuf   []byte
+	// renders, and render builds them in reused buffers; repeat
+	// thread/lock abstractions cost no allocations.
+	abs    absCache
+	render keyBuilder
 }
 
 // NewRunner returns a Runner with an empty pool.
@@ -175,55 +217,12 @@ func (r *Runner) cycleKey(cycle *igoodlock.Cycle, cfg Config) string {
 // the Runner and are valid until the next render.
 func (r *Runner) deadlockKey(dl *sched.DeadlockInfo, cfg Config) []byte {
 	if dl == r.lastDL && cfg == r.keysCfg {
-		return r.keyBuf
+		return r.render.key
 	}
 	r.lastDL = dl
-	r.renderDeadlockKey(dl, cfg)
-	return r.keyBuf
-}
-
-// renderDeadlockKey is DeadlockKey with the Runner's abstraction intern
-// cache and reused render buffers: identical bytes in r.keyBuf, with no
-// steady-state allocations. The per-run object map is dropped each time
-// — deadlocks come from distinct executions, so object pointers never
-// repeat meaningfully.
-func (r *Runner) renderDeadlockKey(dl *sched.DeadlockInfo, cfg Config) {
-	r.keyBuf = r.keyBuf[:0]
-	if dl == nil {
-		return
-	}
+	// Deadlocks come from distinct executions, so object pointers never
+	// repeat meaningfully: drop the per-run object map, keep the intern
+	// table.
 	r.abs.reset()
-	// Render every part contiguously first: appends may regrow partBuf,
-	// so the sortable views are only derived once the buffer is final.
-	r.partBuf, r.partEnds = r.partBuf[:0], r.partEnds[:0]
-	for _, e := range dl.Edges {
-		r.partBuf = append(r.partBuf, r.abs.of(cfg.Abstraction, e.ThreadObj, cfg.K)...)
-		r.partBuf = append(r.partBuf, '/')
-		r.partBuf = append(r.partBuf, r.abs.of(cfg.Abstraction, e.Want, cfg.K)...)
-		if cfg.UseContext {
-			r.partBuf = append(r.partBuf, '/')
-			r.partBuf = e.Context.AppendKey(r.partBuf)
-		}
-		r.partEnds = append(r.partEnds, len(r.partBuf))
-	}
-	r.parts = r.parts[:0]
-	start := 0
-	for _, end := range r.partEnds {
-		r.parts = append(r.parts, r.partBuf[start:end])
-		start = end
-	}
-	// Insertion sort: cycles have a handful of edges, and equal parts
-	// are interchangeable, so sort.Strings' ordering is reproduced
-	// exactly without its interface allocation.
-	for i := 1; i < len(r.parts); i++ {
-		for j := i; j > 0 && bytes.Compare(r.parts[j], r.parts[j-1]) < 0; j-- {
-			r.parts[j], r.parts[j-1] = r.parts[j-1], r.parts[j]
-		}
-	}
-	for i, p := range r.parts {
-		if i > 0 {
-			r.keyBuf = append(r.keyBuf, '~')
-		}
-		r.keyBuf = append(r.keyBuf, p...)
-	}
+	return r.render.deadlock(dl, cfg, &r.abs)
 }

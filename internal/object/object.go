@@ -55,7 +55,7 @@ func (o *Obj) String() string {
 	if o == nil {
 		return "o?"
 	}
-	return fmt.Sprintf("o%d:%s@%s", o.ID, o.Type, o.Site)
+	return "o" + strconv.FormatUint(o.ID, 10) + ":" + o.Type + "@" + string(o.Site)
 }
 
 // Abstraction is one of the object-abstraction schemes. The scheme maps a

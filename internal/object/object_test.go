@@ -1,6 +1,7 @@
 package object
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -190,5 +191,24 @@ func TestExecIndexInjectiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestObjStringMatchesSprintf pins String's bytes to the fmt rendering
+// it replaced.
+func TestObjStringMatchesSprintf(t *testing.T) {
+	for _, o := range []*Obj{
+		{},
+		{ID: 3, Type: "MyThread", Site: "fig1:25"},
+		{ID: 1<<64 - 1, Type: "", Site: "a:b@c"},
+		{ID: 42, Type: "héllo\"<>", Site: "\x00"},
+	} {
+		want := fmt.Sprintf("o%d:%s@%s", o.ID, o.Type, o.Site)
+		if got := o.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+	}
+	if got := (*Obj)(nil).String(); got != "o?" {
+		t.Errorf("nil String() = %q, want o?", got)
 	}
 }

@@ -12,6 +12,8 @@
 //     re-executes a known-reproducing (cycle, seed) pair under a
 //     recording policy; Replay drives a fresh execution through the
 //     recorded schedule and asserts the identical deadlock re-forms.
+//     Both run on pooled capture shells (a scheduler pool and a checker
+//     policy), so a witness costs what a pooled campaign run costs.
 //
 //   - Run journals (journal.go): one RunRecord per campaign execution
 //     (outcome, steps, acquires, pauses, thrashes, yields, wall time,

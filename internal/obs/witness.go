@@ -1,10 +1,11 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"sync"
 
 	"dlfuzz/internal/event"
 	"dlfuzz/internal/fuzzer"
@@ -192,41 +193,255 @@ type witnessDeadlockLine struct {
 // Encode writes the witness as versioned JSONL: one header, the cycle
 // components, the schedule, the steering points, the sync events, and a
 // deadlock trailer. The output is byte-deterministic for a given
-// witness.
+// witness, and byte-identical to encoding/json's rendering of the line
+// structs above (see witnessEncoder).
 func (w *Witness) Encode(out io.Writer) error {
-	bw := bufio.NewWriter(out)
-	enc := json.NewEncoder(bw)
-	write := func(line any) error { return enc.Encode(line) }
-	if err := write(witnessHeader{
-		K: "witness", V: WitnessVersion,
-		Program: w.Program, SchedSeed: w.SchedSeed, Target: w.Target,
-		MaxSteps: w.MaxSteps, Config: w.Config,
-		CycleKey: w.CycleKey, DeadlockKey: w.DeadlockKey,
-	}); err != nil {
-		return err
-	}
+	bp := encodeBufs.Get().(*[]byte)
+	e := witnessEncoder{out: out, buf: (*bp)[:0]}
+	e.header(w)
 	for _, c := range w.Components {
-		if err := write(witnessComponentLine{K: "component", WitnessComponent: c}); err != nil {
-			return err
-		}
+		e.component(c)
 	}
-	if err := write(witnessScheduleLine{K: "schedule", Order: w.Schedule}); err != nil {
-		return err
-	}
+	e.line("schedule")
+	e.name("order")
+	e.ints(w.Schedule)
+	e.end()
 	for _, p := range w.Points {
-		if err := write(witnessPointLine{K: "point", SchedPoint: p}); err != nil {
-			return err
-		}
+		e.point(p)
 	}
 	for _, ev := range w.Events {
-		if err := write(witnessEventLine{K: "ev", WitnessEvent: ev}); err != nil {
-			return err
+		e.event(ev)
+	}
+	e.deadlock(w)
+	e.flush()
+	if cap(e.buf) <= maxPooledEncodeBuf {
+		*bp = e.buf
+		encodeBufs.Put(bp)
+	}
+	return e.err
+}
+
+const (
+	// encodeFlushSize is the buffered size at which Encode writes out
+	// the lines it has appended so far.
+	encodeFlushSize = 16 << 10
+	// maxPooledEncodeBuf caps the buffers encodeBufs keeps: a witness
+	// with one huge schedule line must not pin its buffer.
+	maxPooledEncodeBuf = 64 << 10
+)
+
+// encodeBufs recycles Encode's line buffers. A fresh one has room for
+// a flush's worth of lines plus the line that crosses the threshold.
+var encodeBufs = sync.Pool{New: func() any {
+	buf := make([]byte, 0, 2*encodeFlushSize)
+	return &buf
+}}
+
+// witnessEncoder appends witness JSONL lines into buf, writing them out
+// in chunks. Every line renders the fields of its line struct in
+// declaration order, with the same omitempty and nil-slice (null)
+// rules, so the bytes equal encoding/json's. Strings are copied
+// verbatim when they need no escaping and go through json.Marshal
+// otherwise (see appendString).
+type witnessEncoder struct {
+	out io.Writer
+	buf []byte
+	err error
+}
+
+// line opens a line tagged kind.
+func (e *witnessEncoder) line(kind string) {
+	e.buf = append(e.buf, `{"k":"`...)
+	e.buf = append(e.buf, kind...)
+	e.buf = append(e.buf, '"')
+}
+
+// end closes the current line and writes the buffer out once it has
+// grown past encodeFlushSize.
+func (e *witnessEncoder) end() {
+	e.buf = append(e.buf, '}', '\n')
+	if len(e.buf) >= encodeFlushSize {
+		e.flush()
+	}
+}
+
+// flush writes the buffered lines, keeping the first write error.
+func (e *witnessEncoder) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.out.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
+
+// name appends the separator and key of the next field of an open
+// object. Keys are fixed identifiers that need no escaping.
+func (e *witnessEncoder) name(key string) {
+	e.buf = append(e.buf, ',', '"')
+	e.buf = append(e.buf, key...)
+	e.buf = append(e.buf, '"', ':')
+}
+
+func (e *witnessEncoder) str(key, v string) {
+	e.name(key)
+	e.buf = appendString(e.buf, v)
+}
+
+// strOmit is str for an omitempty field.
+func (e *witnessEncoder) strOmit(key, v string) {
+	if v != "" {
+		e.str(key, v)
+	}
+}
+
+func (e *witnessEncoder) int(key string, v int64) {
+	e.name(key)
+	e.buf = strconv.AppendInt(e.buf, v, 10)
+}
+
+func (e *witnessEncoder) bool(key string, v bool) {
+	e.name(key)
+	e.buf = strconv.AppendBool(e.buf, v)
+}
+
+// ints appends an int array; nil renders as null, as encoding/json does.
+func (e *witnessEncoder) ints(vs []int) {
+	if vs == nil {
+		e.buf = append(e.buf, "null"...)
+		return
+	}
+	e.buf = append(e.buf, '[')
+	for i, v := range vs {
+		if i > 0 {
+			e.buf = append(e.buf, ',')
+		}
+		e.buf = strconv.AppendInt(e.buf, int64(v), 10)
+	}
+	e.buf = append(e.buf, ']')
+}
+
+// strs appends a string array; nil renders as null.
+func (e *witnessEncoder) strs(vs []string) {
+	if vs == nil {
+		e.buf = append(e.buf, "null"...)
+		return
+	}
+	e.buf = append(e.buf, '[')
+	for i, v := range vs {
+		if i > 0 {
+			e.buf = append(e.buf, ',')
+		}
+		e.buf = appendString(e.buf, v)
+	}
+	e.buf = append(e.buf, ']')
+}
+
+// header renders witnessHeader.
+func (e *witnessEncoder) header(w *Witness) {
+	e.line("witness")
+	e.int("v", WitnessVersion)
+	e.str("program", w.Program)
+	e.int("schedSeed", w.SchedSeed)
+	e.int("target", int64(w.Target))
+	e.int("maxSteps", int64(w.MaxSteps))
+	c := w.Config
+	e.name("config")
+	e.buf = append(e.buf, `{"abstraction":`...)
+	e.buf = appendString(e.buf, c.Abstraction)
+	e.int("k", int64(c.K))
+	e.bool("useContext", c.UseContext)
+	e.bool("yieldOpt", c.YieldOpt)
+	if c.YieldBudget != 0 {
+		e.int("yieldBudget", int64(c.YieldBudget))
+	}
+	if c.PauseTimeout != 0 {
+		e.int("pauseTimeout", int64(c.PauseTimeout))
+	}
+	e.buf = append(e.buf, '}')
+	e.str("cycleKey", w.CycleKey)
+	e.str("deadlockKey", w.DeadlockKey)
+	e.end()
+}
+
+// component renders witnessComponentLine.
+func (e *witnessEncoder) component(c WitnessComponent) {
+	e.line("component")
+	e.int("i", int64(c.Index))
+	e.str("thread", c.Thread)
+	e.str("lock", c.Lock)
+	if len(c.Context) > 0 {
+		e.name("context")
+		e.strs(c.Context)
+	}
+	e.end()
+}
+
+// point renders witnessPointLine.
+func (e *witnessEncoder) point(p SchedPoint) {
+	e.line("point")
+	e.str("kind", p.Kind)
+	e.int("thread", int64(p.Thread))
+	e.int("step", int64(p.Step))
+	e.strOmit("loc", p.Loc)
+	e.end()
+}
+
+// event renders witnessEventLine.
+func (e *witnessEncoder) event(ev WitnessEvent) {
+	e.line("ev")
+	e.name("seq")
+	e.buf = strconv.AppendUint(e.buf, ev.Seq, 10)
+	e.str("kind", ev.Kind)
+	e.int("thread", int64(ev.Thread))
+	e.strOmit("loc", ev.Loc)
+	e.strOmit("obj", ev.Obj)
+	e.int("target", int64(ev.Target))
+	e.end()
+}
+
+// deadlock renders witnessDeadlockLine.
+func (e *witnessEncoder) deadlock(w *Witness) {
+	e.line("deadlock")
+	e.int("step", int64(w.DeadlockStep))
+	e.str("key", w.DeadlockKey)
+	e.name("edges")
+	if w.Edges == nil {
+		e.buf = append(e.buf, "null"...)
+	} else {
+		e.buf = append(e.buf, '[')
+		for i, edge := range w.Edges {
+			if i > 0 {
+				e.buf = append(e.buf, ',')
+			}
+			e.buf = append(e.buf, `{"thread":`...)
+			e.buf = strconv.AppendInt(e.buf, int64(edge.Thread), 10)
+			e.str("want", edge.Want)
+			e.str("wantLoc", edge.WantLoc)
+			e.name("held")
+			e.strs(edge.Held)
+			e.name("context")
+			e.strs(edge.Context)
+			e.buf = append(e.buf, '}')
+		}
+		e.buf = append(e.buf, ']')
+	}
+	e.end()
+}
+
+// appendString appends s as a JSON string exactly as encoding/json
+// renders it. Printable ASCII with nothing to escape is copied as is;
+// a string holding a quote, a backslash, a control byte, one of the
+// HTML-escaped '<', '>' and '&', or any byte past 0x7e (non-ASCII,
+// including U+2028/U+2029 and invalid UTF-8) goes through json.Marshal.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
 		}
 	}
-	if err := write(witnessDeadlockLine{K: "deadlock", Step: w.DeadlockStep, Key: w.DeadlockKey, Edges: w.Edges}); err != nil {
-		return err
-	}
-	return bw.Flush()
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // ReadWitness decodes a witness written by Encode. The deadlock trailer
@@ -353,6 +568,23 @@ func (r *recorder) OnEvent(ev sched.Ev) {
 	r.events = append(r.events, we)
 }
 
+// shell is a reusable execution context for one-shot witness runs: a
+// scheduler pool, whose parked thread coroutines keep the stacks they
+// grew, and a checker policy, whose abstraction intern table stays
+// warm. Capture and Replay borrow one from shells per execution, so a
+// witness run costs what a pooled campaign run costs. A shell the
+// sync.Pool drops is stopped by its sched.Pool's cleanup.
+type shell struct {
+	pool *sched.Pool
+	pol  fuzzer.Policy
+}
+
+var shells = sync.Pool{New: func() any { return &shell{pool: sched.NewPool()} }}
+
+// runFunc executes one scheduled run: sched.Pool.Run, or a fresh
+// scheduler's Run.
+type runFunc func(sched.Options, func(*sched.Ctx)) *sched.Result
+
 // Capture re-executes a known deadlock-confirming (cycle, scheduler
 // seed) pair under the active checker with a recording policy and
 // returns the witness. program is the resolvable name stored in the
@@ -360,19 +592,29 @@ func (r *recorder) OnEvent(ev sched.Ev) {
 // its report. Because an execution is a pure function of (program,
 // policy, seed) and observers never influence decisions, the captured
 // run is identical to the campaign run that first confirmed the
-// deadlock. Capture fails if the run does not end in a deadlock.
+// deadlock. Capture fails if the run does not end in a deadlock. It is
+// safe for concurrent use.
 func Capture(prog func(*sched.Ctx), program string, cycle *igoodlock.Cycle, target int, cfg fuzzer.Config, schedSeed int64, maxSteps int) (*Witness, error) {
+	// A run that panics drops its shell rather than returning it.
+	sh := shells.Get().(*shell)
+	w, err := capture(sh.pool.Run, &sh.pol, prog, program, cycle, target, cfg, schedSeed, maxSteps)
+	shells.Put(sh)
+	return w, err
+}
+
+// capture is Capture on the given executor and policy shell.
+func capture(run runFunc, pol *fuzzer.Policy, prog func(*sched.Ctx), program string, cycle *igoodlock.Cycle, target int, cfg fuzzer.Config, schedSeed int64, maxSteps int) (*Witness, error) {
 	rec := &recorder{}
-	pol := fuzzer.New(cycle, cfg)
+	pol.Reset(cycle, cfg)
 	pol.SetHooks(rec)
 	recording := trace.NewRecording(pol)
-	s := sched.New(sched.Options{
+	res := run(sched.Options{
 		Seed:      schedSeed,
 		MaxSteps:  maxSteps,
 		Policy:    recording,
 		Observers: []sched.Observer{rec},
-	})
-	res := s.Run(prog)
+	}, prog)
+	pol.SetHooks(nil)
 	if res.Outcome != sched.Deadlock {
 		return nil, fmt.Errorf("obs: capture run ended in %s, not deadlock (program %s, seed %d)", res.Outcome, program, schedSeed)
 	}
@@ -395,8 +637,11 @@ func Capture(prog func(*sched.Ctx), program string, cycle *igoodlock.Cycle, targ
 		}
 		w.Components = append(w.Components, wc)
 	}
-	for _, t := range recording.Schedule() {
-		w.Schedule = append(w.Schedule, int(t))
+	if order := recording.Schedule(); len(order) > 0 {
+		w.Schedule = make([]int, len(order))
+		for i, t := range order {
+			w.Schedule[i] = int(t)
+		}
 	}
 	for _, e := range res.Deadlock.Edges {
 		we := WitnessEdge{
@@ -431,8 +676,16 @@ type ReplayReport struct {
 // asserts the recorded deadlock re-forms: the run must end in a
 // deadlock, without leaving the schedule, and the confirmed cycle's
 // canonical key must equal the recorded one. Any other outcome is an
-// error describing the divergence.
+// error describing the divergence. It is safe for concurrent use.
 func Replay(prog func(*sched.Ctx), w *Witness) (*ReplayReport, error) {
+	sh := shells.Get().(*shell)
+	rep, err := replay(sh.pool.Run, prog, w)
+	shells.Put(sh)
+	return rep, err
+}
+
+// replay is Replay on the given executor.
+func replay(run runFunc, prog func(*sched.Ctx), w *Witness) (*ReplayReport, error) {
 	cfg, err := w.Config.FuzzerConfig()
 	if err != nil {
 		return nil, err
@@ -442,8 +695,7 @@ func Replay(prog func(*sched.Ctx), w *Witness) (*ReplayReport, error) {
 		schedule[i] = event.TID(t)
 	}
 	rp := trace.NewReplay(schedule)
-	s := sched.New(sched.Options{Seed: w.SchedSeed, MaxSteps: w.MaxSteps, Policy: rp})
-	res := s.Run(prog)
+	res := run(sched.Options{Seed: w.SchedSeed, MaxSteps: w.MaxSteps, Policy: rp}, prog)
 	if rp.Diverged() {
 		return nil, fmt.Errorf("obs: replay diverged from the recorded schedule after %d steps (program changed?)", res.Steps)
 	}

@@ -6,12 +6,17 @@ package obs_test
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 
+	"dlfuzz"
 	"dlfuzz/internal/analysis"
 	"dlfuzz/internal/campaign"
+	"dlfuzz/internal/corpus"
 	"dlfuzz/internal/fuzzer"
 	"dlfuzz/internal/harness"
 	"dlfuzz/internal/igoodlock"
@@ -97,26 +102,182 @@ func TestWitnessRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCaptureMatchesPlainRun pins the observers-don't-steer guarantee:
-// the instrumented capture execution must reach the exact run result a
-// hook-free checker run reaches from the same seed.
-func TestCaptureMatchesPlainRun(t *testing.T) {
-	prog, cyc, cfg, seed := confirmedCycle(t, "lists")
-	plain := fuzzer.Run(prog, cyc, cfg, seed, 0)
-	wit, err := obs.Capture(prog, "workload:lists", cyc, 0, cfg, seed, 0)
+// captureTarget is one confirmed cycle's witnessing execution: the
+// candidate the run was biased toward and its scheduler seed.
+type captureTarget struct {
+	name   string
+	prog   func(*sched.Ctx)
+	cycle  *igoodlock.Cycle
+	target int
+	cfg    fuzzer.Config
+	seed   int64
+}
+
+// confirmedTargets runs Phase I and a serial 40-run multi-cycle
+// campaign on prog and returns the witnessing execution of every
+// confirmed cycle, as dlfuzz -witness-dir picks it.
+func confirmedTargets(t testing.TB, name string, prog func(*sched.Ctx)) []captureTarget {
+	t.Helper()
+	v := harness.DefaultVariant()
+	p1, err := analysis.ObserveMany(prog, v.Goodlock, analysis.CampaignOptions{Runs: 1, Seed: 1})
+	if err != nil || len(p1.Cycles) == 0 {
+		return nil
+	}
+	multi := campaign.ConfirmCycles(prog, p1.Cycles, v.Fuzzer, 40, 0, campaign.Options{Parallelism: 1})
+	var out []captureTarget
+	for i, sum := range multi.Cycles {
+		if !sum.Confirmed() {
+			continue
+		}
+		target, seed := i, sum.ExampleSeed
+		if sum.Example == nil {
+			target, seed = sum.CrossExampleTarget, sum.CrossExampleSeed
+		}
+		out = append(out, captureTarget{name: name, prog: prog, cycle: p1.Cycles[target], target: target, cfg: v.Fuzzer, seed: seed})
+	}
+	return out
+}
+
+// workloadTargets covers every confirmed cycle of the built-in
+// workloads.
+func workloadTargets(t testing.TB) []captureTarget {
+	t.Helper()
+	var out []captureTarget
+	for _, w := range workloads.All() {
+		out = append(out, confirmedTargets(t, "workload:"+w.Name, w.Prog)...)
+	}
+	if len(out) == 0 {
+		t.Fatal("no confirmed cycles")
+	}
+	return out
+}
+
+// allConfirmedTargets covers the workloads and the first five programs
+// of the committed corpus.
+func allConfirmedTargets(t testing.TB) []captureTarget {
+	t.Helper()
+	out := workloadTargets(t)
+	m, err := corpus.Load("../../testdata/corpus")
 	if err != nil {
-		t.Fatalf("capture: %v", err)
+		t.Fatal(err)
 	}
-	if wit.DeadlockStep != plain.Result.Deadlock.Step {
-		t.Fatalf("capture deadlocked at step %d, plain run at %d",
-			wit.DeadlockStep, plain.Result.Deadlock.Step)
+	for _, e := range m.Entries[:5] {
+		ref := "testdata/corpus/" + e.File
+		src, err := os.ReadFile("../../" + ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := dlfuzz.ParseCLF(ref, string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, confirmedTargets(t, "clf:"+ref, p.WithOutput(io.Discard).Body())...)
 	}
-	if got, want := wit.DeadlockKey, fuzzer.DeadlockKey(plain.Result.Deadlock, cfg); got != want {
-		t.Fatalf("capture deadlock key %q, plain run %q", got, want)
+	return out
+}
+
+// TestCaptureMatchesPlainRun pins two guarantees over every confirmed
+// cycle of the workloads and of five corpus programs. Observers don't
+// steer: the capture reaches the exact run a hook-free checker run
+// reaches from the same seed. And warm shells are invisible: three
+// rounds of captures and replays through the pooled shells, interleaved
+// across programs, deeply equal references taken on a fresh scheduler
+// and policy.
+func TestCaptureMatchesPlainRun(t *testing.T) {
+	targets := allConfirmedTargets(t)
+	t.Logf("%d confirmed cycles", len(targets))
+	if len(targets) < 60 {
+		t.Fatalf("only %d confirmed cycles", len(targets))
 	}
-	if len(wit.Schedule) != plain.Result.Steps {
-		t.Fatalf("%d schedule decisions recorded for a %d-step run",
-			len(wit.Schedule), plain.Result.Steps)
+	wits := make([]*obs.Witness, len(targets))
+	reps := make([]*obs.ReplayReport, len(targets))
+	for i, c := range targets {
+		wit, err := obs.CaptureFresh(c.prog, c.name, c.cycle, c.target, c.cfg, c.seed, 0)
+		if err != nil {
+			t.Fatalf("%s cycle %d: fresh capture: %v", c.name, c.target, err)
+		}
+		plain := fuzzer.Run(c.prog, c.cycle, c.cfg, c.seed, 0)
+		if wit.DeadlockStep != plain.Result.Deadlock.Step {
+			t.Fatalf("%s: capture deadlocked at step %d, plain run at %d",
+				c.name, wit.DeadlockStep, plain.Result.Deadlock.Step)
+		}
+		if got, want := wit.DeadlockKey, fuzzer.DeadlockKey(plain.Result.Deadlock, c.cfg); got != want {
+			t.Fatalf("%s: capture deadlock key %q, plain run %q", c.name, got, want)
+		}
+		if len(wit.Schedule) != plain.Result.Steps {
+			t.Fatalf("%s: %d schedule decisions recorded for a %d-step run",
+				c.name, len(wit.Schedule), plain.Result.Steps)
+		}
+		rep, err := obs.ReplayFresh(c.prog, wit)
+		if err != nil {
+			t.Fatalf("%s: fresh replay: %v", c.name, err)
+		}
+		wits[i], reps[i] = wit, rep
+	}
+	for round := 1; round <= 3; round++ {
+		for i, c := range targets {
+			wit, err := obs.Capture(c.prog, c.name, c.cycle, c.target, c.cfg, c.seed, 0)
+			if err != nil {
+				t.Fatalf("round %d, %s: capture: %v", round, c.name, err)
+			}
+			if !reflect.DeepEqual(wit, wits[i]) {
+				t.Fatalf("round %d, %s cycle %d: warm capture differs from fresh", round, c.name, c.target)
+			}
+			rep, err := obs.Replay(c.prog, wit)
+			if err != nil {
+				t.Fatalf("round %d, %s: replay: %v", round, c.name, err)
+			}
+			if !reflect.DeepEqual(rep, reps[i]) {
+				t.Fatalf("round %d, %s cycle %d: warm replay differs from fresh", round, c.name, c.target)
+			}
+		}
+	}
+}
+
+// TestConcurrentCaptures captures and replays from two goroutines at
+// once; each borrows its own shell, and every result must equal the
+// serial one (run under -race in CI).
+func TestConcurrentCaptures(t *testing.T) {
+	var targets []captureTarget
+	for _, name := range []string{"lists", "dbcp"} {
+		w, _ := workloads.ByName(name)
+		targets = append(targets, confirmedTargets(t, "workload:"+name, w.Prog)...)
+	}
+	want := make([]*obs.Witness, len(targets))
+	for i, c := range targets {
+		wit, err := obs.CaptureFresh(c.prog, c.name, c.cycle, c.target, c.cfg, c.seed, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = wit
+	}
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		go func(g int) {
+			for round := 0; round < 3; round++ {
+				for k := range targets {
+					i := (k + g*len(targets)/2) % len(targets)
+					c := targets[i]
+					wit, err := obs.Capture(c.prog, c.name, c.cycle, c.target, c.cfg, c.seed, 0)
+					if err == nil && !reflect.DeepEqual(wit, want[i]) {
+						err = fmt.Errorf("goroutine %d: %s cycle %d: concurrent capture differs", g, c.name, c.target)
+					}
+					if err == nil {
+						_, err = obs.Replay(c.prog, wit)
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < 2; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -8,8 +8,11 @@ import (
 
 	"dlfuzz/internal/campaign"
 	"dlfuzz/internal/event"
+	"dlfuzz/internal/fuzzer"
+	"dlfuzz/internal/igoodlock"
 	"dlfuzz/internal/lang"
 	"dlfuzz/internal/object"
+	"dlfuzz/internal/obs"
 	"dlfuzz/internal/sched"
 )
 
@@ -247,19 +250,50 @@ func settle(t *testing.T, what string, base int) {
 // thread deep in Call/Sync or VM frames, and requires the goroutine
 // count to return to its baseline after each: through a fresh
 // scheduler, through a pool that is then dropped, and through
-// campaigns of pooled workers at widths 1, 2 and 4. Each case runs at
-// GOMAXPROCS 1 and 4.
+// campaigns of pooled workers at widths 1, 2 and 4. A last case
+// captures and replays deadlock witnesses on obs's pooled shells. Each
+// case runs at GOMAXPROCS 1 and 4.
 func TestTeardownLeaksNoGoroutines(t *testing.T) {
+	atProcs := func(t *testing.T, check func(*testing.T)) {
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				check(t)
+			})
+		}
+	}
 	for _, c := range leakCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			for _, procs := range []int{1, 4} {
-				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					checkNoLeaks(t, c)
-				})
-			}
+			atProcs(t, func(t *testing.T) { checkNoLeaks(t, c) })
 		})
 	}
+	t.Run("obs/capture-replay", func(t *testing.T) { atProcs(t, checkCaptureNoLeaks) })
+}
+
+// checkCaptureNoLeaks captures and replays witnesses of deadlocks deep
+// in Call/Sync and VM frames on obs's pooled capture shells, and
+// requires the goroutine count to settle back to its baseline once the
+// shells' sync.Pool drops them and their scheduler pools' cleanups stop
+// the parked coroutines.
+func checkCaptureNoLeaks(t *testing.T) {
+	base := runtime.NumGoroutine()
+	// Both bodies deadlock on every schedule, so the checker needs no
+	// cycle to steer toward.
+	for name, body := range map[string]func(*sched.Ctx){"go": goDeadlock, "vm": clfBody(t, "deadlock")} {
+		for i := 0; i < 3; i++ {
+			wit, err := obs.Capture(body, name, &igoodlock.Cycle{}, 0, fuzzer.DefaultConfig(), int64(i), 2000)
+			if err != nil {
+				t.Fatalf("%s: capture: %v", name, err)
+			}
+			if _, err := obs.Replay(body, wit); err != nil {
+				t.Fatalf("%s: replay: %v", name, err)
+			}
+		}
+	}
+	if runtime.NumGoroutine() <= base {
+		t.Fatal("no parked shell coroutines after capturing: the test no longer exercises shell reuse")
+	}
+	settle(t, "dropped capture shells", base)
 }
 
 // checkNoLeaks runs c through every entry point and requires the

@@ -102,7 +102,10 @@ func (t *Thread) this() *object.Obj {
 func (t *Thread) pushLock(o *object.Obj) {
 	n := len(t.lockStack)
 	if n < t.lockShared {
-		fresh := make([]*object.Obj, n, cap(t.lockStack)+1)
+		// Size the copy from the live length, not the old capacity: a
+		// pooled shell keeps its array across runs, so growing from cap
+		// would ratchet the capacity up by one on every copy.
+		fresh := make([]*object.Obj, n, 2*n+2)
 		copy(fresh, t.lockStack)
 		t.lockStack = fresh
 		t.lockShared = 0
@@ -118,7 +121,7 @@ func (t *Thread) pushLock(o *object.Obj) {
 func (t *Thread) pushCtx(site event.Loc) {
 	n := len(t.ctxStack)
 	if n < t.ctxShared {
-		fresh := make(event.Context, n, cap(t.ctxStack)+1)
+		fresh := make(event.Context, n, 2*n+2)
 		copy(fresh, t.ctxStack)
 		t.ctxStack = fresh
 		t.ctxShared = 0

@@ -20,7 +20,8 @@
 #   5. fuzz smoke        — FuzzParser, FuzzReadWitness, FuzzReadJournal,
 #                          FuzzReadSchedule and FuzzDecodeManifest each
 #                          explore for a few seconds from their seeded
-#                          corpora
+#                          corpora, and FuzzWitnessEncode holds the
+#                          witness encoder to encoding/json's bytes
 #   6. vm diff           — the bytecode VM and the tree-walking
 #                          interpreter must be byte-identical (events,
 #                          output, campaign reports) over the curated
@@ -82,9 +83,10 @@ make race
 echo "== bench module: traced ≡ untraced fidelity and every-workload smoke =="
 (cd bench && go test ./...)
 
-echo "== fuzz smoke: every decoder target for ${FUZZTIME} each =="
+echo "== fuzz smoke: every decoder target and the witness encoder for ${FUZZTIME} each =="
 go test -run=Fuzz -fuzz=FuzzParser -fuzztime="${FUZZTIME}" ./internal/lang/
 go test -run=Fuzz -fuzz=FuzzReadWitness -fuzztime="${FUZZTIME}" ./internal/obs/
+go test -run=Fuzz -fuzz=FuzzWitnessEncode -fuzztime="${FUZZTIME}" ./internal/obs/
 go test -run=Fuzz -fuzz=FuzzReadJournal -fuzztime="${FUZZTIME}" ./internal/obs/
 go test -run=Fuzz -fuzz=FuzzReadSchedule -fuzztime="${FUZZTIME}" ./internal/trace/
 go test -run=Fuzz -fuzz=FuzzDecodeManifest -fuzztime="${FUZZTIME}" ./internal/corpus/
