@@ -2,6 +2,7 @@
 # what a CI pass runs.
 
 GO ?= go
+FUZZTIME ?= 10s
 
 .PHONY: ci build test race bench bench-smoke profile fuzz-smoke vet replay-smoke corpus-smoke corpus bakeoff-smoke blocking-smoke vm-diff
 
@@ -31,14 +32,12 @@ replay-smoke:
 	$(GO) run ./cmd/dlfuzz replay "$$dir"
 
 # Serial-vs-parallel campaign scaling on the CLF programs, the sharded
-# Phase I closure at 1/2/4 workers, and the machine-readable cost
-# benchmarks (BENCH_pipeline.json, BENCH_phase1.json,
-# BENCH_bakeoff.json).
+# Phase I closure at 1/2/4 workers, and the finder bakeoff
+# (BENCH_bakeoff.json). End-to-end performance is measured by the
+# benchmark under bench/ (see bench/README.md).
 bench:
 	$(GO) test -run='^$$' -bench=BenchmarkConfirmCampaign -benchtime=20x .
 	$(GO) test -run='^$$' -bench=BenchmarkClosure -benchtime=3x .
-	$(GO) run ./cmd/dlbench -pipeline-json BENCH_pipeline.json -runs 100
-	$(GO) run ./cmd/dlbench -phase1-json BENCH_phase1.json -gen-seeds 8
 	$(GO) run ./cmd/dlbench -bakeoff-json BENCH_bakeoff.json
 
 # Race every registered Phase I finder over the first five corpus
@@ -56,19 +55,20 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x .
 
 # CPU and heap profiles of the full Check pipeline on the lists
-# workload, written to cpu.pprof / mem.pprof in the repo root. Inspect
-# with `go tool pprof cpu.pprof`.
+# workload (four Checks of 100 Phase II runs each), written to
+# cpu.pprof / mem.pprof in the repo root next to the dlfuzz.test binary
+# they symbolize against. Inspect with `go tool pprof cpu.pprof`.
 profile:
-	$(GO) run ./cmd/dlbench -pipeline-json /dev/null -workload lists \
-		-runs 400 -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) test -run='^$$' -bench='BenchmarkCheck/lists$$' -benchtime=4x \
+		-cpuprofile cpu.pprof -memprofile mem.pprof .
 
 fuzz-smoke:
-	$(GO) test -run=Fuzz -fuzz=FuzzParser -fuzztime=10s ./internal/lang/
-	$(GO) test -run=Fuzz -fuzz=FuzzReadWitness -fuzztime=10s ./internal/obs/
-	$(GO) test -run=Fuzz -fuzz=FuzzWitnessEncode -fuzztime=10s ./internal/obs/
-	$(GO) test -run=Fuzz -fuzz=FuzzReadJournal -fuzztime=10s ./internal/obs/
-	$(GO) test -run=Fuzz -fuzz=FuzzReadSchedule -fuzztime=10s ./internal/trace/
-	$(GO) test -run=Fuzz -fuzz=FuzzDecodeManifest -fuzztime=10s ./internal/corpus/
+	$(GO) test -run=Fuzz -fuzz=FuzzParser -fuzztime=$(FUZZTIME) ./internal/lang/
+	$(GO) test -run=Fuzz -fuzz=FuzzReadWitness -fuzztime=$(FUZZTIME) ./internal/obs/
+	$(GO) test -run=Fuzz -fuzz=FuzzWitnessEncode -fuzztime=$(FUZZTIME) ./internal/obs/
+	$(GO) test -run=Fuzz -fuzz=FuzzReadJournal -fuzztime=$(FUZZTIME) ./internal/obs/
+	$(GO) test -run=Fuzz -fuzz=FuzzReadSchedule -fuzztime=$(FUZZTIME) ./internal/trace/
+	$(GO) test -run=Fuzz -fuzz=FuzzDecodeManifest -fuzztime=$(FUZZTIME) ./internal/corpus/
 
 # Byte-identity differential between the bytecode VM and the tree-walking
 # interpreter: scheduled runs, confirm campaigns and blocking analyses

@@ -140,9 +140,10 @@ func TestBatchedWorkCampaignDifferential(t *testing.T) {
 
 // TestBatchedWorkAllocations guards the batch path's allocation rate: a
 // pooled execution of the Work-heavy lists workload must stay under one
-// allocation per scheduling decision. (BENCH_pipeline.json tracks the
-// same ratio per workload across the whole pipeline; this is the
-// in-tree regression tripwire for the scheduler itself.)
+// allocation per scheduling decision. (The bench module's
+// alloc_kb_per_check and sched.allocs_per_step track allocation across
+// the whole check; this is the in-tree regression tripwire for the
+// scheduler itself.)
 func TestBatchedWorkAllocations(t *testing.T) {
 	w, ok := workloads.ByName("lists")
 	if !ok {

@@ -219,6 +219,33 @@ func BenchmarkConfirmCampaign(b *testing.B) {
 	}
 }
 
+// BenchmarkCheck measures the whole pipeline a dlfuzz user runs: one op
+// is one Check (Phase I observation and closure, then the shared 100-run
+// Phase II campaign) on a Figure-2 workload, serial in both phases so
+// the cost is per core. `make profile` runs it under go test's
+// -cpuprofile and -memprofile.
+func BenchmarkCheck(b *testing.B) {
+	for _, w := range harness.Figure2Benchmarks() {
+		b.Run(w.Name, func(b *testing.B) {
+			opts := dlfuzz.DefaultCheckOptions()
+			opts.Find.Parallelism = 1
+			opts.Confirm.Parallelism = 1
+			var execs, confirmed int
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep, err := dlfuzz.Check(w.Prog, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				execs += rep.Executions
+				confirmed = len(rep.Confirmed())
+			}
+			b.ReportMetric(float64(execs)/float64(b.N), "execs/op")
+			b.ReportMetric(float64(confirmed), "confirmed")
+		})
+	}
+}
+
 // --- Ablation microbenchmarks for the design choices DESIGN.md calls
 // out: scheduler handshake cost, dependency recording overhead, and the
 // iGoodlock join itself.
@@ -351,7 +378,7 @@ func BenchmarkIGoodlockJoin(b *testing.B) {
 // locks, multi-element held sets): exactly the dependency-heavy shape
 // where the iterative join dominates Phase I. One op is a full closure;
 // the w1 case is the serial Find, so w4/w1 is the sharding speedup
-// (BENCH_phase1.json records the same measurement machine-readably).
+// (meaningful only with more than one core).
 // The report is byte-identical at every width, pinned by the
 // differential tests in internal/igoodlock.
 func BenchmarkClosure(b *testing.B) {
@@ -399,11 +426,22 @@ func BenchmarkNoiseBaseline(b *testing.B) {
 
 // BenchmarkCLFInterp compares the CLF back ends: each iteration is one
 // plain scheduled execution of a committed program, once per back end
-// sub-benchmark, reporting steps/sec. The VM's speedup over the
-// tree-walker here is the tentpole number EXPERIMENTS.md records;
-// dlbench's CLF pipeline rows track the same ratio end to end.
+// sub-benchmark, reporting steps/sec. The programs are philosophers,
+// pipeline, the compute-bound dense.clf and every committed corpus
+// entry. The corpus entries are lock-dense, so the shared handshake
+// bounds the VM's advantage there; dense.clf brackets the ratio from
+// the other side. The VM's speedup over the tree-walker here is the
+// number EXPERIMENTS.md records.
 func BenchmarkCLFInterp(b *testing.B) {
-	for _, name := range []string{"philosophers.clf", "pipeline.clf", "dense.clf", filepath.Join("corpus", "gen-000001.clf")} {
+	names := []string{"philosophers.clf", "pipeline.clf", "dense.clf"}
+	corpus, err := filepath.Glob(filepath.Join("testdata", "corpus", "gen-*.clf"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, file := range corpus {
+		names = append(names, filepath.Join("corpus", filepath.Base(file)))
+	}
+	for _, name := range names {
 		src, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			b.Fatal(err)

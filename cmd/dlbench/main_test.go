@@ -8,16 +8,14 @@ import (
 
 // TestRunUsageErrors pins the usage errors run reports itself, each
 // with exit status 2 and a one-line reason on stderr, before any
-// benchmark or profile file is started.
+// campaign or output file is started.
 func TestRunUsageErrors(t *testing.T) {
 	cases := []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-runs", "-1"}, "-runs must not be negative"},
-		{[]string{"-pipeline-json", "x.json", "-workload", "nope"}, "valid workloads:"},
 		{[]string{"-check-sound"}, "-check-sound requires -bakeoff-json"},
-		{[]string{"-metrics-out", "m.txt"}, "-metrics-out requires -pipeline-json"},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dlfuzz/internal/lang/gen"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -242,5 +244,53 @@ func TestRunBlockingClean(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "blocked=0") {
 		t.Errorf("output missing clean summary: %s", stdout.String())
+	}
+}
+
+// TestRunSaturationRows pins the multi-seed Phase I saturation rows
+// EXPERIMENTS.md quotes: a fixed workload model exhausts its relation in
+// the first observation run, while a generated program keeps finding
+// cycles after it. Each row is deterministic for a fixed -seed.
+func TestRunSaturationRows(t *testing.T) {
+	gen5 := filepath.Join(t.TempDir(), "gen-medium-005.clf")
+	if err := os.WriteFile(gen5, []byte(gen.Generate(5, gen.Medium())), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		args []string
+		want []string
+	}{
+		{
+			"workload-lists",
+			[]string{"-workload", "lists", "-p1-runs", "8", "-seed", "1"},
+			[]string{
+				"observation campaign: 8 of 8 runs completed, 432 raw deps merged to 54\n",
+				"new cycles by run: [27 0 0 0 0 0 0 0]\n",
+				"potential deadlock cycles: 27 (+0 provably false by happens-before)\n",
+			},
+		},
+		{
+			"gen-medium-5",
+			[]string{"-p1-runs", "8", "-seed", "1", gen5},
+			[]string{
+				"observation campaign: 8 of 8 runs completed, 116 raw deps merged to 21\n",
+				"new cycles by run: [7 0 5 0 0 0 0 0]\n",
+				"potential deadlock cycles: 15 (+0 provably false by happens-before)\n",
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(c.args, &stdout, &stderr); code != 1 {
+				t.Errorf("exit code = %d, want 1 (deadlocks found); stderr: %s", code, stderr.String())
+			}
+			for _, line := range c.want {
+				if !strings.Contains(stdout.String(), line) {
+					t.Errorf("output lacks %q:\n%s", line, stdout.String())
+				}
+			}
+		})
 	}
 }

@@ -249,9 +249,8 @@ type ConfirmOptions struct {
 	// field then says how many seeds actually contributed.
 	StopAfter int
 	// OnRun, when non-nil, receives one RunRecord per campaign
-	// execution, in seed order — the hook behind `dlfuzz -journal` and
-	// `dlbench -metrics-out`. Leaving it nil keeps the execution hot
-	// path allocation-free.
+	// execution, in seed order — the hook behind `dlfuzz -journal`.
+	// Leaving it nil keeps the execution hot path allocation-free.
 	OnRun func(*RunRecord)
 	// Ranks, when non-nil, spends ConfirmAll's round-robin budget on
 	// higher-ranked candidates first (ties break by canonical cycle

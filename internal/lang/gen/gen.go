@@ -1,6 +1,7 @@
 // Package gen generates seeded random CLF programs: the
 // scenario-diversity engine behind the corpus under testdata/corpus and
-// the saturation benchmarks in BENCH_phase1.json.
+// the Phase I saturation rows EXPERIMENTS.md records (pinned by
+// cmd/dlfuzz's tests).
 //
 // The fixed workload models exhaust their lock dependency relation in a
 // single observation run, so multi-seed Phase I campaigns have nothing

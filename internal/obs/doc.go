@@ -2,8 +2,8 @@
 // versioned artifacts describing what a campaign did, designed so that a
 // confirmed deadlock does not die with the process.
 //
-// Three artifact families live here, all JSON-lines or plain text so
-// external tooling can consume them without this library:
+// Two artifact families live here, both JSON lines so external tooling
+// can consume them without this library:
 //
 //   - Witness traces (witness.go): a deterministic JSONL record of one
 //     deadlock-confirming execution — the target cycle, every scheduling
@@ -20,14 +20,13 @@
 //     worker), streamed in seed order through campaign.Options.OnRun.
 //     Everything except the wall-time and worker fields is a pure
 //     function of the campaign's inputs, so journals diff cleanly
-//     across machines and parallelism settings.
+//     across machines and parallelism settings. The journal is the one
+//     run-record format: its trailer carries the campaign totals, and
+//     per-outcome or per-worker aggregates fold out of ReadJournal's
+//     records.
 //
-//   - Metrics snapshots (metrics.go): expvar-style "name value" lines
-//     aggregating RunRecords globally, per outcome and per worker, for
-//     quick before/after comparison next to benchmark output.
-//
-// The layer is strictly opt-in: with no journal, metrics sink or
-// witness capture attached, campaigns run with nil hooks and the
-// scheduler hot path keeps its allocation-free steady state (pinned by
-// the AllocsPerRun guards in sched and fuzzer).
+// The layer is strictly opt-in: with no journal or witness capture
+// attached, campaigns run with nil hooks and the scheduler hot path
+// keeps its allocation-free steady state (pinned by the AllocsPerRun
+// guards in sched and fuzzer).
 package obs

@@ -141,40 +141,6 @@ func TestJournalMatchesSummary(t *testing.T) {
 	}
 }
 
-// TestMetricsMatchesJournal folds the same stream into a Metrics via Tee
-// and checks the aggregates agree with the journal's own trailer.
-func TestMetricsMatchesJournal(t *testing.T) {
-	prog, cycles := journalFixture(t)
-	cfg := harness.DefaultVariant().Fuzzer
-	var buf bytes.Buffer
-	j := obs.NewJournal(&buf, obs.JournalMeta{Program: "workload:lists", Cycles: len(cycles), Runs: 45})
-	var m obs.Metrics
-	campaign.ConfirmCycles(prog, cycles, cfg, 45, 0,
-		campaign.Options{Parallelism: 2, OnRun: obs.Tee(j.Record, m.Record)})
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	jf, err := obs.ReadJournal(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Runs != len(jf.Runs) {
-		t.Errorf("metrics counted %d runs, journal holds %d", m.Runs, len(jf.Runs))
-	}
-	var snap strings.Builder
-	if err := m.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"dlfuzz.campaign.runs ", "dlfuzz.campaign.deadlocked ",
-		"dlfuzz.campaign.outcome.deadlock ", "dlfuzz.campaign.worker.0.runs ",
-	} {
-		if !strings.Contains(snap.String(), want) {
-			t.Errorf("snapshot missing %q:\n%s", want, snap.String())
-		}
-	}
-}
-
 // TestReadJournalValidates: truncated and non-journal streams must not
 // decode.
 func TestReadJournalValidates(t *testing.T) {
