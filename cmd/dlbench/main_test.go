@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -37,5 +40,53 @@ func TestRunImprecision(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "Section 5.4: iGoodlock imprecision on Jigsaw") {
 		t.Errorf("stdout lacks the study header:\n%s", stdout.String())
+	}
+}
+
+// blankWallColumns makes Table 1 comparable across runs: it collapses
+// the column padding and blanks the three wall-time columns
+// (normal-ms, igoodlock-ms, df-ms) of every data row.
+func blankWallColumns(table string) string {
+	var b strings.Builder
+	for _, line := range strings.Split(strings.TrimSuffix(table, "\n"), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 12 && f[0] != "program" && !strings.HasPrefix(f[0], "-") {
+			f[2], f[3], f[4] = "*", "*", "*"
+		}
+		b.WriteString(strings.Join(f, " "))
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// TestTable1Golden pins dlbench -table 1 through run at -parallel 1 and
+// 4 against one golden of stdout (wall-time columns blanked) plus exit
+// status. Regenerate with DLFUZZ_UPDATE_GOLDEN=1.
+func TestTable1Golden(t *testing.T) {
+	golden := filepath.Join("..", "..", "testdata", "golden", "cli", "dlbench-table1.txt")
+	var serial string
+	for _, width := range []string{"1", "4"} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-table", "1", "-parallel", width}, &stdout, &stderr)
+		got := fmt.Sprintf("%s[exit %d]\n", blankWallColumns(stdout.String()), code)
+		if serial == "" {
+			serial = got
+		} else if got != serial {
+			t.Errorf("-parallel %s diverged from -parallel 1:\n--- parallel 1 ---\n%s\n--- parallel %s ---\n%s",
+				width, serial, width, got)
+		}
+	}
+	if os.Getenv("DLFUZZ_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(serial), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with DLFUZZ_UPDATE_GOLDEN=1 to create it)", err)
+	}
+	if serial != string(want) {
+		t.Errorf("output diverged from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, serial, want)
 	}
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,13 +11,12 @@ import (
 	"dlfuzz/internal/lang/gen"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files")
-
 // TestRunPhilosophersGolden locks down the CLI's end-to-end output on
 // the dining philosophers: the whole report — cycles, campaign totals,
 // per-cycle status — is deterministic for a fixed seed range, so it can
-// be compared byte-for-byte. Regenerate with `go test ./cmd/dlfuzz
-// -update` after an intentional output change.
+// be compared byte-for-byte. Regenerate with
+// `DLFUZZ_UPDATE_GOLDEN=1 go test ./cmd/dlfuzz` after an intentional
+// output change.
 func TestRunPhilosophersGolden(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
@@ -32,27 +30,12 @@ func TestRunPhilosophersGolden(t *testing.T) {
 	if stderr.Len() != 0 {
 		t.Errorf("unexpected stderr: %s", stderr.String())
 	}
-	golden := filepath.Join("testdata", "philosophers.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if !bytes.Equal(stdout.Bytes(), want) {
-		t.Errorf("output diverged from golden file:\n--- got ---\n%s\n--- want ---\n%s", stdout.Bytes(), want)
-	}
+	checkGolden(t, filepath.Join("testdata", "philosophers.golden"), stdout.Bytes())
 }
 
 // TestRunSyncFinderGolden pins the pipeline output under -finder sync:
 // the sound predictor's candidates all confirm, and the header names
-// the finder. Regenerate with `go test ./cmd/dlfuzz -update`.
+// the finder.
 func TestRunSyncFinderGolden(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
@@ -64,19 +47,7 @@ func TestRunSyncFinderGolden(t *testing.T) {
 	if code != 1 {
 		t.Errorf("exit code = %d, want 1 (deadlocks found); stderr: %s", code, stderr.String())
 	}
-	golden := filepath.Join("testdata", "philosophers-sync.golden")
-	if *update {
-		if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if !bytes.Equal(stdout.Bytes(), want) {
-		t.Errorf("output diverged from golden file:\n--- got ---\n%s\n--- want ---\n%s", stdout.Bytes(), want)
-	}
+	checkGolden(t, filepath.Join("testdata", "philosophers-sync.golden"), stdout.Bytes())
 }
 
 // TestRunUsageErrors covers the non-analysis exit paths.
@@ -188,8 +159,7 @@ func TestReplayUsageErrors(t *testing.T) {
 // TestRunBlockingGolden pins the -blocking campaign's end-to-end output
 // on a CLF channel cycle and on a built-in blocking workload: run
 // counts, verdict keys, and stuck-thread lines are deterministic for a
-// fixed run count at any -parallel setting. Regenerate with
-// `go test ./cmd/dlfuzz -update`.
+// fixed run count at any -parallel setting.
 func TestRunBlockingGolden(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -218,19 +188,7 @@ func TestRunBlockingGolden(t *testing.T) {
 			if stderr.Len() != 0 {
 				t.Errorf("unexpected stderr: %s", stderr.String())
 			}
-			golden := filepath.Join("testdata", c.golden)
-			if *update {
-				if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create it)", err)
-			}
-			if !bytes.Equal(stdout.Bytes(), want) {
-				t.Errorf("output diverged from golden file:\n--- got ---\n%s\n--- want ---\n%s", stdout.Bytes(), want)
-			}
+			checkGolden(t, filepath.Join("testdata", c.golden), stdout.Bytes())
 		})
 	}
 }

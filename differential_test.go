@@ -122,30 +122,7 @@ func TestMutexDifferential(t *testing.T) {
 
 	golden := map[string]string{}
 	if !update {
-		raw, err := os.ReadFile(mutexGoldenPath)
-		if err != nil {
-			t.Fatalf("missing golden (run with DLFUZZ_UPDATE_GOLDEN=1 to capture): %v", err)
-		}
-		var cur string
-		var body strings.Builder
-		flush := func() {
-			if cur != "" {
-				golden[cur] = body.String()
-			}
-			body.Reset()
-		}
-		for _, line := range strings.SplitAfter(string(raw), "\n") {
-			trimmed := strings.TrimSuffix(line, "\n")
-			if strings.HasPrefix(trimmed, "== ") && strings.HasSuffix(trimmed, " ==") {
-				flush()
-				cur = strings.TrimSuffix(strings.TrimPrefix(trimmed, "== "), " ==")
-				continue
-			}
-			if cur != "" {
-				body.WriteString(line)
-			}
-		}
-		flush()
+		golden = readGoldenSections(t, mutexGoldenPath)
 	}
 
 	var out strings.Builder
@@ -176,13 +153,7 @@ func TestMutexDifferential(t *testing.T) {
 		}
 	}
 	if update {
-		if err := os.MkdirAll(filepath.Dir(mutexGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(mutexGoldenPath, []byte(out.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden updated: %s", mutexGoldenPath)
+		writeGolden(t, mutexGoldenPath, out.String())
 		return
 	}
 	for name := range golden {
@@ -190,4 +161,48 @@ func TestMutexDifferential(t *testing.T) {
 			t.Errorf("golden section %q has no matching program (removed?)", name)
 		}
 	}
+}
+
+// readGoldenSections parses a sectioned golden file: each "== name =="
+// line opens a section whose body is every line up to the next header.
+func readGoldenSections(t *testing.T, path string) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with DLFUZZ_UPDATE_GOLDEN=1 to capture): %v", err)
+	}
+	golden := map[string]string{}
+	var cur string
+	var body strings.Builder
+	flush := func() {
+		if cur != "" {
+			golden[cur] = body.String()
+		}
+		body.Reset()
+	}
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		trimmed := strings.TrimSuffix(line, "\n")
+		if strings.HasPrefix(trimmed, "== ") && strings.HasSuffix(trimmed, " ==") {
+			flush()
+			cur = strings.TrimSuffix(strings.TrimPrefix(trimmed, "== "), " ==")
+			continue
+		}
+		if cur != "" {
+			body.WriteString(line)
+		}
+	}
+	flush()
+	return golden
+}
+
+// writeGolden rewrites a golden file (DLFUZZ_UPDATE_GOLDEN=1 mode).
+func writeGolden(t *testing.T, path, content string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("golden updated: %s", path)
 }
