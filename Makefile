@@ -20,7 +20,7 @@ vet:
 
 race:
 	$(GO) test -race ./internal/sched/ ./internal/analysis/ ./internal/campaign/ \
-		./internal/harness/ ./internal/obs/ ./cmd/dlfuzz/
+		./internal/harness/ ./internal/obs/ ./internal/lang/ ./cmd/dlfuzz/
 
 # Fuzz philosophers with -witness-dir, then replay every emitted witness
 # and require each recorded deadlock to reproduce (the CI replay smoke,

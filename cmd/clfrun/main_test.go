@@ -2,18 +2,21 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files")
+// update rewrites golden files instead of comparing against them; the
+// same DLFUZZ_UPDATE_GOLDEN=1 switch regenerates every golden in the
+// module.
+var update = os.Getenv("DLFUZZ_UPDATE_GOLDEN") != ""
 
 // TestRunPhilosophersGolden pins the single-run outcome report on the
 // dining philosophers at a fixed seed, byte-for-byte. Regenerate with
-// `go test ./cmd/clfrun -update` after an intentional format change.
+// `DLFUZZ_UPDATE_GOLDEN=1 go test ./cmd/clfrun` after an intentional
+// format change.
 func TestRunPhilosophersGolden(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
@@ -27,7 +30,7 @@ func TestRunPhilosophersGolden(t *testing.T) {
 		t.Errorf("unexpected stderr: %s", stderr.String())
 	}
 	golden := filepath.Join("testdata", "philosophers.golden")
-	if *update {
+	if update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +40,7 @@ func TestRunPhilosophersGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
+		t.Fatalf("%v (run with DLFUZZ_UPDATE_GOLDEN=1 to create it)", err)
 	}
 	if !bytes.Equal(stdout.Bytes(), want) {
 		t.Errorf("output diverged from golden file:\n--- got ---\n%s\n--- want ---\n%s", stdout.Bytes(), want)

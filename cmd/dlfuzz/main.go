@@ -87,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	prog, name, err := resolveProgram(*workload, fs.Args(), stdout)
+	prog, name, err := resolveProgram(*workload, fs.Args())
 	if err != nil {
 		fmt.Fprintln(stderr, "dlfuzz:", err)
 		return 2
@@ -263,9 +263,10 @@ func printObserved(w io.Writer, find *dlfuzz.FindReport) {
 	}
 }
 
-// resolveProgram loads either a named workload or a CLF file; CLF
-// print() output goes to w.
-func resolveProgram(workload string, args []string, w io.Writer) (func(*dlfuzz.Ctx), string, error) {
+// resolveProgram loads either a named workload or a CLF file. CLF
+// print() output is discarded: the pipeline runs a program many times,
+// and only the report belongs on stdout (clfrun shows program output).
+func resolveProgram(workload string, args []string) (func(*dlfuzz.Ctx), string, error) {
 	if workload != "" {
 		wl, ok := workloads.ByName(workload)
 		if !ok {
@@ -284,7 +285,7 @@ func resolveProgram(workload string, args []string, w io.Writer) (func(*dlfuzz.C
 	if err != nil {
 		return nil, "", err
 	}
-	return p.WithOutput(w).Body(), args[0], nil
+	return p.Body(), args[0], nil
 }
 
 func parseAbstraction(s string) (dlfuzz.Abstraction, error) {

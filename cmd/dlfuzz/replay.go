@@ -185,7 +185,7 @@ func resolveWitnessProgram(ref string) (func(*dlfuzz.Ctx), error) {
 		if err != nil {
 			return nil, err
 		}
-		return p.WithOutput(io.Discard).Body(), nil
+		return p.Body(), nil
 	}
 	return nil, fmt.Errorf("unresolvable program reference %q (want workload:NAME or clf:PATH)", ref)
 }

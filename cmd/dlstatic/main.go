@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "dlstatic:", err)
 		return 2
 	}
-	body := p.WithOutput(stdout).Body()
+	body := p.Body()
 	find, err := dlfuzz.Find(body, dlfuzz.DefaultFindOptions())
 	if err != nil {
 		fmt.Fprintln(stderr, "dlstatic:", err)

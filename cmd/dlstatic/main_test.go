@@ -2,18 +2,21 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files")
+// update rewrites golden files instead of comparing against them; the
+// same DLFUZZ_UPDATE_GOLDEN=1 switch regenerates every golden in the
+// module.
+var update = os.Getenv("DLFUZZ_UPDATE_GOLDEN") != ""
 
 // goldenCase runs the CLI and compares stdout byte-for-byte against a
-// golden file. Regenerate with `go test ./cmd/dlstatic -update` after
-// an intentional format change.
+// golden file. Regenerate with
+// `DLFUZZ_UPDATE_GOLDEN=1 go test ./cmd/dlstatic` after an intentional
+// format change.
 func goldenCase(t *testing.T, goldenName string, args []string) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
@@ -25,7 +28,7 @@ func goldenCase(t *testing.T, goldenName string, args []string) {
 		t.Errorf("unexpected stderr: %s", stderr.String())
 	}
 	golden := filepath.Join("testdata", goldenName)
-	if *update {
+	if update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +38,7 @@ func goldenCase(t *testing.T, goldenName string, args []string) {
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
+		t.Fatalf("%v (run with DLFUZZ_UPDATE_GOLDEN=1 to create it)", err)
 	}
 	if !bytes.Equal(stdout.Bytes(), want) {
 		t.Errorf("output diverged from golden file:\n--- got ---\n%s\n--- want ---\n%s", stdout.Bytes(), want)

@@ -2,20 +2,23 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files")
+// update rewrites golden files instead of comparing against them; the
+// same DLFUZZ_UPDATE_GOLDEN=1 switch regenerates every golden in the
+// module.
+var update = os.Getenv("DLFUZZ_UPDATE_GOLDEN") != ""
 
 // TestRunPhilosophersGolden pins the Phase I report format on the dining
 // philosophers, mirroring the dlfuzz golden test: a multi-run campaign
 // at an explicit parallelism (byte-identical at any width) compared
 // byte-for-byte against testdata/philosophers.golden. Regenerate with
-// `go test ./cmd/igoodlock -update` after an intentional format change.
+// `DLFUZZ_UPDATE_GOLDEN=1 go test ./cmd/igoodlock` after an intentional
+// format change.
 func TestRunPhilosophersGolden(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
@@ -31,7 +34,7 @@ func TestRunPhilosophersGolden(t *testing.T) {
 		t.Errorf("unexpected stderr: %s", stderr.String())
 	}
 	golden := filepath.Join("testdata", "philosophers.golden")
-	if *update {
+	if update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +44,7 @@ func TestRunPhilosophersGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
+		t.Fatalf("%v (run with DLFUZZ_UPDATE_GOLDEN=1 to create it)", err)
 	}
 	if !bytes.Equal(stdout.Bytes(), want) {
 		t.Errorf("output diverged from golden file:\n--- got ---\n%s\n--- want ---\n%s", stdout.Bytes(), want)
@@ -50,7 +53,7 @@ func TestRunPhilosophersGolden(t *testing.T) {
 
 // TestRunSyncFinderGolden pins the report under -finder sync: same
 // format, fewer (sound) cycles. Regenerate with
-// `go test ./cmd/igoodlock -update`.
+// `DLFUZZ_UPDATE_GOLDEN=1 go test ./cmd/igoodlock`.
 func TestRunSyncFinderGolden(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
@@ -63,14 +66,14 @@ func TestRunSyncFinderGolden(t *testing.T) {
 		t.Errorf("exit code = %d, want 0; stderr: %s", code, stderr.String())
 	}
 	golden := filepath.Join("testdata", "philosophers-sync.golden")
-	if *update {
+	if update {
 		if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
+		t.Fatalf("%v (run with DLFUZZ_UPDATE_GOLDEN=1 to create it)", err)
 	}
 	if !bytes.Equal(stdout.Bytes(), want) {
 		t.Errorf("output diverged from golden file:\n--- got ---\n%s\n--- want ---\n%s", stdout.Bytes(), want)

@@ -508,13 +508,7 @@ type ImmuneReport struct {
 // thread occupies. Avoidance is advisory: when only pattern-entering
 // threads can run, one runs, so the policy never livelocks.
 func RunImmune(prog func(*Ctx), patterns []*Cycle, opts ConfirmOptions, seed int64) *ImmuneReport {
-	cfg := fuzzer.Config{
-		Abstraction: opts.Abstraction,
-		K:           opts.K,
-		UseContext:  opts.UseContext,
-		YieldOpt:    opts.YieldOpt,
-	}
-	pol := avoid.New(patterns, cfg)
+	pol := avoid.New(patterns, opts.fuzzerConfig())
 	res := sched.New(sched.Options{Seed: seed, Policy: pol, MaxSteps: opts.MaxSteps}).Run(prog)
 	return &ImmuneReport{Result: res, Deferred: pol.Deferred()}
 }
@@ -534,7 +528,12 @@ func ParseCLF(file, src string) (*Program, error) {
 	return &Program{prog: p}, nil
 }
 
-// WithOutput directs the program's print() statements to w.
+// WithOutput directs the program's print() statements to w. Every
+// execution that reaches a print() writes its line: Find's observation
+// attempts (including the observed re-run of a completing attempt),
+// every Phase II run and every witness capture or replay. Lines from
+// parallel workers arrive whole but in unspecified order. Without
+// WithOutput, print() output is discarded.
 func (p *Program) WithOutput(w io.Writer) *Program {
 	p.out = w
 	return p
@@ -551,8 +550,7 @@ func (p *Program) Body() func(*Ctx) {
 // TreeWalkBody returns the program body backed by the tree-walking
 // reference interpreter instead of the bytecode VM. The two back ends
 // are byte-identical (same events, results, reports — the vmdiff suite
-// pins this); the walker exists as the differential baseline, the same
-// escape-hatch role UnbatchedWork plays for the batched scheduler.
+// pins this); the walker exists as the differential baseline.
 func (p *Program) TreeWalkBody() func(*Ctx) {
 	return lang.NewInterp(p.prog, p.out).TreeWalk().Main()
 }

@@ -68,10 +68,6 @@ type Exec struct {
 	// Policy selects the scheduling policy; nil means the plain random
 	// scheduler (Algorithm 2).
 	Policy sched.Policy
-	// UnbatchedWork runs the scheduler with per-step Work requests
-	// instead of batched grants; observed streams are byte-identical
-	// either way (the differential tests set this, nothing else should).
-	UnbatchedWork bool
 }
 
 // Run executes prog once under ex with every attached analysis
@@ -94,11 +90,10 @@ func (p *Pipeline) RunPooled(pool *sched.Pool, prog func(*sched.Ctx), ex Exec) *
 
 func (p *Pipeline) options(ex Exec) sched.Options {
 	return sched.Options{
-		Seed:          ex.Seed,
-		MaxSteps:      ex.MaxSteps,
-		Policy:        ex.Policy,
-		Observers:     append([]sched.Observer(nil), p.observers...),
-		UnbatchedWork: ex.UnbatchedWork,
+		Seed:      ex.Seed,
+		MaxSteps:  ex.MaxSteps,
+		Policy:    ex.Policy,
+		Observers: append([]sched.Observer(nil), p.observers...),
 	}
 }
 

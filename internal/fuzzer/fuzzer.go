@@ -49,10 +49,6 @@ type Config struct {
 	// scheduler steps; a thread paused longer is released. 0 means the
 	// default of 5000. Timeout evictions do not count as thrashes.
 	PauseTimeout int
-	// UnbatchedWork runs the scheduler with per-step Work requests (the
-	// pre-batching reference protocol) instead of batched grants. Output
-	// is byte-identical either way; the differential tests set this.
-	UnbatchedWork bool
 }
 
 const (

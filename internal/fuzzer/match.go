@@ -128,7 +128,7 @@ type RunResult struct {
 // target cycle, variant configuration and seed.
 func Run(prog func(*sched.Ctx), cycle *igoodlock.Cycle, cfg Config, seed int64, maxSteps int) *RunResult {
 	pol := New(cycle, cfg)
-	s := sched.New(sched.Options{Seed: seed, Policy: pol, MaxSteps: maxSteps, UnbatchedWork: cfg.UnbatchedWork})
+	s := sched.New(sched.Options{Seed: seed, Policy: pol, MaxSteps: maxSteps})
 	res := s.Run(prog)
 	return &RunResult{
 		Result:     res,
@@ -169,7 +169,7 @@ func NewRunner() *Runner {
 // Run is the pooled equivalent of the package-level Run.
 func (r *Runner) Run(prog func(*sched.Ctx), cycle *igoodlock.Cycle, cfg Config, seed int64, maxSteps int) *RunResult {
 	r.pol.Reset(cycle, cfg)
-	res := r.pool.Run(sched.Options{Seed: seed, Policy: r.pol, MaxSteps: maxSteps, UnbatchedWork: cfg.UnbatchedWork}, prog)
+	res := r.pool.Run(sched.Options{Seed: seed, Policy: r.pol, MaxSteps: maxSteps}, prog)
 	return &RunResult{
 		Result:     res,
 		Reproduced: res.Outcome == sched.Deadlock && r.MatchesCycle(res.Deadlock, cycle, cfg),

@@ -140,10 +140,11 @@ const maxCallDepth = 1000
 // the slot-indexed VM (vm.go); TreeWalk selects the tree-walking
 // reference back end, which the differential tests pin the VM against.
 type Interp struct {
-	prog *Program
-	out  io.Writer
-	tree bool
-	pool sync.Pool // *vmRun, recycled across executions
+	prog  *Program
+	out   io.Writer
+	outMu sync.Mutex // serializes print() across concurrent executions
+	tree  bool
+	pool  sync.Pool // *vmRun, recycled across executions
 }
 
 // NewInterp returns an interpreter writing print() output to out
@@ -155,9 +156,17 @@ func NewInterp(prog *Program, out io.Writer) *Interp {
 	return &Interp{prog: prog, out: out}
 }
 
+// print writes one print() line. Executions of one Interp may run
+// concurrently (parallel campaign workers), so writes are serialized
+// and each line arrives whole.
+func (in *Interp) print(parts []string) {
+	in.outMu.Lock()
+	defer in.outMu.Unlock()
+	fmt.Fprintln(in.out, strings.Join(parts, " "))
+}
+
 // TreeWalk switches this interpreter to the tree-walking back end, the
-// differential reference for the VM (the same escape-hatch pattern as
-// sched.Options.UnbatchedWork). It returns in for chaining.
+// differential reference for the VM. It returns in for chaining.
 func (in *Interp) TreeWalk() *Interp {
 	in.tree = true
 	return in
@@ -393,7 +402,7 @@ func (ex *executor) execStmt(s Stmt, env *env) {
 		for i, a := range s.Args {
 			parts[i] = format(ex.eval(a, env))
 		}
-		fmt.Fprintln(ex.in.out, strings.Join(parts, " "))
+		ex.in.print(parts)
 
 	case *ExprStmt:
 		ex.eval(s.X, env)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"dlfuzz/internal/sched"
@@ -143,6 +144,45 @@ func runCLF(t *testing.T, src string, seed int64) (*sched.Result, string) {
 		t.Fatal(err)
 	}
 	return res, out.String()
+}
+
+// TestInterpConcurrentPrint runs one Interp from four goroutines at
+// once, as parallel campaign workers do, and requires every print()
+// line to arrive whole on the shared writer. Under -race it also
+// guards the writes themselves.
+func TestInterpConcurrentPrint(t *testing.T) {
+	prog, err := Parse("t.clf", `fn main() { print("hello", 1); print("world", 2); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	for _, in := range []*Interp{NewInterp(prog, &out), NewInterp(prog, &out).TreeWalk()} {
+		out.Reset()
+		const workers, runs = 4, 50
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				for i := 0; i < runs; i++ {
+					if _, err := in.Run(sched.Options{Seed: seed}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(int64(w))
+		}
+		wg.Wait()
+		lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+		if len(lines) != 2*workers*runs {
+			t.Fatalf("got %d lines, want %d", len(lines), 2*workers*runs)
+		}
+		for _, l := range lines {
+			if l != "hello 1" && l != "world 2" {
+				t.Fatalf("torn print line %q", l)
+			}
+		}
+	}
 }
 
 func TestInterpArithmeticAndControl(t *testing.T) {

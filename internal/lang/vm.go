@@ -14,7 +14,6 @@ package lang
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"dlfuzz/internal/event"
@@ -370,7 +369,7 @@ func (t *vmThread) exec(fn *compiledFunc, f *vmFrame) vval {
 			for i := 0; i < n; i++ {
 				parts[i] = vformat(st[sp+i])
 			}
-			fmt.Fprintln(t.in.out, strings.Join(parts, " "))
+			t.in.print(parts)
 		case opBoolChk:
 			if v := st[sp-1]; v.kind != vBool {
 				panic(rtErrf(in.pos, "expected bool, got %s", vtype(v)))

@@ -28,15 +28,14 @@ type Pool struct {
 // recycled: Scheduler.Run has torn every thread down by then, and the
 // pool's cleanup stops only the shells on its free list.
 func (p *Pool) Run(opts Options, main func(*Ctx)) *Result {
-	s := p.Get(opts)
-	defer p.Put(s)
+	s := p.get(opts)
+	defer p.put(s)
 	return s.Run(main)
 }
 
-// Get returns a scheduler (recycled or fresh) configured by opts and
-// bound to the pool for thread-shell reuse. Use Get/Put directly when
-// the scheduler must stay inspectable after Run; otherwise use Pool.Run.
-func (p *Pool) Get(opts Options) *Scheduler {
+// get returns a scheduler (recycled or fresh) configured by opts and
+// bound to the pool for thread-shell reuse.
+func (p *Pool) get(opts Options) *Scheduler {
 	var s *Scheduler
 	if n := len(p.scheds); n > 0 {
 		s = p.scheds[n-1]
@@ -50,10 +49,10 @@ func (p *Pool) Get(opts Options) *Scheduler {
 	return s
 }
 
-// Put recycles a scheduler whose Run has returned. The shell keeps its
+// put recycles a scheduler whose Run has returned. The shell keeps its
 // RNG, scratch buffers, map buckets and lock-state free list; everything
 // observable is reset.
-func (p *Pool) Put(s *Scheduler) {
+func (p *Pool) put(s *Scheduler) {
 	for i, t := range s.threads {
 		t.recycle()
 		*p.shells = append(*p.shells, t)

@@ -17,9 +17,8 @@
 // Invisible work (Ctx.Work) is batched: a thread posts one request for n
 // steps and receives its n grants without reposting, so the policy is
 // still consulted — and the step counter still advances — once per step,
-// with no per-step handshake. Options.UnbatchedWork restores the
-// one-request-per-step reference protocol; the differential suite pins
-// the two byte-identical.
+// with no per-step handshake. The schedule is that of n separate Steps;
+// the batching goldens (batching_test.go in the module root) pin it.
 //
 // A run that ends with threads still blocked tears them down: each is
 // resumed once with an abort and unwinds, its stack's deferred Returns
@@ -105,12 +104,6 @@ type Options struct {
 	Policy Policy
 	// Observers receive the event stream.
 	Observers []Observer
-	// UnbatchedWork forces Ctx.Work to post one Step request per step,
-	// the pre-batching protocol, instead of a single batched request.
-	// Execution output is byte-identical either way (the differential
-	// tests pin this); the flag exists so those tests can run the slow
-	// reference protocol.
-	UnbatchedWork bool
 }
 
 const defaultMaxSteps = 1_000_000

@@ -320,16 +320,9 @@ func (c *Ctx) Step(site event.Loc) {
 // and the scheduler accounts each grant locally, resuming the thread
 // only on the last one (see applyRequest). Every grant is still a full
 // scheduling decision, so the schedule is byte-identical to n separate
-// Steps — Options.UnbatchedWork selects that reference protocol for the
-// differential tests.
+// Steps.
 func (c *Ctx) Work(n int, site event.Loc) {
 	if n <= 0 {
-		return
-	}
-	if c.t.sched.opts.UnbatchedWork {
-		for i := 0; i < n; i++ {
-			c.Step(site)
-		}
 		return
 	}
 	c.t.pending = Request{Kind: event.KindStep, Loc: site, Steps: n}

@@ -11,8 +11,9 @@
 #   4. go test -race     — the scheduler (whose thread coroutines hand
 #                          the turn between goroutines), the analysis
 #                          pipeline, the concurrent campaign engine, the
-#                          harness built on them, the observability layer
-#                          and the dlfuzz CLI must be race-clean
+#                          harness built on them, the observability layer,
+#                          the CLF interpreter (print() from parallel
+#                          workers) and the dlfuzz CLI must be race-clean
 #                          (`make race`)
 #   4b. bench module     — the benchmark's own tests (`cd bench && go
 #                          test ./...`): the traced check must match the
@@ -68,7 +69,7 @@ go test ./...
 echo "== go test at GOMAXPROCS=1 (sched + campaign + root suites) =="
 GOMAXPROCS=1 go test -count=1 ./internal/sched/ ./internal/campaign/ .
 
-echo "== go test -race (sched + analysis + campaign + harness + obs + dlfuzz CLI) =="
+echo "== go test -race (sched + analysis + campaign + harness + obs + lang + dlfuzz CLI) =="
 make race
 
 echo "== bench module: traced ≡ untraced fidelity and every-workload smoke =="
