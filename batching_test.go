@@ -225,9 +225,9 @@ func TestBatchedWorkCampaignDifferential(t *testing.T) {
 	}
 }
 
-// TestBatchedWorkAllocations guards the batch path's allocation rate: a
-// pooled execution of the Work-heavy lists workload must stay under one
-// allocation per scheduling decision. (The bench module's
+// TestBatchedWorkAllocations guards the batch path's allocation rate: an
+// execution of the Work-heavy lists workload on a warm shell must stay
+// under one allocation per scheduling decision. (The bench module's
 // alloc_kb_per_check and sched.allocs_per_step track allocation across
 // the whole check; this is the in-tree regression tripwire for the
 // scheduler itself.)
@@ -236,16 +236,15 @@ func TestBatchedWorkAllocations(t *testing.T) {
 	if !ok {
 		t.Fatal("lists workload missing")
 	}
-	pool := sched.NewPool()
-	res := pool.Run(sched.Options{Seed: 1}, w.Prog)
+	res := sched.New(sched.Options{Seed: 1}).Run(w.Prog)
 	if res.Steps == 0 {
 		t.Fatal("lists run took no steps")
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		pool.Run(sched.Options{Seed: 1}, w.Prog)
+		sched.New(sched.Options{Seed: 1}).Run(w.Prog)
 	})
 	if perStep := allocs / float64(res.Steps); perStep > 1.0 {
-		t.Errorf("pooled batched run allocates %.3f per step (%.0f allocs / %d steps); want <= 1.0",
+		t.Errorf("batched run on a warm shell allocates %.3f per step (%.0f allocs / %d steps); want <= 1.0",
 			perStep, allocs, res.Steps)
 	}
 }

@@ -251,32 +251,20 @@ func BenchmarkCheck(b *testing.B) {
 // iGoodlock join itself.
 
 // BenchmarkSchedulerSteps measures raw scheduling throughput (the
-// per-operation cost of the lockstep handshake), for a fresh scheduler
-// per run and for pooled shells. One op is a 1000-step execution, so
-// allocs/op ÷ 1000 is the per-step allocation count.
+// per-operation cost of the lockstep handshake) on warm shells. One op
+// is a 1000-step execution, so allocs/op ÷ 1000 is the per-step
+// allocation count.
 func BenchmarkSchedulerSteps(b *testing.B) {
 	prog := func(c *sched.Ctx) {
 		for i := 0; i < 1000; i++ {
 			c.Step("bench:1")
 		}
 	}
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sched.New(sched.Options{Seed: int64(i)}).Run(prog)
-		}
-		b.ReportMetric(1000, "steps/op")
-	})
-	b.Run("pooled", func(b *testing.B) {
-		pool := sched.NewPool()
-		pool.Run(sched.Options{Seed: 0}, prog)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pool.Run(sched.Options{Seed: int64(i)}, prog)
-		}
-		b.ReportMetric(1000, "steps/op")
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sched.New(sched.Options{Seed: int64(i)}).Run(prog)
+	}
+	b.ReportMetric(1000, "steps/op")
 }
 
 // acquireProg is the Acquire/Release hot loop: pairs nested
@@ -299,7 +287,7 @@ func acquireProg(pairs int) func(*sched.Ctx) {
 // BenchmarkAcquirePath isolates the Acquire/Release path the paper's
 // active checker lives on: 500 nested pairs per op, plain vs observed
 // (a dependency recorder attached, so lock/context snapshots are
-// published) vs pooled. allocs/op ÷ 1000 is allocations per acquire.
+// published). allocs/op ÷ 1000 is allocations per acquire.
 func BenchmarkAcquirePath(b *testing.B) {
 	prog := acquireProg(500)
 	b.Run("plain", func(b *testing.B) {
@@ -316,15 +304,6 @@ func BenchmarkAcquirePath(b *testing.B) {
 				Seed:      int64(i),
 				Observers: []sched.Observer{rec},
 			}).Run(prog)
-		}
-	})
-	b.Run("pooled", func(b *testing.B) {
-		pool := sched.NewPool()
-		pool.Run(sched.Options{Seed: 0}, prog)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pool.Run(sched.Options{Seed: int64(i)}, prog)
 		}
 	})
 }
@@ -459,12 +438,11 @@ func BenchmarkCLFInterp(b *testing.B) {
 		} {
 			backend := backend
 			b.Run(name+"/"+backend.name, func(b *testing.B) {
-				pool := sched.NewPool()
 				steps := 0
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					steps += pool.Run(sched.Options{Seed: int64(i)}, backend.body).Steps
+					steps += sched.New(sched.Options{Seed: int64(i)}).Run(backend.body).Steps
 				}
 				b.StopTimer()
 				if b.Elapsed() > 0 {

@@ -79,15 +79,6 @@ func (p *Pipeline) Run(prog func(*sched.Ctx), ex Exec) *sched.Result {
 	return sched.New(p.options(ex)).Run(prog)
 }
 
-// RunPooled is Run with the scheduler shell drawn from (and recycled
-// into) pool. Pooled shells are reset to the observable state of fresh
-// ones, so the result and every observer's view are byte-identical to
-// Run's; campaign workers use this to amortize scheduler allocation
-// across their seeds.
-func (p *Pipeline) RunPooled(pool *sched.Pool, prog func(*sched.Ctx), ex Exec) *sched.Result {
-	return pool.Run(p.options(ex), prog)
-}
-
 func (p *Pipeline) options(ex Exec) sched.Options {
 	return sched.Options{
 		Seed:      ex.Seed,
@@ -176,7 +167,7 @@ type runOutcome struct {
 // observeFunc executes one observation run; observeRun is the
 // implementation, and the differential test supplies a reference that
 // observes every attempt.
-type observeFunc func(pool *sched.Pool, prog func(*sched.Ctx), base int64, maxSteps int, withHistory bool) runOutcome
+type observeFunc func(prog func(*sched.Ctx), base int64, maxSteps int, withHistory bool) runOutcome
 
 // observeRun executes one observation run: seeds from base upward are
 // tried until an execution completes. Attempts that deadlock are
@@ -192,14 +183,14 @@ type observeFunc func(pool *sched.Pool, prog func(*sched.Ctx), base int64, maxSt
 // and observers never influence scheduling decisions, the same
 // invariant witness capture relies on. A bare attempt's deadlock report
 // is the scheduler's own, identical with or without observers.
-func observeRun(pool *sched.Pool, prog func(*sched.Ctx), base int64, maxSteps int, withHistory bool) runOutcome {
+func observeRun(prog func(*sched.Ctx), base int64, maxSteps int, withHistory bool) runOutcome {
 	ro := runOutcome{seed: base}
 	for attempt := 0; attempt < maxObserveAttempts; attempt++ {
 		s := base + int64(attempt)
 		ro.seed = s
 		ro.attempts = attempt + 1
 		if attempt > 0 {
-			res := pool.Run(sched.Options{Seed: s, MaxSteps: maxSteps}, prog)
+			res := sched.New(sched.Options{Seed: s, MaxSteps: maxSteps}).Run(prog)
 			if res.Outcome != sched.Completed {
 				ro.recordFailure(res)
 				continue
@@ -213,7 +204,7 @@ func observeRun(pool *sched.Pool, prog func(*sched.Ctx), base int64, maxSteps in
 		if withHistory {
 			hist = Attach(&p, predict.NewHistory())
 		}
-		res := p.RunPooled(pool, prog, Exec{Seed: s, MaxSteps: maxSteps})
+		res := p.Run(prog, Exec{Seed: s, MaxSteps: maxSteps})
 		if res.Outcome != sched.Completed {
 			ro.recordFailure(res)
 			continue

@@ -17,7 +17,7 @@ import (
 // observeAllObserved is the reference observation loop: every attempt
 // runs under the full pipeline, as observeRun did before later attempts
 // ran bare.
-func observeAllObserved(pool *sched.Pool, prog func(*sched.Ctx), base int64, maxSteps int, withHistory bool) runOutcome {
+func observeAllObserved(prog func(*sched.Ctx), base int64, maxSteps int, withHistory bool) runOutcome {
 	ro := runOutcome{seed: base}
 	for attempt := 0; attempt < maxObserveAttempts; attempt++ {
 		s := base + int64(attempt)
@@ -32,7 +32,7 @@ func observeAllObserved(pool *sched.Pool, prog func(*sched.Ctx), base int64, max
 		if withHistory {
 			hist = Attach(&p, predict.NewHistory())
 		}
-		res := p.RunPooled(pool, prog, Exec{Seed: s, MaxSteps: maxSteps})
+		res := p.Run(prog, Exec{Seed: s, MaxSteps: maxSteps})
 		if res.Outcome != sched.Completed {
 			if res.Outcome == sched.Deadlock && res.Deadlock != nil {
 				ro.deadlocks = append(ro.deadlocks, res.Deadlock)

@@ -59,16 +59,13 @@ type BlockingSummary struct {
 func Blocking(prog func(*sched.Ctx), runs, maxSteps int, bias float64, opts Options) *BlockingSummary {
 	sum := &BlockingSummary{}
 	byKey := map[string]*BlockingVerdict{}
-	sum.Runs = RunWorkers(runs, opts,
-		func() func(seed int) *sched.Result {
-			pool := sched.NewPool()
-			var pol sched.Policy
-			if bias > 0 {
-				pol = fuzzer.BlockingPolicy{P: bias}
-			}
-			return func(seed int) *sched.Result {
-				return pool.Run(sched.Options{Seed: int64(seed), MaxSteps: maxSteps, Policy: pol}, prog)
-			}
+	var pol sched.Policy
+	if bias > 0 {
+		pol = fuzzer.BlockingPolicy{P: bias}
+	}
+	sum.Runs = Run(runs, opts,
+		func(seed int) *sched.Result {
+			return sched.New(sched.Options{Seed: int64(seed), MaxSteps: maxSteps, Policy: pol}).Run(prog)
 		},
 		func(r *sched.Result) bool { return r.Blocked != nil },
 		func(seed int, r *sched.Result) {

@@ -69,10 +69,10 @@ func Run[T any](runs int, opts Options, exec func(seed int) T, hit func(T) bool,
 // RunWorkers is Run for executions with per-worker state: setup runs
 // once on each worker goroutine (once on the calling goroutine for the
 // serial path) and returns the exec that worker uses for all its seeds.
-// Campaigns use it to give each worker its own scheduler pool and
-// policy shell, so pooled state is reused across seeds but never shared
-// across goroutines. The seed-order merge is unchanged, so results are
-// identical to Run with stateless exec.
+// Campaigns use it to give each worker its own fuzzer.Runner (policy
+// shell and key caches), so that state is reused across seeds but never
+// shared across goroutines. The seed-order merge is unchanged, so
+// results are identical to Run with stateless exec.
 func RunWorkers[T any](runs int, opts Options, setup func() func(seed int) T, hit func(T) bool, consume func(seed int, v T)) int {
 	if runs <= 0 {
 		return 0
@@ -260,12 +260,9 @@ func (b *BaselineSummary) AvgSteps() float64 {
 // StopAfter counts deadlocked runs.
 func Baseline(prog func(*sched.Ctx), runs, maxSteps int, opts Options) *BaselineSummary {
 	sum := &BaselineSummary{}
-	sum.Runs = RunWorkers(runs, opts,
-		func() func(seed int) *sched.Result {
-			pool := sched.NewPool()
-			return func(seed int) *sched.Result {
-				return pool.Run(sched.Options{Seed: int64(seed), MaxSteps: maxSteps}, prog)
-			}
+	sum.Runs = Run(runs, opts,
+		func(seed int) *sched.Result {
+			return sched.New(sched.Options{Seed: int64(seed), MaxSteps: maxSteps}).Run(prog)
 		},
 		func(r *sched.Result) bool { return r.Outcome == sched.Deadlock },
 		func(_ int, r *sched.Result) {

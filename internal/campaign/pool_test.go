@@ -1,10 +1,11 @@
 package campaign_test
 
-// Pooled-reuse determinism at the campaign level: the engine hands each
-// worker a pooled runner that recycles scheduler and policy shells
-// across all the seeds that worker claims, and campaigns run
-// back-to-back rebuild their pools from whatever the Go allocator hands
-// back. Neither form of reuse may be observable in any merged summary.
+// Reuse determinism at the campaign level: the engine hands each worker
+// a runner that recycles its policy shell across all the seeds that
+// worker claims, every execution runs on a scheduler shell recycled
+// through sched's warm set, and campaigns run back-to-back reuse
+// whatever shells the earlier one left warm. No form of reuse may be
+// observable in any merged summary.
 
 import (
 	"reflect"

@@ -137,14 +137,14 @@ func Run(prog func(*sched.Ctx), cycle *igoodlock.Cycle, cfg Config, seed int64, 
 	}
 }
 
-// Runner amortizes Phase II state over many executions: one scheduler
-// pool and one policy shell serve every seed, so a campaign worker
-// allocates its checker state once instead of once per run. Results are
+// Runner amortizes Phase II state over many executions: one policy
+// shell and the key caches serve every seed, so a campaign worker
+// allocates its checker state once instead of once per run; schedulers
+// come warm from sched.New like every execution's. Results are
 // byte-identical to the package-level Run. A Runner is not safe for
 // concurrent use; give each campaign worker its own.
 type Runner struct {
-	pool *sched.Pool
-	pol  *Policy
+	pol *Policy
 
 	// Cycle and deadlock keys are pure functions of their inputs, so the
 	// Runner caches them: cycle keys per (cycle pointer, config) — the
@@ -161,15 +161,15 @@ type Runner struct {
 	render keyBuilder
 }
 
-// NewRunner returns a Runner with an empty pool.
+// NewRunner returns a Runner with empty caches.
 func NewRunner() *Runner {
-	return &Runner{pool: sched.NewPool(), pol: &Policy{}}
+	return &Runner{pol: &Policy{}}
 }
 
-// Run is the pooled equivalent of the package-level Run.
+// Run is the package-level Run on the Runner's policy shell and caches.
 func (r *Runner) Run(prog func(*sched.Ctx), cycle *igoodlock.Cycle, cfg Config, seed int64, maxSteps int) *RunResult {
 	r.pol.Reset(cycle, cfg)
-	res := r.pool.Run(sched.Options{Seed: seed, Policy: r.pol, MaxSteps: maxSteps}, prog)
+	res := sched.New(sched.Options{Seed: seed, Policy: r.pol, MaxSteps: maxSteps}).Run(prog)
 	return &RunResult{
 		Result:     res,
 		Reproduced: res.Outcome == sched.Deadlock && r.MatchesCycle(res.Deadlock, cycle, cfg),

@@ -8,10 +8,10 @@ import (
 	"dlfuzz/internal/sched"
 )
 
-// TestRunnerMatchesRun pins the pooled Runner's guarantee: recycled
-// scheduler and policy shells must produce run results deeply equal to
-// the single-use path, seed by seed, across two back-to-back sweeps on
-// the same shells.
+// TestRunnerMatchesRun pins the Runner's guarantee: its recycled policy
+// shell must produce run results deeply equal to the package-level Run's
+// fresh policy, seed by seed, across two back-to-back sweeps on the same
+// shell.
 func TestRunnerMatchesRun(t *testing.T) {
 	cycles := phase1(t, fig1, igoodlock.DefaultConfig())
 	if len(cycles) == 0 {

@@ -568,22 +568,11 @@ func (r *recorder) OnEvent(ev sched.Ev) {
 	r.events = append(r.events, we)
 }
 
-// shell is a reusable execution context for one-shot witness runs: a
-// scheduler pool, whose parked thread coroutines keep the stacks they
-// grew, and a checker policy, whose abstraction intern table stays
-// warm. Capture and Replay borrow one from shells per execution, so a
-// witness run costs what a pooled campaign run costs. A shell the
-// sync.Pool drops is stopped by its sched.Pool's cleanup.
-type shell struct {
-	pool *sched.Pool
-	pol  fuzzer.Policy
-}
-
-var shells = sync.Pool{New: func() any { return &shell{pool: sched.NewPool()} }}
-
-// runFunc executes one scheduled run: sched.Pool.Run, or a fresh
-// scheduler's Run.
-type runFunc func(sched.Options, func(*sched.Ctx)) *sched.Result
+// policies holds reusable checker policies for one-shot witness runs:
+// a policy's abstraction intern table stays warm across captures, and
+// sched.New hands every execution a warm scheduler shell, so a witness
+// run costs what a campaign run costs.
+var policies = sync.Pool{New: func() any { return new(fuzzer.Policy) }}
 
 // Capture re-executes a known deadlock-confirming (cycle, scheduler
 // seed) pair under the active checker with a recording policy and
@@ -595,25 +584,25 @@ type runFunc func(sched.Options, func(*sched.Ctx)) *sched.Result
 // deadlock. Capture fails if the run does not end in a deadlock. It is
 // safe for concurrent use.
 func Capture(prog func(*sched.Ctx), program string, cycle *igoodlock.Cycle, target int, cfg fuzzer.Config, schedSeed int64, maxSteps int) (*Witness, error) {
-	// A run that panics drops its shell rather than returning it.
-	sh := shells.Get().(*shell)
-	w, err := capture(sh.pool.Run, &sh.pol, prog, program, cycle, target, cfg, schedSeed, maxSteps)
-	shells.Put(sh)
+	// A run that panics drops its policy rather than returning it.
+	pol := policies.Get().(*fuzzer.Policy)
+	w, err := capture(pol, prog, program, cycle, target, cfg, schedSeed, maxSteps)
+	policies.Put(pol)
 	return w, err
 }
 
-// capture is Capture on the given executor and policy shell.
-func capture(run runFunc, pol *fuzzer.Policy, prog func(*sched.Ctx), program string, cycle *igoodlock.Cycle, target int, cfg fuzzer.Config, schedSeed int64, maxSteps int) (*Witness, error) {
+// capture is Capture on the given policy shell.
+func capture(pol *fuzzer.Policy, prog func(*sched.Ctx), program string, cycle *igoodlock.Cycle, target int, cfg fuzzer.Config, schedSeed int64, maxSteps int) (*Witness, error) {
 	rec := &recorder{}
 	pol.Reset(cycle, cfg)
 	pol.SetHooks(rec)
 	recording := trace.NewRecording(pol)
-	res := run(sched.Options{
+	res := sched.New(sched.Options{
 		Seed:      schedSeed,
 		MaxSteps:  maxSteps,
 		Policy:    recording,
 		Observers: []sched.Observer{rec},
-	}, prog)
+	}).Run(prog)
 	pol.SetHooks(nil)
 	if res.Outcome != sched.Deadlock {
 		return nil, fmt.Errorf("obs: capture run ended in %s, not deadlock (program %s, seed %d)", res.Outcome, program, schedSeed)
@@ -678,14 +667,6 @@ type ReplayReport struct {
 // canonical key must equal the recorded one. Any other outcome is an
 // error describing the divergence. It is safe for concurrent use.
 func Replay(prog func(*sched.Ctx), w *Witness) (*ReplayReport, error) {
-	sh := shells.Get().(*shell)
-	rep, err := replay(sh.pool.Run, prog, w)
-	shells.Put(sh)
-	return rep, err
-}
-
-// replay is Replay on the given executor.
-func replay(run runFunc, prog func(*sched.Ctx), w *Witness) (*ReplayReport, error) {
 	cfg, err := w.Config.FuzzerConfig()
 	if err != nil {
 		return nil, err
@@ -695,7 +676,7 @@ func replay(run runFunc, prog func(*sched.Ctx), w *Witness) (*ReplayReport, erro
 		schedule[i] = event.TID(t)
 	}
 	rp := trace.NewReplay(schedule)
-	res := run(sched.Options{Seed: w.SchedSeed, MaxSteps: w.MaxSteps, Policy: rp}, prog)
+	res := sched.New(sched.Options{Seed: w.SchedSeed, MaxSteps: w.MaxSteps, Policy: rp}).Run(prog)
 	if rp.Diverged() {
 		return nil, fmt.Errorf("obs: replay diverged from the recorded schedule after %d steps (program changed?)", res.Steps)
 	}

@@ -179,10 +179,10 @@ func allConfirmedTargets(t testing.TB) []captureTarget {
 // TestCaptureMatchesPlainRun pins two guarantees over every confirmed
 // cycle of the workloads and of five corpus programs. Observers don't
 // steer: the capture reaches the exact run a hook-free checker run
-// reaches from the same seed. And warm shells are invisible: three
-// rounds of captures and replays through the pooled shells, interleaved
-// across programs, deeply equal references taken on a fresh scheduler
-// and policy.
+// reaches from the same seed. And reuse is invisible: three rounds of
+// captures on pooled policies and replays, interleaved across programs
+// on warm scheduler shells, deeply equal references taken with a fresh
+// policy.
 func TestCaptureMatchesPlainRun(t *testing.T) {
 	targets := allConfirmedTargets(t)
 	t.Logf("%d confirmed cycles", len(targets))

@@ -15,7 +15,7 @@ import (
 // receives block until a value or a close arrives, and close wakes
 // every blocked receiver. Channel state lives on the handle — channels
 // are per-run heap objects like locks' owning objects, not scheduler
-// tables — so pooled scheduler reuse needs no channel reset.
+// tables — so recycling a scheduler shell needs no channel reset.
 type Chan struct {
 	obj      *object.Obj
 	capacity int

@@ -337,8 +337,8 @@ func TestDoubleCloseMisuse(t *testing.T) {
 }
 
 // TestBlockingDeterminism: the blocked verdict, like everything else,
-// is a pure function of the seed — and pooled runs agree with fresh
-// ones.
+// is a pure function of the seed — and runs on a warm shell agree with
+// runs on brand-new ones.
 func TestBlockingDeterminism(t *testing.T) {
 	prog := func(c *Ctx) {
 		ch := c.NewChan(0, "t.clf:1")
@@ -354,12 +354,12 @@ func TestBlockingDeterminism(t *testing.T) {
 		c.Recv(ch, "t.clf:9")
 		c.Recv(done, "t.clf:10")
 	}
-	pool := NewPool()
+	warm := newShell()
 	for seed := int64(0); seed < 20; seed++ {
-		a := New(Options{Seed: seed}).Run(prog)
-		b := pool.Run(Options{Seed: seed}, prog)
+		a := newShell().Rerun(Options{Seed: seed}, prog)
+		b := warm.Rerun(Options{Seed: seed}, prog)
 		if a.Outcome != b.Outcome {
-			t.Fatalf("seed %d: fresh %v pooled %v", seed, a.Outcome, b.Outcome)
+			t.Fatalf("seed %d: brand-new %v warm %v", seed, a.Outcome, b.Outcome)
 		}
 		if (a.Blocked == nil) != (b.Blocked == nil) {
 			t.Fatalf("seed %d: blocked mismatch %v vs %v", seed, a.Blocked, b.Blocked)

@@ -18,16 +18,16 @@ func (t *Thread) startCoro() {
 	t.next, t.stop = iter.Pull(t.loop)
 }
 
-// NewPool returns an empty pool.
-func NewPool() *Pool {
-	p := &Pool{shells: new([]*Thread)}
-	// The cleanup must not reference p (it would never run). Every shell
-	// is back on the free list once its scheduler is Put, parked between
-	// bodies, so stopping the free list ends every coroutine.
-	runtime.AddCleanup(p, func(shells *[]*Thread) {
-		for _, t := range *shells {
+// newShell returns a brand-new scheduler shell. The cleanup must not
+// reference s (it would never run). Every thread shell is on the parked
+// list once its run is recycled, parked between bodies, so stopping the
+// list ends every coroutine of a shell the warm set has dropped.
+func newShell() *Scheduler {
+	s := &Scheduler{parked: new([]*Thread)}
+	runtime.AddCleanup(s, func(parked *[]*Thread) {
+		for _, t := range *parked {
 			t.stop()
 		}
-	}, p.shells)
-	return p
+	}, s.parked)
+	return s
 }

@@ -225,8 +225,27 @@ func runLeakCase(c leakCase, run func(sched.Options, func(*sched.Ctx)) *sched.Re
 	return nil
 }
 
+// quiesce collects garbage until the warm set has dropped every shell
+// and the dropped shells' cleanups have stopped their coroutines, and
+// returns the settled goroutine count: a baseline with no parked shell
+// in it, so that later runs visibly park new ones.
+func quiesce() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 3; {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m < n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
+}
+
 // settle waits for the goroutine count to return to base, collecting
-// garbage so dropped pools run their cleanups.
+// garbage so the warm set drops its shells and their cleanups stop the
+// parked coroutines.
 func settle(t *testing.T, what string, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -244,15 +263,23 @@ func settle(t *testing.T, what string, base int) {
 	}
 }
 
+// parked fails the test unless runs since base left coroutines parked
+// on warm shells; otherwise settling would prove nothing about reuse.
+func parked(t *testing.T, what string, base int) {
+	t.Helper()
+	if runtime.NumGoroutine() <= base {
+		t.Fatalf("%s: no parked shell coroutines after the runs: the test no longer exercises shell reuse", what)
+	}
+}
+
 // TestTeardownLeaksNoGoroutines ends runs in every way a run can end —
 // deadlock, stall, step limit, workload panic, misuse error, and a
 // policy panic on the first and on a later decision — with every
-// thread deep in Call/Sync or VM frames, and requires the goroutine
-// count to return to its baseline after each: through a fresh
-// scheduler, through a pool that is then dropped, and through
-// campaigns of pooled workers at widths 1, 2 and 4. A last case
-// captures and replays deadlock witnesses on obs's pooled shells. Each
-// case runs at GOMAXPROCS 1 and 4.
+// thread deep in Call/Sync or VM frames. Each run parks its coroutines
+// on a warm shell; once the warm set drops its shells, the goroutine
+// count must return to its baseline: after repeated sched.New runs,
+// and after campaigns at widths 1, 2 and 4. A last case captures and
+// replays deadlock witnesses. Each case runs at GOMAXPROCS 1 and 4.
 func TestTeardownLeaksNoGoroutines(t *testing.T) {
 	atProcs := func(t *testing.T, check func(*testing.T)) {
 		for _, procs := range []int{1, 4} {
@@ -271,12 +298,11 @@ func TestTeardownLeaksNoGoroutines(t *testing.T) {
 }
 
 // checkCaptureNoLeaks captures and replays witnesses of deadlocks deep
-// in Call/Sync and VM frames on obs's pooled capture shells, and
-// requires the goroutine count to settle back to its baseline once the
-// shells' sync.Pool drops them and their scheduler pools' cleanups stop
-// the parked coroutines.
+// in Call/Sync and VM frames, and requires the goroutine count to
+// settle back to its baseline once the warm set drops the shells the
+// runs parked their coroutines on.
 func checkCaptureNoLeaks(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := quiesce()
 	// Both bodies deadlock on every schedule, so the checker needs no
 	// cycle to steer toward.
 	for name, body := range map[string]func(*sched.Ctx){"go": goDeadlock, "vm": clfBody(t, "deadlock")} {
@@ -290,42 +316,27 @@ func checkCaptureNoLeaks(t *testing.T) {
 			}
 		}
 	}
-	if runtime.NumGoroutine() <= base {
-		t.Fatal("no parked shell coroutines after capturing: the test no longer exercises shell reuse")
-	}
+	parked(t, "capture", base)
 	settle(t, "dropped capture shells", base)
 }
 
-// checkNoLeaks runs c through every entry point and requires the
-// goroutine count to settle back to its baseline after each.
+// checkNoLeaks runs c repeatedly through sched.New and through
+// campaigns, and requires the goroutine count to settle back to its
+// baseline after each.
 func checkNoLeaks(t *testing.T, c leakCase) {
-	base := runtime.NumGoroutine()
-
-	fresh := func(opts sched.Options, body func(*sched.Ctx)) *sched.Result {
-		return sched.New(opts).Run(body)
-	}
-	if err := runLeakCase(c, fresh); err != nil {
-		t.Fatal(err)
-	}
-	settle(t, "sched.New", base)
-
-	func() {
-		pool := sched.NewPool()
-		for i := 0; i < 3; i++ {
-			if err := runLeakCase(c, pool.Run); err != nil {
-				t.Fatal(err)
-			}
+	base := quiesce()
+	for i := 0; i < 3; i++ {
+		if err := runLeakCase(c, newRun); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	settle(t, "dropped pool", base)
+	}
+	parked(t, "sched.New", base)
+	settle(t, "sched.New", base)
 
 	for _, width := range []int{1, 2, 4} {
 		var errs []error
-		campaign.RunWorkers(8, campaign.Options{Parallelism: width},
-			func() func(int) error {
-				pool := sched.NewPool()
-				return func(int) error { return runLeakCase(c, pool.Run) }
-			},
+		campaign.Run(8, campaign.Options{Parallelism: width},
+			func(int) error { return runLeakCase(c, newRun) },
 			nil,
 			func(_ int, err error) {
 				if err != nil {

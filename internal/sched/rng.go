@@ -4,7 +4,7 @@ package sched
 // rngSource.Seed runs 1841 sequential Lehmer-LCG steps through Schrage's
 // algorithm (~10.5µs), which dominates short executions and caps the
 // steps/sec of every campaign that cycles seeds (one Seed per run). This
-// file replaces the source behind the pooled *rand.Rand with fastSource,
+// file replaces the source behind the shell's *rand.Rand with fastSource,
 // a bit-compatible reimplementation of math/rand's additive
 // lagged-Fibonacci generator (Mitchell & Reeds) whose seeder runs the
 // same LCG as three interleaved jump chains (x[n+3] = A³·x[n] mod M), a

@@ -56,7 +56,7 @@ func rngEdgeCounts() []int {
 	return counts
 }
 
-// TestFastSourceReseed pins the pooled-scheduler path: re-seeding a used
+// TestFastSourceReseed pins the recycled-shell path: re-seeding a used
 // source restores the exact fresh-source stream, whatever number of
 // draws — and so whatever partial register fill — the previous seed
 // left behind.

@@ -37,13 +37,15 @@
 // are O(1) persistent shares guarded by copy-on-write watermarks rather
 // than per-event clones, lock state is a dense slice indexed by object
 // ID, the wait-for graph and the enabled set are reused scratch buffers,
-// and a Pool recycles whole scheduler/thread shells — coroutines
-// included — across the seeded runs of a campaign.
+// and every execution runs on a warm shell: New draws a scheduler, its
+// parked thread shells (coroutines included), RNG and tables from one
+// package-level set, and Run recycles the shell back into it.
 package sched
 
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"dlfuzz/internal/event"
 	"dlfuzz/internal/object"
@@ -108,7 +110,9 @@ type Options struct {
 
 const defaultMaxSteps = 1_000_000
 
-// Scheduler runs one execution of a simulated concurrent program.
+// Scheduler runs one execution of a simulated concurrent program. It is
+// single-use: Run recycles it into the warm set New draws from, so it
+// must not be touched once Run returns (or panics).
 type Scheduler struct {
 	opts    Options
 	rng     *rand.Rand
@@ -121,7 +125,7 @@ type Scheduler struct {
 	// instead of all of threads, so long-dead threads cost nothing.
 	alive []*Thread
 	// latches and locks are allocated lazily: most workloads use no
-	// latches, and pooled schedulers keep the (cleared) containers across
+	// latches, and recycled shells keep the (cleared) containers across
 	// runs. Object ids are minted densely from 1 by the per-run
 	// allocator, so locks is a slice indexed by Obj.ID — a bounds check
 	// and a load per lookup on the per-step hot path, instead of a map
@@ -141,10 +145,12 @@ type Scheduler struct {
 	// yields to Run's goroutine, which resumes handoff (see schedule).
 	handoff *Thread
 
-	// pool, when non-nil, supplies recycled thread shells and receives
-	// this scheduler back after Pool.Run.
-	pool *Pool
-	// freeLocks is the lockState free list, retained across pooled runs.
+	// parked holds the thread shells of finished runs, their coroutines
+	// parked between bodies, for newThread to reuse. It lives apart from
+	// the Scheduler so that the cleanup stopping those coroutines (see
+	// newShell) does not keep the scheduler reachable.
+	parked *[]*Thread
+	// freeLocks is the lockState free list, retained across runs.
 	freeLocks []*lockState
 	// wfg, enabledBuf and aliveBuf are reusable scratch state for the
 	// per-step hot path.
@@ -163,16 +169,25 @@ type Scheduler struct {
 	evBuf     Ev
 }
 
-// New returns a scheduler configured by opts.
+// shells is the warm set: schedulers whose runs have been recycled. A
+// shell the sync.Pool drops is garbage, and its cleanup stops the
+// coroutines it parked.
+var shells = sync.Pool{New: func() any { return newShell() }}
+
+// New returns a scheduler configured by opts, on a warm shell when one
+// is available. Recycled shells are reset to the observable state of
+// brand-new ones — re-seeded RNG stream, zeroed counters, cleared
+// (capacity-retaining) tables and stacks — so results and event streams
+// do not depend on what a shell ran before.
 func New(opts Options) *Scheduler {
-	s := &Scheduler{}
+	s := shells.Get().(*Scheduler)
 	s.init(opts)
 	return s
 }
 
-// init (re)configures a fresh or recycled scheduler for one execution.
-// Recycled schedulers arrive with zeroed run state (see Pool.put); init
-// only has to re-arm the options, RNG and policy.
+// init configures a brand-new or recycled shell for one execution.
+// Recycled shells arrive with zeroed run state (see recycle); init only
+// has to re-arm the options, RNG and policy.
 func (s *Scheduler) init(opts Options) {
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = defaultMaxSteps
@@ -278,8 +293,9 @@ func (s *Scheduler) registerLatch(l *Latch) {
 
 // newThread registers a thread and runs its body up to its first
 // scheduling point: only its coroutine runs until it yields, so
-// determinism holds. Pooled shells keep their coroutine parked between
-// bodies, so re-spawning one skips creating it and keeps its grown stack.
+// determinism holds. Recycled thread shells keep their coroutine parked
+// between bodies, so re-spawning one skips creating it and keeps its
+// grown stack.
 func (s *Scheduler) newThread(name string, obj *object.Obj, body func(*Ctx)) *Thread {
 	t := s.takeThread()
 	t.id = event.TID(len(s.threads))
@@ -339,23 +355,34 @@ func (t *Thread) postExit() {
 	}
 }
 
-// takeThread returns a recycled thread shell from the pool, or a fresh
-// one. Recycled shells were fully reset at recycle time; their coroutine
-// and stack/indexer capacity carry over.
+// takeThread pops a parked thread shell, or returns a brand-new one.
+// Parked shells were fully reset at recycle time; their coroutine and
+// stack/indexer capacity carry over.
 func (s *Scheduler) takeThread() *Thread {
-	if s.pool != nil {
-		if t := s.pool.takeThread(); t != nil {
-			return t
-		}
+	parked := *s.parked
+	if n := len(parked); n > 0 {
+		t := parked[n-1]
+		parked[n-1] = nil
+		*s.parked = parked[:n-1]
+		return t
 	}
 	t := &Thread{indexer: object.NewIndexer()}
 	t.ctx.t = t
 	return t
 }
 
-// Run executes main as the initial thread and returns the result.
-// It panics if a thread body panicked.
+// Run executes main as the initial thread and returns the result. It
+// panics if a thread body panicked. Either way the shell is recycled into
+// the warm set, so the Scheduler must not be used again.
 func (s *Scheduler) Run(main func(*Ctx)) *Result {
+	defer shells.Put(s)
+	return s.execute(main)
+}
+
+// execute is Run without returning the shell to the warm set: the run,
+// then the recycle step, which also runs when the run panics.
+func (s *Scheduler) execute(main func(*Ctx)) *Result {
+	defer s.recycle()
 	s.outcome = Completed
 	s.blocked = nil
 	s.drive(main)
@@ -488,19 +515,52 @@ func (s *Scheduler) schedule(poster *Thread) bool {
 }
 
 // teardown resumes every still-blocked thread once with an abort so its
-// body unwinds, leaving each coroutine parked between bodies. A pooled
-// shell keeps its coroutine for the next run; a fresh scheduler's shells
-// are stopped, so repeated executions never leak.
+// body unwinds, leaving each coroutine parked between bodies for the
+// shell's next run.
 func (s *Scheduler) teardown() {
 	for _, t := range s.threads {
 		if t.alive && t.pending.Kind != event.KindExit && t.next != nil {
 			t.aborted = true
 			t.next()
 		}
-		if s.pool == nil {
-			t.stop()
-		}
 	}
+}
+
+// recycle resets a shell whose execution has ended. It keeps the RNG,
+// scratch buffers, table capacity, lock-state free list and parked
+// thread shells; everything observable is reset.
+func (s *Scheduler) recycle() {
+	for i, t := range s.threads {
+		t.recycle()
+		*s.parked = append(*s.parked, t)
+		s.threads[i] = nil
+	}
+	s.threads = s.threads[:0]
+	for i := range s.alive {
+		s.alive[i] = nil
+	}
+	s.alive = s.alive[:0]
+	s.enabledValid = false
+	for i, ls := range s.locks {
+		if ls == nil {
+			continue
+		}
+		ls.recycle()
+		s.freeLocks = append(s.freeLocks, ls)
+		s.locks[i] = nil
+	}
+	s.locks = s.locks[:0]
+	clear(s.latches)
+	s.alloc.Reset()
+	s.opts = Options{}
+	s.policy = nil
+	s.steps = 0
+	s.seq = 0
+	s.acquires = 0
+	s.deadlock = nil
+	s.blocked = nil
+	s.panicVal = nil
+	s.evBuf = Ev{}
 }
 
 // AliveTIDs returns the ids of all non-terminated threads in ascending
@@ -925,8 +985,8 @@ func (s *Scheduler) findDeadlock() *DeadlockInfo {
 }
 
 // describeCycle fills in the DeadlockInfo for a TID cycle. The edge
-// stacks are deep-copied: a DeadlockInfo outlives the execution (and any
-// pooled reuse of its scheduler).
+// stacks are deep-copied: a DeadlockInfo outlives the execution (and the
+// reuse of its shell).
 func (s *Scheduler) describeCycle(cyc []event.TID) *DeadlockInfo {
 	info := &DeadlockInfo{Step: s.steps, Edges: make([]DeadlockEdge, 0, len(cyc))}
 	for _, tid := range cyc {

@@ -292,24 +292,24 @@ func TestEmptyBodiesComplete(t *testing.T) {
 		}, []event.Kind{event.KindSpawn, event.KindExit, event.KindExit}},
 		{"empty main", empty, []event.Kind{event.KindExit}},
 	} {
-		for _, pooled := range []bool{false, true} {
+		for _, warm := range []bool{false, true} {
 			col := &collector{}
 			opts := Options{Seed: 1, Observers: []Observer{col}}
 			var res *Result
-			if pooled {
-				res = NewPool().Run(opts, tc.main)
-			} else {
+			if warm {
 				res = New(opts).Run(tc.main)
+			} else {
+				res = newShell().Rerun(opts, tc.main)
 			}
 			if res.Outcome != Completed {
-				t.Fatalf("%s (pooled %v): outcome %v, want completed", tc.name, pooled, res.Outcome)
+				t.Fatalf("%s (warm %v): outcome %v, want completed", tc.name, warm, res.Outcome)
 			}
 			var kinds []event.Kind
 			for _, ev := range col.evs {
 				kinds = append(kinds, ev.Kind)
 			}
 			if !reflect.DeepEqual(kinds, tc.kinds) {
-				t.Fatalf("%s (pooled %v): events %v, want %v", tc.name, pooled, kinds, tc.kinds)
+				t.Fatalf("%s (warm %v): events %v, want %v", tc.name, warm, kinds, tc.kinds)
 			}
 			if tc.kinds[0] == event.KindSpawn && col.evs[1].Thread != col.evs[0].Target {
 				t.Fatalf("%s: Exit of thread %v after Spawn of %v", tc.name, col.evs[1].Thread, col.evs[0].Target)

@@ -1,9 +1,6 @@
 package sched
 
 import (
-	"fmt"
-	"reflect"
-	"runtime"
 	"testing"
 
 	"dlfuzz/internal/event"
@@ -23,29 +20,6 @@ func acquireHeavy(n int) func(*Ctx) {
 			c.Release(b, "pool:2")
 			c.Release(a, "pool:1")
 		}
-	}
-}
-
-// TestPoolRunMatchesFresh pins the pool's core guarantee: a recycled
-// shell produces results deeply equal to a fresh scheduler's, for both
-// completing and deadlocking seeds, run after run, at one P and at
-// several.
-func TestPoolRunMatchesFresh(t *testing.T) {
-	for _, procs := range []int{1, 4} {
-		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			pool := NewPool()
-			for round := 0; round < 2; round++ {
-				for seed := int64(0); seed < 40; seed++ {
-					fresh := New(Options{Seed: seed}).Run(fig1(0))
-					pooled := pool.Run(Options{Seed: seed}, fig1(0))
-					if !reflect.DeepEqual(fresh, pooled) {
-						t.Fatalf("round %d seed %d: pooled result differs\nfresh:  %+v\npooled: %+v",
-							round, seed, fresh, pooled)
-					}
-				}
-			}
-		})
 	}
 }
 
@@ -74,16 +48,16 @@ func (o *snapObserver) OnEvent(ev Ev) {
 }
 
 // TestPoolSnapshotsSurviveReuse drives several observed executions
-// through one pool and then verifies every snapshot retained from every
+// through one shell and then verifies every snapshot retained from every
 // run still holds the values it was delivered with: the copy-on-write
 // watermarks must protect snapshots across thread-shell reuse.
 func TestPoolSnapshotsSurviveReuse(t *testing.T) {
-	pool := NewPool()
+	shell := newShell()
 	var observers []*snapObserver
 	for seed := int64(0); seed < 8; seed++ {
 		obs := &snapObserver{}
 		observers = append(observers, obs)
-		pool.Run(Options{Seed: seed, Observers: []Observer{obs}}, fig1(0))
+		shell.Rerun(Options{Seed: seed, Observers: []Observer{obs}}, fig1(0))
 	}
 	for run, obs := range observers {
 		if len(obs.locksets) == 0 {
@@ -104,32 +78,32 @@ func TestPoolSnapshotsSurviveReuse(t *testing.T) {
 	}
 }
 
-// TestPoolAcquireAllocs is the hot-path regression guard: once the pool
+// TestPoolAcquireAllocs is the hot-path regression guard: once a shell
 // is warm, an acquire-heavy execution may allocate only per-run
 // essentials (thread/lock objects, index snapshots, the Result), never
 // per-event state. The pre-pool scheduler spent thousands of allocations
 // on a run like this; the bound fails loudly if per-step or per-acquire
 // allocation creeps back in.
 func TestPoolAcquireAllocs(t *testing.T) {
-	pool := NewPool()
+	shell := newShell()
 	prog := acquireHeavy(100)
-	pool.Run(Options{Seed: 1}, prog) // warm the shells
+	shell.Rerun(Options{Seed: 1}, prog) // warm the shell
 	avg := testing.AllocsPerRun(10, func() {
-		pool.Run(Options{Seed: 1}, prog)
+		shell.Rerun(Options{Seed: 1}, prog)
 	})
 	if avg > 60 {
-		t.Errorf("acquire-heavy pooled run allocates %.0f objects, want <= 60", avg)
+		t.Errorf("acquire-heavy run on a warm shell allocates %.0f objects, want <= 60", avg)
 	}
 }
 
-// TestPoolLazyMaps pins the lazy-allocation satellite: a fresh scheduler
+// TestPoolLazyMaps pins the lazy-allocation satellite: a brand-new shell
 // must not allocate the latch or lock tables until something uses them.
 func TestPoolLazyMaps(t *testing.T) {
-	s := New(Options{Seed: 1})
+	s := newShell()
 	if s.locks != nil || s.latches != nil {
 		t.Fatal("lock/latch maps allocated eagerly")
 	}
-	res := s.Run(func(c *Ctx) {
+	res := s.Rerun(Options{Seed: 1}, func(c *Ctx) {
 		c.Step("lazy:1")
 	})
 	if res.Outcome != Completed {
@@ -154,21 +128,22 @@ func spawnJoin(n int) func(*Ctx) {
 	}
 }
 
-// spawnJoinAllocs is what a warm pooled spawnJoin(4) run allocates,
+// spawnJoinAllocs is what a spawnJoin(4) run on a warm shell allocates,
 // per-run objects such as the spawned thread objects and the Result.
 // Creating even one coroutine would exceed it.
 const spawnJoinAllocs = 12
 
-// TestPoolReusesCoroutines pins shell reuse: once the pool is warm, a
-// run that spawns and joins four threads takes its five shells off the
-// free list with their coroutines still parked, and creates none.
+// TestPoolReusesCoroutines pins thread-shell reuse: once a scheduler
+// shell is warm, a run that spawns and joins four threads takes its five
+// thread shells off the parked list with their coroutines still parked,
+// and creates none.
 func TestPoolReusesCoroutines(t *testing.T) {
-	pool := NewPool()
+	shell := newShell()
 	prog := spawnJoin(4)
-	pool.Run(Options{Seed: 1}, prog) // warm the shells
-	warm := append([]*Thread(nil), *pool.shells...)
+	shell.Rerun(Options{Seed: 1}, prog) // warm the shell
+	warm := append([]*Thread(nil), *shell.parked...)
 	avg := testing.AllocsPerRun(10, func() {
-		pool.Run(Options{Seed: 1}, prog)
+		shell.Rerun(Options{Seed: 1}, prog)
 	})
 	perCoro := testing.AllocsPerRun(10, func() {
 		var th Thread
@@ -179,15 +154,15 @@ func TestPoolReusesCoroutines(t *testing.T) {
 		t.Fatalf("creating a coroutine allocates %.0f objects; the bound below cannot see one", perCoro)
 	}
 	if avg > spawnJoinAllocs {
-		t.Errorf("warm pooled spawn/join run allocates %.0f objects, want <= %d (a fresh coroutine costs %.0f)",
+		t.Errorf("spawn/join run on a warm shell allocates %.0f objects, want <= %d (a fresh coroutine costs %.0f)",
 			avg, spawnJoinAllocs, perCoro)
 	}
-	if got := *pool.shells; len(got) != len(warm) {
-		t.Fatalf("pool holds %d shells after reuse, want %d", len(got), len(warm))
+	if got := *shell.parked; len(got) != len(warm) {
+		t.Fatalf("shell parks %d thread shells after reuse, want %d", len(got), len(warm))
 	}
 	for _, th := range warm {
 		if th.next == nil {
-			t.Fatal("a pooled shell's coroutine exited between runs")
+			t.Fatal("a parked thread shell's coroutine exited between runs")
 		}
 	}
 }

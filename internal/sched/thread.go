@@ -103,7 +103,7 @@ func (t *Thread) pushLock(o *object.Obj) {
 	n := len(t.lockStack)
 	if n < t.lockShared {
 		// Size the copy from the live length, not the old capacity: a
-		// pooled shell keeps its array across runs, so growing from cap
+		// recycled shell keeps its array across runs, so growing from cap
 		// would ratchet the capacity up by one on every copy.
 		fresh := make([]*object.Obj, n, 2*n+2)
 		copy(fresh, t.lockStack)
@@ -133,25 +133,34 @@ func (t *Thread) pushCtx(site event.Loc) {
 
 // publishLocks returns an immutable snapshot of the lock stack in O(1):
 // a full-slice-expression prefix (so appends by a holder cannot write
-// into the live array) with the watermark raised to protect it.
+// into the live array) with the watermark raised to protect it. An empty
+// stack publishes nil, whether or not an array from an earlier run
+// backs it.
 func (t *Thread) publishLocks() []*object.Obj {
 	n := len(t.lockStack)
+	if n == 0 {
+		return nil
+	}
 	if n > t.lockShared {
 		t.lockShared = n
 	}
 	return t.lockStack[:n:n]
 }
 
-// publishCtx returns an immutable O(1) snapshot of the context stack.
+// publishCtx returns an immutable O(1) snapshot of the context stack;
+// nil when it is empty, like publishLocks.
 func (t *Thread) publishCtx() event.Context {
 	n := len(t.ctxStack)
+	if n == 0 {
+		return nil
+	}
 	if n > t.ctxShared {
 		t.ctxShared = n
 	}
 	return t.ctxStack[:n:n]
 }
 
-// recycle resets a thread shell for reuse by a pooled scheduler. The
+// recycle resets a thread shell for its scheduler's next run. The
 // coroutine and the stack/indexer capacity are retained; stack
 // slots below the watermarks are still aliased by snapshots retained
 // from the finished run (e.g. lockset deps), so only slots at or above

@@ -9,12 +9,14 @@
 #                          root suites again at GOMAXPROCS=1, the P
 #                          count the benchmark runs at
 #   4. go test -race     — the scheduler (whose thread coroutines hand
-#                          the turn between goroutines), the analysis
+#                          the turn between goroutines, and whose warm
+#                          shells move between goroutines), the analysis
 #                          pipeline, the concurrent campaign engine, the
-#                          harness built on them, the observability layer,
-#                          the CLF interpreter (print() from parallel
-#                          workers) and the dlfuzz CLI must be race-clean
-#                          (`make race`)
+#                          harness built on them, the Phase II runner
+#                          drawing shells from the shared warm set, the
+#                          observability layer, the CLF interpreter
+#                          (print() from parallel workers) and the dlfuzz
+#                          CLI must be race-clean (`make race`)
 #   4b. bench module     — the benchmark's own tests (`cd bench && go
 #                          test ./...`): the traced check must match the
 #                          untraced one, and every workload runs once
@@ -69,7 +71,7 @@ go test ./...
 echo "== go test at GOMAXPROCS=1 (sched + campaign + root suites) =="
 GOMAXPROCS=1 go test -count=1 ./internal/sched/ ./internal/campaign/ .
 
-echo "== go test -race (sched + analysis + campaign + harness + obs + lang + dlfuzz CLI) =="
+echo "== go test -race (sched + analysis + campaign + harness + fuzzer + obs + lang + dlfuzz CLI) =="
 make race
 
 echo "== bench module: traced ≡ untraced fidelity and every-workload smoke =="
