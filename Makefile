@@ -69,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzReadJournal -fuzztime=$(FUZZTIME) ./internal/obs/
 	$(GO) test -run=Fuzz -fuzz=FuzzReadSchedule -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeManifest -fuzztime=$(FUZZTIME) ./internal/corpus/
+	$(GO) test -run=Fuzz -fuzz=FuzzActivePolicy -fuzztime=$(FUZZTIME) ./internal/fuzzer/
 
 # Byte-identity differential between the bytecode VM and the tree-walking
 # interpreter: scheduled runs, confirm campaigns and blocking analyses

@@ -2,16 +2,15 @@ package fuzzer
 
 import "dlfuzz/internal/object"
 
-// absCache memoizes object-abstraction keys for the policy's decision
-// loop. Abstractions are immutable once an object is allocated, but the
-// policy consults them at every scheduling decision (matches and
-// shouldYield both abstract the candidate thread and lock), so
-// recomputing them dominated the checker's allocation profile.
+// absCache memoizes object-abstraction keys for the Runner's
+// deadlock-key renders. A multi-cycle campaign renders the same few
+// thread and lock abstractions run after run, so recomputing them
+// dominated the key renders' allocation profile.
 //
 // Two layers make the steady state allocation-free:
 //
 //   - byObj maps this run's objects straight to their key; it is cleared
-//     on Reset because object pointers are only meaningful within a run.
+//     on reset because object pointers are only meaningful within a run.
 //   - intern persists across runs and canonicalizes key bytes: the key is
 //     rebuilt into a reused buffer and looked up via the map[string]
 //     no-copy conversion, so a key ever seen before costs zero

@@ -6,7 +6,7 @@
 // context) triple appears in the target potential-deadlock cycle reported
 // by iGoodlock. Paused threads keep their locks, so the remaining cycle
 // threads can walk into the deadlock, which the scheduler then confirms
-// via its wait-for-graph check (checkRealDeadlock). Because a confirmed
+// via its wait-for check (checkRealDeadlock). Because a confirmed
 // deadlock is an actual execution state, Phase II never reports a false
 // positive.
 //
@@ -15,9 +15,18 @@
 // lock acquire of a cycle component, avoiding the pause-while-holding-
 // the-first-lock thrashing pattern) and the livelock monitor (eviction of
 // threads paused for too long).
+//
+// Each decision costs what changed since the last one, not what is
+// alive: the pause check looks only at the thread the previous decision
+// granted and at threads spawned since (see Policy.Next), and matching
+// compares small integer classes of the cycle's abstraction keys, each
+// object's class computed once per run. The decisions, RNG draws, hook
+// calls and reports are exactly those of the literal full-rescan loop.
 package fuzzer
 
 import (
+	"slices"
+
 	"dlfuzz/internal/event"
 	"dlfuzz/internal/igoodlock"
 	"dlfuzz/internal/object"
@@ -99,28 +108,38 @@ type Policy struct {
 	cfg   Config
 	hooks Hooks
 
-	// paused, freePass and memo are indexed by TID (ids are minted
-	// densely from 0, and the sets are consulted for every alive thread
-	// on every decision — slice loads instead of map hashes). paused
-	// stores 1 + the step at which the thread was paused, 0 meaning not
-	// paused; npaused counts the nonzero entries.
+	// paused and freePass are indexed by TID (ids are minted densely
+	// from 0, so slice loads replace map hashes). paused stores 1 + the
+	// step at which the thread was paused, 0 meaning not paused; npaused
+	// counts the nonzero entries, and while it is nonzero oldest is at
+	// most the smallest of them (see evictStale).
 	paused   []int
 	npaused  int
+	oldest   int
 	freePass []bool
-	// memo caches the last matches() verdict per thread. The verdict is
-	// a pure function of the thread object, the pending acquire's lock
-	// and site, and the thread's acquire-context — all of which can only
-	// change when the thread is granted — so Next invalidates a thread's
-	// entry whenever it returns that thread, and a blocked thread
-	// re-scanned across many decisions is matched once.
-	memo []matchMemo
 
-	yielded map[yieldKey]int   // yields taken per (thread, site)
-	skipped map[event.TID]bool // one-decision yield skips, cleared per Next
+	// last is the thread the previous decision returned (NoThread before
+	// the first) and seen the number of TIDs the pause check has covered:
+	// together they are all Next has to look at (see Next).
+	last event.TID
+	seen int
+
+	// The target cycle's distinct abstraction keys are numbered from 1
+	// into classes (for the cycle classesOf), so matching compares int32
+	// classes instead of strings: comps holds each component's (thread,
+	// lock) class pair and nilClass is the class of a nil object's empty
+	// key. objClass caches this run's object classes by Obj.ID, 0 meaning
+	// not yet computed; absBuf is the reused render buffer.
+	classes   map[string]int32
+	classesOf *igoodlock.Cycle
+	comps     []compClass
+	nilClass  int32
+	objClass  []int32
+	absBuf    []byte
+
+	yielded map[yieldKey]int // yields taken per (thread, site)
+	skipped []event.TID      // threads that yielded this decision
 	stats   Stats
-	// abs memoizes abstraction keys (see absCache): the decision loop
-	// abstracts the same few threads and locks thousands of times per run.
-	abs absCache
 
 	// unpausedBuf, runnableBuf and victimBuf are per-decision scratch
 	// slices, reused so the steady-state decision loop allocates nothing.
@@ -134,12 +153,13 @@ type yieldKey struct {
 	loc event.Loc
 }
 
-type matchMemo struct {
-	obj     *object.Obj
-	loc     event.Loc
-	valid   bool
-	verdict bool
-}
+// compClass is a cycle component's (abs(thread), abs(lock)) pair as
+// classes.
+type compClass struct{ thread, lock int32 }
+
+// noClass is the class of an object whose abstraction no component of
+// the target cycle names.
+const noClass int32 = -1
 
 // New returns a policy that steers the execution toward cycle.
 func New(cycle *igoodlock.Cycle, cfg Config) *Policy {
@@ -166,17 +186,75 @@ func (p *Policy) Reset(cycle *igoodlock.Cycle, cfg Config) {
 	p.cfg = cfg
 	clear(p.paused)
 	p.npaused = 0
+	p.oldest = 0
 	clear(p.freePass)
-	clear(p.memo)
+	p.last = event.NoThread
+	p.seen = 0
+	if p.classes == nil || cycle != p.classesOf {
+		p.indexCycle(cycle)
+	}
+	// Object ids are only meaningful within a run.
+	p.objClass = p.objClass[:0]
 	if p.yielded == nil {
 		p.yielded = make(map[yieldKey]int)
 	} else {
 		clear(p.yielded)
 	}
-	clear(p.skipped)
-	p.abs.reset()
+	p.skipped = p.skipped[:0]
 	p.stats = Stats{}
 	p.hooks = nil
+}
+
+// indexCycle numbers cycle's distinct ThreadAbs/LockAbs keys and
+// records each component's class pair.
+func (p *Policy) indexCycle(cycle *igoodlock.Cycle) {
+	if p.classes == nil {
+		p.classes = make(map[string]int32)
+	} else {
+		clear(p.classes)
+	}
+	p.classesOf = cycle
+	p.comps = p.comps[:0]
+	class := func(k object.Key) int32 {
+		c, ok := p.classes[string(k)]
+		if !ok {
+			c = int32(len(p.classes)) + 1
+			p.classes[string(k)] = c
+		}
+		return c
+	}
+	if cycle != nil {
+		for _, comp := range cycle.Components {
+			p.comps = append(p.comps, compClass{class(comp.ThreadAbs), class(comp.LockAbs)})
+		}
+	}
+	p.nilClass = noClass
+	if c, ok := p.classes[""]; ok {
+		p.nilClass = c
+	}
+}
+
+// classOf returns o's class under the run's abstraction, computing it
+// once per object: the abstraction is rendered into absBuf and looked
+// up without copying.
+func (p *Policy) classOf(o *object.Obj) int32 {
+	if o == nil {
+		return p.nilClass
+	}
+	if o.ID < uint64(len(p.objClass)) {
+		if c := p.objClass[o.ID]; c != 0 {
+			return c
+		}
+	} else {
+		p.objClass = append(p.objClass, make([]int32, int(o.ID)+1-len(p.objClass))...)
+	}
+	p.absBuf = p.cfg.Abstraction.AppendOf(p.absBuf[:0], o, p.cfg.K)
+	c, ok := p.classes[string(p.absBuf)]
+	if !ok {
+		c = noClass
+	}
+	p.objClass[o.ID] = c
+	return c
 }
 
 // SetHooks installs (or, with nil, removes) a decision observer for the
@@ -196,28 +274,28 @@ func (p *Policy) Stats() Stats { return p.stats }
 // thrash-eviction pool. Then a random enabled, un-paused thread is
 // picked. If everything enabled is paused, a random paused thread is
 // released with a free pass (a thrash) so the system makes progress.
+//
+// The pause check is incremental. A thread's verdict depends only on
+// its pending request and acquire context, and only a grant changes
+// those; a thread the check skips for being paused or holding a free
+// pass can only lose that status by being granted too. So the only
+// threads that can newly match are the one the previous decision
+// returned and the ones spawned since: Next checks last, then TIDs
+// seen through NumThreads()-1 — ascending order, the order a rescan of
+// every alive thread would pause them in.
 func (p *Policy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 	p.evictStale(s)
-	for _, tid := range s.AliveTIDs() {
-		p.grow(tid)
-		if p.paused[tid] != 0 || p.freePass[tid] {
-			continue
-		}
-		if req := s.PendingRef(tid); req.Kind == event.KindAcquire && p.matchesMemo(s, tid, req) {
-			p.paused[tid] = s.Steps() + 1
-			p.npaused++
-			p.stats.Pauses++
-			if p.hooks != nil {
-				p.hooks.OnPause(tid, s.Steps(), req.Loc)
-			}
+	if p.last != event.NoThread {
+		p.checkPause(s, p.last)
+	}
+	if n := s.NumThreads(); p.seen < n {
+		p.grow(n)
+		for ; p.seen < n; p.seen++ {
+			p.checkPause(s, event.TID(p.seen))
 		}
 	}
-	// Yield skips last one decision. The len guard keeps the common case
-	// (no yields last decision) from paying a map-clear runtime call per
-	// scheduling step.
-	if len(p.skipped) > 0 {
-		clear(p.skipped)
-	}
+	// Yield skips last one decision.
+	p.skipped = p.skipped[:0]
 	for {
 		candidates := p.unpaused(enabled)
 		if len(candidates) == 0 {
@@ -230,7 +308,7 @@ func (p *Policy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 		if len(p.skipped) > 0 {
 			runnable = p.runnableBuf[:0]
 			for _, t := range candidates {
-				if !p.skipped[t] {
+				if !slices.Contains(p.skipped, t) {
 					runnable = append(runnable, t)
 				}
 			}
@@ -243,51 +321,49 @@ func (p *Policy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 		req := s.PendingRef(tid)
 		if req.Kind == event.KindAcquire && p.freePass[tid] {
 			p.freePass[tid] = false
-			p.invalidate(tid)
+			p.last = tid
 			return tid
 		}
 		if p.cfg.YieldOpt && len(runnable) > 1 && req.Kind == event.KindAcquire && p.shouldYield(s, tid, req) {
 			p.yielded[yieldKey{tid, req.Loc}]++
-			if p.skipped == nil {
-				p.skipped = make(map[event.TID]bool)
-			}
-			p.skipped[tid] = true
+			p.skipped = append(p.skipped, tid)
 			p.stats.Yields++
 			if p.hooks != nil {
 				p.hooks.OnYield(tid, s.Steps(), req.Loc)
 			}
 			continue
 		}
-		p.invalidate(tid)
+		p.last = tid
 		return tid
 	}
 }
 
-// grow extends the TID-indexed sets to cover tid.
-func (p *Policy) grow(tid event.TID) {
-	for int(tid) >= len(p.paused) {
+// checkPause pauses tid if it stands at an acquire named by the cycle.
+func (p *Policy) checkPause(s *sched.Scheduler, tid event.TID) {
+	if p.paused[tid] != 0 || p.freePass[tid] {
+		return
+	}
+	req := s.PendingRef(tid)
+	if req.Kind != event.KindAcquire || !p.matches(s, tid, req) {
+		return
+	}
+	since := s.Steps() + 1
+	if p.npaused == 0 {
+		p.oldest = since
+	}
+	p.paused[tid] = since
+	p.npaused++
+	p.stats.Pauses++
+	if p.hooks != nil {
+		p.hooks.OnPause(tid, s.Steps(), req.Loc)
+	}
+}
+
+// grow extends the TID-indexed sets to cover n threads.
+func (p *Policy) grow(n int) {
+	for len(p.paused) < n {
 		p.paused = append(p.paused, 0)
 		p.freePass = append(p.freePass, false)
-		p.memo = append(p.memo, matchMemo{})
-	}
-}
-
-// matchesMemo is matches with the per-thread verdict cache.
-func (p *Policy) matchesMemo(s *sched.Scheduler, tid event.TID, req *sched.Request) bool {
-	m := &p.memo[tid]
-	if m.valid && m.obj == req.Obj && m.loc == req.Loc {
-		return m.verdict
-	}
-	v := p.matches(s, tid, req)
-	*m = matchMemo{obj: req.Obj, loc: req.Loc, valid: true, verdict: v}
-	return v
-}
-
-// invalidate drops tid's memoized verdict; called whenever Next grants
-// tid, since the grant may change its pending request or context.
-func (p *Policy) invalidate(tid event.TID) {
-	if int(tid) < len(p.memo) {
-		p.memo[tid].valid = false
 	}
 }
 
@@ -338,13 +414,19 @@ func (p *Policy) thrash(s *sched.Scheduler) {
 }
 
 // evictStale is the livelock monitor: it releases threads that have been
-// paused for longer than PauseTimeout steps.
+// paused for longer than PauseTimeout steps. Nothing is due until the
+// oldest pause is, so the pass over the pause slots runs only then, and
+// recomputes oldest from the pauses it keeps.
 func (p *Policy) evictStale(s *sched.Scheduler) {
-	if p.npaused == 0 {
+	if p.npaused == 0 || s.Steps()-(p.oldest-1) <= p.cfg.PauseTimeout {
 		return
 	}
+	p.oldest = 0
 	for t, since := range p.paused {
-		if since != 0 && s.Steps()-(since-1) > p.cfg.PauseTimeout {
+		if since == 0 {
+			continue
+		}
+		if s.Steps()-(since-1) > p.cfg.PauseTimeout {
 			p.paused[t] = 0
 			p.npaused--
 			p.freePass[t] = true
@@ -352,6 +434,8 @@ func (p *Policy) evictStale(s *sched.Scheduler) {
 			if p.hooks != nil {
 				p.hooks.OnEvict(event.TID(t), s.Steps())
 			}
+		} else if p.oldest == 0 || since < p.oldest {
+			p.oldest = since
 		}
 	}
 }
@@ -361,15 +445,19 @@ func (p *Policy) evictStale(s *sched.Scheduler) {
 // context sensitivity is on — the acquire-site stack including the
 // pending site equals the component's context.
 func (p *Policy) matches(s *sched.Scheduler, tid event.TID, req *sched.Request) bool {
-	absT := p.abs.of(p.cfg.Abstraction, s.Thread(tid).Obj(), p.cfg.K)
-	absL := p.abs.of(p.cfg.Abstraction, req.Obj, p.cfg.K)
-	for _, comp := range p.cycle.Components {
-		if comp.ThreadAbs != absT || comp.LockAbs != absL {
+	tc := p.classOf(s.Thread(tid).Obj())
+	if tc == noClass {
+		return false
+	}
+	lc := p.classOf(req.Obj)
+	for i, cc := range p.comps {
+		if cc.thread != tc || cc.lock != lc {
 			continue
 		}
 		if !p.cfg.UseContext {
 			return true
 		}
+		comp := &p.cycle.Components[i]
 		ctx := s.Context(tid)
 		if len(ctx)+1 != len(comp.Context) {
 			continue
@@ -387,22 +475,23 @@ func (p *Policy) matches(s *sched.Scheduler, tid event.TID, req *sched.Request) 
 // shouldYield implements the Section 4 optimization: a thread matching a
 // cycle component's thread abstraction yields once before the bottommost
 // acquire of that component's context, letting other threads drain locks
-// they still need before the cycle starts forming.
+// they still need before the cycle starts forming. Each (thread, site)
+// yields at most YieldBudget times.
 func (p *Policy) shouldYield(s *sched.Scheduler, tid event.TID, req *sched.Request) bool {
-	if p.yielded[yieldKey{tid, req.Loc}] >= p.cfg.YieldBudget {
-		return false
-	}
 	// Only yield at the start of a component: no locks held yet.
 	if len(s.LockSet(tid)) != 0 {
 		return false
 	}
-	absT := p.abs.of(p.cfg.Abstraction, s.Thread(tid).Obj(), p.cfg.K)
-	for _, comp := range p.cycle.Components {
-		if comp.ThreadAbs != absT || len(comp.Context) == 0 {
+	tc := p.classOf(s.Thread(tid).Obj())
+	if tc == noClass {
+		return false
+	}
+	for i, cc := range p.comps {
+		if cc.thread != tc {
 			continue
 		}
-		if comp.Context[0] == req.Loc {
-			return true
+		if ctx := p.cycle.Components[i].Context; len(ctx) != 0 && ctx[0] == req.Loc {
+			return p.yielded[yieldKey{tid, req.Loc}] < p.cfg.YieldBudget
 		}
 	}
 	return false

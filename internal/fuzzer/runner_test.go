@@ -34,9 +34,11 @@ func TestRunnerMatchesRun(t *testing.T) {
 // TestRunnerDisabledHooksAllocs guards the observability layer's
 // zero-cost-when-off contract at the fuzzer level: a pooled checker run
 // with no hooks installed (the default after Reset) must stay at its
-// pre-observability allocation count. A fig1 run sits around 550
-// allocations; the bound fails loudly if the nil-hook paths start
-// allocating.
+// allocation count. A warm fig1 run makes 20 allocations (the results
+// and the deadlock report with its copied stacks); the bound fails
+// loudly if the nil-hook paths or the policy's per-run state start
+// allocating. Under the race detector sync.Pool drops puts at random,
+// so warm shells are rebuilt at random and only a loose bound holds.
 func TestRunnerDisabledHooksAllocs(t *testing.T) {
 	cycles := phase1(t, fig1, igoodlock.DefaultConfig())
 	if len(cycles) == 0 {
@@ -48,8 +50,12 @@ func TestRunnerDisabledHooksAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(10, func() {
 		r.Run(fig1, cycles[0], cfg, 1, 0)
 	})
-	if avg > 600 {
-		t.Errorf("hook-free pooled run allocates %.0f objects, want <= 600", avg)
+	bound := 24.0
+	if raceEnabled {
+		bound = 600
+	}
+	if avg > bound {
+		t.Errorf("hook-free pooled run allocates %.0f objects, want <= %.0f", avg, bound)
 	}
 }
 

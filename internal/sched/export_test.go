@@ -1,5 +1,11 @@
 package sched
 
+import (
+	"slices"
+
+	"dlfuzz/internal/event"
+)
+
 // Fig1 is the paper's Figure 1 program (see fig1).
 func Fig1(work int) func(*Ctx) { return fig1(work) }
 
@@ -22,4 +28,13 @@ func (s *Scheduler) ShellStackCaps() (locks, ctxs []int) {
 		ctxs = append(ctxs, cap(t.ctxStack))
 	}
 	return locks, ctxs
+}
+
+// WaitCycles returns copies of the cycle the chain walk finds from
+// thread tid's wait edge and of the one the wait-for graph finds, nil
+// for none.
+func (s *Scheduler) WaitCycles(tid event.TID) (walk, graph []event.TID) {
+	walk = slices.Clone(s.waitChain(s.threads[tid]))
+	graph = slices.Clone(s.buildWaitGraph().CycleFrom(tid))
+	return walk, graph
 }

@@ -26,9 +26,11 @@
 // re-raising the abort frame by frame.
 //
 // The scheduler confirms resource deadlocks the way Algorithm 4 does: the
-// moment an Acquire blocks, it checks the wait-for graph for a cycle and,
-// if one exists, ends the run with a DeadlockInfo carrying the full
-// context of every edge.
+// moment an Acquire blocks, it follows the new waiter's wait-for chain
+// (waiter -> holder of the wanted lock -> ...) and, if the chain closes
+// a cycle, ends the run with a DeadlockInfo carrying the full context of
+// every edge. A run that stalls is checked against the whole wait-for
+// graph.
 //
 // The execution hot path is engineered to be allocation-free at steady
 // state (see DESIGN.md "Performance"): a cross-thread grant is two
@@ -36,7 +38,7 @@
 // no observer is attached, event snapshots of lock and context stacks
 // are O(1) persistent shares guarded by copy-on-write watermarks rather
 // than per-event clones, lock state is a dense slice indexed by object
-// ID, the wait-for graph and the enabled set are reused scratch buffers,
+// ID, the wait chain and the enabled set are reused scratch buffers,
 // and every execution runs on a warm shell: New draws a scheduler, its
 // parked thread shells (coroutines included), RNG and tables from one
 // package-level set, and Run recycles the shell back into it.
@@ -152,9 +154,11 @@ type Scheduler struct {
 	parked *[]*Thread
 	// freeLocks is the lockState free list, retained across runs.
 	freeLocks []*lockState
-	// wfg, enabledBuf and aliveBuf are reusable scratch state for the
+	// wfg is the stall-time deadlock check's reusable graph; chainBuf,
+	// enabledBuf and aliveBuf are reusable scratch state for the
 	// per-step hot path.
 	wfg        *waitgraph.Graph
+	chainBuf   []event.TID
 	enabledBuf []event.TID
 	aliveBuf   []event.TID
 	// enabledValid marks enabledBuf as still describing the current
@@ -456,7 +460,7 @@ func (s *Scheduler) schedule(poster *Thread) bool {
 			s.retire(poster)
 		case event.KindAcquire:
 			// checkRealDeadlock (Algorithm 4): the moment a thread wants
-			// a lock, see whether the wait-for graph now has a cycle.
+			// a lock, see whether its wait-for chain now closes a cycle.
 			if dl := s.cycleThrough(poster); dl != nil {
 				s.deadlock = dl
 			}
@@ -575,6 +579,11 @@ func (s *Scheduler) AliveTIDs() []event.TID {
 	s.aliveBuf = out
 	return out
 }
+
+// NumThreads returns the number of threads spawned so far, terminated
+// ones included. TIDs are minted densely from 0 in spawn order, so the
+// run's threads are exactly 0 .. NumThreads()-1.
+func (s *Scheduler) NumThreads() int { return len(s.threads) }
 
 // aliveCount returns how many threads have not terminated.
 func (s *Scheduler) aliveCount() int { return len(s.alive) }
@@ -952,27 +961,62 @@ func (s *Scheduler) buildWaitGraph() *waitgraph.Graph {
 	g := s.wfg
 	g.Reset()
 	for _, t := range s.alive {
-		if t.pending.Kind != event.KindAcquire {
-			continue
+		if h := s.waitsFor(t); h != event.NoThread {
+			g.Wait(t.id, h)
 		}
-		ls := s.lookupLock(t.pending.Obj.ID)
-		if ls == nil || ls.free() || ls.holder == t.id {
-			continue
-		}
-		g.Wait(t.id, ls.holder)
 	}
 	return g
+}
+
+// waitsFor returns the thread t's pending acquire waits on — the holder
+// of a lock held by someone else — or NoThread when t is not blocked on
+// a lock. It is t's edge in the wait-for graph.
+func (s *Scheduler) waitsFor(t *Thread) event.TID {
+	if !t.alive || t.pending.Kind != event.KindAcquire {
+		return event.NoThread
+	}
+	ls := s.lookupLock(t.pending.Obj.ID)
+	if ls == nil || ls.free() || ls.holder == t.id {
+		return event.NoThread
+	}
+	return ls.holder
 }
 
 // cycleThrough reports a deadlock cycle that passes through t, if t's new
 // wait edge closes one.
 func (s *Scheduler) cycleThrough(t *Thread) *DeadlockInfo {
-	g := s.buildWaitGraph()
-	cyc := g.CycleFrom(t.id)
+	cyc := s.waitChain(t)
 	if cyc == nil {
 		return nil
 	}
 	return s.describeCycle(cyc)
+}
+
+// waitChain is buildWaitGraph().CycleFrom(t.id) without the graph. The
+// wait-for relation is functional — a blocked thread waits on one lock,
+// a lock has one holder — so following t -> holder(want(t)) -> ... visits
+// exactly the threads CycleFrom's walk does, in the same order, and
+// stops where it stops: at a thread not blocked on another thread's
+// lock, or on returning to a thread already on the chain. The result is
+// a reused buffer, valid until the next call.
+func (s *Scheduler) waitChain(t *Thread) []event.TID {
+	chain := s.chainBuf[:0]
+	for {
+		// Real chains are tiny, so a linear membership scan beats a map.
+		for i, c := range chain {
+			if c == t.id {
+				s.chainBuf = chain
+				return chain[i:]
+			}
+		}
+		h := s.waitsFor(t)
+		if h == event.NoThread {
+			s.chainBuf = chain
+			return nil
+		}
+		chain = append(chain, t.id)
+		t = s.threads[h]
+	}
 }
 
 // findDeadlock looks for any wait-for cycle in a stalled state.

@@ -6,11 +6,13 @@
 // a functional graph over threads: t -> holder(want(t)). A resource
 // deadlock is exactly a cycle in this graph.
 //
-// Because the scheduler rebuilds the graph on every blocked acquire
-// (Algorithm 4 runs the check the moment a thread starts waiting), the
-// representation is a dense slice indexed by TID rather than a map, and
-// a Graph is reusable via Reset: steady-state construction and cycle
-// detection allocate nothing.
+// The scheduler builds the graph when a run stalls, to find any cycle
+// in the stuck state. The check Algorithm 4 runs the moment a thread
+// starts waiting needs only that thread's chain, so the scheduler walks
+// it directly (the walk CycleFrom makes) rather than building a Graph.
+// The representation is a dense slice indexed by TID rather than a map,
+// and a Graph is reusable via Reset: steady-state construction and
+// cycle detection allocate nothing.
 package waitgraph
 
 import "dlfuzz/internal/event"

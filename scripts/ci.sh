@@ -23,8 +23,11 @@
 #   5. fuzz smoke        — FuzzParser, FuzzReadWitness, FuzzReadJournal,
 #                          FuzzReadSchedule and FuzzDecodeManifest each
 #                          explore for a few seconds from their seeded
-#                          corpora, and FuzzWitnessEncode holds the
-#                          witness encoder to encoding/json's bytes
+#                          corpora, FuzzWitnessEncode holds the witness
+#                          encoder to encoding/json's bytes, and
+#                          FuzzActivePolicy holds the incremental Phase II
+#                          policy to the full-rescan reference on
+#                          generated programs
 #   6. vm diff           — the bytecode VM and the tree-walking
 #                          interpreter must be byte-identical (events,
 #                          output, campaign reports) over the curated
@@ -77,7 +80,7 @@ make race
 echo "== bench module: traced ≡ untraced fidelity and every-workload smoke =="
 (cd bench && go test ./...)
 
-echo "== fuzz smoke: every decoder target and the witness encoder for ${FUZZTIME:-10s} each =="
+echo "== fuzz smoke: every decoder target, the witness encoder and the active policy for ${FUZZTIME:-10s} each =="
 make fuzz-smoke
 
 echo "== vm diff: bytecode VM vs tree-walker byte identity =="
