@@ -49,10 +49,12 @@ bakeoff-smoke:
 		-check-sound
 
 # One pass over every benchmark — including the Phase I closure smoke
-# (BenchmarkClosure at every worker count) — so benchmark-only code
-# paths compile and run (the CI bench smoke, runnable on its own).
+# (BenchmarkClosure at every worker count) and the CLF back-end
+# comparison — so benchmark-only code paths compile and run (the CI
+# bench smoke, runnable on its own).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x .
+	$(GO) test -run='^$$' -bench=CLFInterp -benchtime=1x ./internal/lang/
 
 # CPU and heap profiles of the full Check pipeline on the lists
 # workload (four Checks of 100 Phase II runs each), written to
@@ -67,17 +69,17 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzReadWitness -fuzztime=$(FUZZTIME) ./internal/obs/
 	$(GO) test -run=Fuzz -fuzz=FuzzWitnessEncode -fuzztime=$(FUZZTIME) ./internal/obs/
 	$(GO) test -run=Fuzz -fuzz=FuzzReadJournal -fuzztime=$(FUZZTIME) ./internal/obs/
-	$(GO) test -run=Fuzz -fuzz=FuzzReadSchedule -fuzztime=$(FUZZTIME) ./internal/trace/
+	$(GO) test -run=Fuzz -fuzz=FuzzReadTrace -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeManifest -fuzztime=$(FUZZTIME) ./internal/corpus/
 	$(GO) test -run=Fuzz -fuzz=FuzzActivePolicy -fuzztime=$(FUZZTIME) ./internal/fuzzer/
 
-# Byte-identity differential between the bytecode VM and the tree-walking
-# interpreter: scheduled runs, confirm campaigns and blocking analyses
-# over the curated programs and the committed corpus at widths 1/2/4,
-# the per-program VM parity suite, and a replay of every recorded
+# Byte-identity differential between the bytecode VM and the test-only
+# tree-walking reference interpreter: scheduled runs, confirm campaigns
+# and blocking analyses over the curated programs and the committed
+# corpus at widths 1/2/4, concurrent runs on shared warm shells, the
+# per-program VM parity suite, and a replay of every recorded
 # FuzzInterp seed (the CI vm-diff step, runnable on its own).
 vm-diff:
-	$(GO) test -run 'TestVMTree' -count=1 .
 	$(GO) test -run 'TestVM|FuzzInterp' -count=1 ./internal/lang/
 
 # Run the blocking-deadlock campaign over the curated chan/WaitGroup

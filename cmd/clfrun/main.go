@@ -1,14 +1,15 @@
 // Command clfrun executes a CLF program once under the deterministic
 // scheduler and reports the outcome. It can record the event trace and
 // the schedule, and replay a previously recorded schedule — useful for
-// attaching a reproducible witness to a deadlock report.
+// attaching a reproducible witness to a deadlock report. Schedules are
+// witness files, the format `dlfuzz -witness-dir` writes and `dlfuzz
+// replay` reads, so either tool replays the other's.
 //
 //	clfrun prog.clf                       # one random run (seed 0)
 //	clfrun -seed 7 prog.clf               # a specific interleaving
 //	clfrun -trace out.jsonl prog.clf      # record the event stream
-//	clfrun -record sched.json prog.clf    # record the schedule
-//	clfrun -replay sched.json prog.clf    # replay it (any seed)
-//	clfrun -tree prog.clf                 # tree-walking back end (identical output)
+//	clfrun -record run.jsonl prog.clf     # record the schedule as a witness
+//	clfrun -replay run.jsonl prog.clf     # replay a witness's schedule (any seed)
 package main
 
 import (
@@ -19,7 +20,10 @@ import (
 
 	"dlfuzz"
 	"dlfuzz/internal/cliflag"
+	"dlfuzz/internal/event"
+	"dlfuzz/internal/fuzzer"
 	"dlfuzz/internal/lang"
+	"dlfuzz/internal/obs"
 	"dlfuzz/internal/sched"
 	"dlfuzz/internal/trace"
 )
@@ -38,15 +42,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed      = fs.Int64("seed", 0, "scheduler seed")
 		maxSteps  = fs.Int("max-steps", 0, "step bound (0 = default)")
 		traceOut  = fs.String("trace", "", "write the event trace (JSON lines) to this file")
-		recordOut = fs.String("record", "", "write the schedule to this file")
-		replayIn  = fs.String("replay", "", "replay a schedule from this file")
-		tree      = fs.Bool("tree", false, "use the tree-walking interpreter instead of the bytecode VM (identical output, slower)")
+		recordOut = fs.String("record", "", "write the schedule to this file, as a witness")
+		replayIn  = fs.String("replay", "", "replay the schedule of this witness file")
 	)
 	if err := cliflag.Parse(fs, args); err != nil {
 		return 2
 	}
 	if len(fs.Args()) != 1 {
 		fmt.Fprintln(stderr, "usage: clfrun [flags] program.clf")
+		return 2
+	}
+	if *recordOut != "" && *replayIn != "" {
+		fmt.Fprintln(stderr, "clfrun: -record and -replay cannot be combined")
 		return 2
 	}
 	file := fs.Arg(0)
@@ -77,11 +84,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "clfrun:", err)
 			return 2
 		}
-		schedule, err := trace.ReadSchedule(f)
+		wit, err := obs.ReadWitness(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintln(stderr, "clfrun:", err)
 			return 2
+		}
+		schedule := make(trace.Schedule, len(wit.Schedule))
+		for i, t := range wit.Schedule {
+			schedule[i] = event.TID(t)
 		}
 		replayer = trace.NewReplay(schedule)
 		opts.Policy = replayer
@@ -90,11 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.Policy = recorder
 	}
 
-	in := lang.NewInterp(prog, stdout)
-	if *tree {
-		in.TreeWalk()
-	}
-	res, err := in.Run(opts)
+	res, err := lang.NewInterp(prog, stdout).Run(opts)
 	if err != nil {
 		fmt.Fprintln(stderr, "clfrun:", err)
 		return 2
@@ -119,11 +126,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "trace: %d events written to %s\n", collector.Len(), *traceOut)
 	}
 	if recorder != nil {
-		if err := writeFile(*recordOut, recorder.Schedule().Encode); err != nil {
+		wit := obs.NewWitness("clf:"+file, *seed, *maxSteps, fuzzer.DefaultConfig(), nil, 0, recorder.Schedule(), res)
+		if err := writeFile(*recordOut, wit.Encode); err != nil {
 			fmt.Fprintln(stderr, "clfrun:", err)
 			return 2
 		}
-		fmt.Fprintf(stdout, "schedule: %d decisions written to %s\n", len(recorder.Schedule()), *recordOut)
+		fmt.Fprintf(stdout, "schedule: %d decisions written to %s\n", len(wit.Schedule), *recordOut)
 	}
 	if res.Outcome == dlfuzz.Deadlock || res.Blocked != nil {
 		return 1

@@ -13,6 +13,9 @@ import (
 // module.
 var update = os.Getenv("DLFUZZ_UPDATE_GOLDEN") != ""
 
+// philosophers is the program the record, replay and golden tests run.
+var philosophers = filepath.Join("..", "..", "testdata", "philosophers.clf")
+
 // TestRunPhilosophersGolden pins the single-run outcome report on the
 // dining philosophers at a fixed seed, byte-for-byte. Regenerate with
 // `DLFUZZ_UPDATE_GOLDEN=1 go test ./cmd/clfrun` after an intentional
@@ -21,7 +24,7 @@ func TestRunPhilosophersGolden(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
 		"-seed", "3",
-		filepath.Join("..", "..", "testdata", "philosophers.clf"),
+		philosophers,
 	}, &stdout, &stderr)
 	if code != 0 {
 		t.Errorf("exit code = %d, want 0; stderr: %s", code, stderr.String())
@@ -29,21 +32,71 @@ func TestRunPhilosophersGolden(t *testing.T) {
 	if stderr.Len() != 0 {
 		t.Errorf("unexpected stderr: %s", stderr.String())
 	}
-	golden := filepath.Join("testdata", "philosophers.golden")
+	checkGolden(t, filepath.Join("testdata", "philosophers.golden"), stdout.Bytes())
+}
+
+// checkGolden compares got with the golden file at path, or rewrites
+// the file under DLFUZZ_UPDATE_GOLDEN=1.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with DLFUZZ_UPDATE_GOLDEN=1 to create it)", err)
 	}
-	if !bytes.Equal(stdout.Bytes(), want) {
-		t.Errorf("output diverged from golden file:\n--- got ---\n%s\n--- want ---\n%s", stdout.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("output diverged from golden file %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+	}
+}
+
+// TestRecordWitnessGolden pins the witness files -record writes, for
+// a run that completes and one that deadlocks: a header naming the
+// program, seed and step bound with the default checker config, no
+// components, the schedule, and the deadlock trailer (empty for the
+// completed run). cmd/dlfuzz replays both files, and internal/obs
+// seeds FuzzReadWitness with them.
+func TestRecordWitnessGolden(t *testing.T) {
+	for _, c := range []struct {
+		golden, seed string
+		code         int
+	}{
+		{"record-completed.jsonl", "5", 0},
+		{"record-deadlock.jsonl", "13", 1},
+	} {
+		out := filepath.Join(t.TempDir(), c.golden)
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-seed", c.seed, "-record", out, philosophers}, &stdout, &stderr); code != c.code {
+			t.Fatalf("%s: exit %d, want %d; stderr: %s", c.golden, code, c.code, stderr.String())
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, filepath.Join("testdata", c.golden), got)
+	}
+}
+
+// TestReplayCapturedWitness replays a witness dlfuzz captured for a
+// Phase II deadlock: the plain replay must reach the same deadlock
+// without leaving the recorded schedule.
+func TestReplayCapturedWitness(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{
+		"-replay", filepath.Join("..", "..", "testdata", "golden", "witness", "fig1.jsonl"),
+		filepath.Join("..", "..", "testdata", "fig1.clf"),
+	}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s", code, stderr.String())
+	}
+	if !strings.HasPrefix(stdout.String(), "outcome: deadlock ") || strings.Contains(stdout.String(), "diverged") {
+		t.Errorf("want the deadlock outcome and no divergence warning:\n%s", stdout.String())
 	}
 }
 
@@ -51,17 +104,16 @@ func TestRunPhilosophersGolden(t *testing.T) {
 // requires the replayed outcome line to match the recorded run exactly
 // (and not to warn about divergence).
 func TestRunRecordReplayRoundTrip(t *testing.T) {
-	prog := filepath.Join("..", "..", "testdata", "philosophers.clf")
-	sched := filepath.Join(t.TempDir(), "sched.json")
+	sched := filepath.Join(t.TempDir(), "run.jsonl")
 
 	var recOut, recErr bytes.Buffer
-	recCode := run([]string{"-seed", "5", "-record", sched, prog}, &recOut, &recErr)
+	recCode := run([]string{"-seed", "5", "-record", sched, philosophers}, &recOut, &recErr)
 	if recCode != 0 && recCode != 1 {
 		t.Fatalf("record run exit %d; stderr: %s", recCode, recErr.String())
 	}
 
 	var repOut, repErr bytes.Buffer
-	repCode := run([]string{"-replay", sched, prog}, &repOut, &repErr)
+	repCode := run([]string{"-replay", sched, philosophers}, &repOut, &repErr)
 	if repCode != recCode {
 		t.Errorf("replay exit %d, recorded run exit %d; stderr: %s", repCode, recCode, repErr.String())
 	}
@@ -81,7 +133,7 @@ func TestRunTraceFile(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
 		"-seed", "3", "-trace", traceOut,
-		filepath.Join("..", "..", "testdata", "philosophers.clf"),
+		philosophers,
 	}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d; stderr: %s", code, stderr.String())
@@ -128,7 +180,7 @@ func TestRunUsageErrors(t *testing.T) {
 		t.Errorf("missing file: exit %d, want 2", code)
 	}
 	if code := run([]string{"-replay", filepath.Join(t.TempDir(), "missing.json"),
-		filepath.Join("..", "..", "testdata", "philosophers.clf")}, &stdout, &stderr); code != 2 {
+		philosophers}, &stdout, &stderr); code != 2 {
 		t.Errorf("missing schedule: exit %d, want 2", code)
 	}
 	stderr.Reset()
@@ -136,24 +188,18 @@ func TestRunUsageErrors(t *testing.T) {
 		strings.Count(stderr.String(), "\n") != 1 {
 		t.Errorf("negative -max-steps: exit %d, stderr %q; want exit 2 and one line", code, stderr.String())
 	}
-}
-
-// TestRunTreeFlagIdentical pins the -tree escape hatch: the
-// tree-walking back end must produce the identical outcome report (and
-// exit code) to the default bytecode VM on the same seed.
-func TestRunTreeFlagIdentical(t *testing.T) {
-	prog := filepath.Join("..", "..", "testdata", "dense.clf")
-	for _, seed := range []string{"0", "3", "11"} {
-		var vmOut, vmErr, twOut, twErr bytes.Buffer
-		vmCode := run([]string{"-seed", seed, prog}, &vmOut, &vmErr)
-		twCode := run([]string{"-seed", seed, "-tree", prog}, &twOut, &twErr)
-		if vmCode != twCode {
-			t.Errorf("seed %s: exit %d (vm) != %d (tree); stderr: %s / %s",
-				seed, vmCode, twCode, vmErr.String(), twErr.String())
-		}
-		if !bytes.Equal(vmOut.Bytes(), twOut.Bytes()) {
-			t.Errorf("seed %s: output diverged:\n--- vm ---\n%s--- tree ---\n%s",
-				seed, vmOut.String(), twOut.String())
-		}
+	stderr.Reset()
+	dir := t.TempDir()
+	if code := run([]string{"-replay", filepath.Join("testdata", "record-deadlock.jsonl"), "-record", filepath.Join(dir, "out.jsonl"),
+		philosophers}, &stdout, &stderr); code != 2 || strings.Count(stderr.String(), "\n") != 1 {
+		t.Errorf("-replay with -record: exit %d, stderr %q; want exit 2 and one line", code, stderr.String())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "out.jsonl")); err == nil {
+		t.Error("-replay with -record wrote the record file")
+	}
+	stderr.Reset()
+	if code := run([]string{"-tree", philosophers}, &stdout, &stderr); code != 2 ||
+		!strings.Contains(stderr.String(), "flag provided but not defined: -tree") {
+		t.Errorf("-tree: exit %d, stderr %q; want exit 2 for an unknown flag", code, stderr.String())
 	}
 }

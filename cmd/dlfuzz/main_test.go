@@ -141,6 +141,34 @@ func TestWitnessReplayEndToEnd(t *testing.T) {
 	}
 }
 
+// TestReplayClfrunWitness replays the witness files `clfrun -record`
+// writes (cmd/clfrun's goldens): the deadlocking run must reproduce and
+// render without naming a target cycle; the completed run must fail
+// with the replay error on stderr, exit 1, and not panic.
+func TestReplayClfrunWitness(t *testing.T) {
+	dir := filepath.Join("..", "clfrun", "testdata")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"replay", filepath.Join(dir, "record-deadlock.jsonl")}, &stdout, &stderr); code != 0 {
+		t.Fatalf("deadlock witness: exit %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	out := stdout.String()
+	if !strings.Contains(out, "1 of 1 witnesses reproduced") || strings.Contains(out, "target cycle") ||
+		strings.Contains(out, "different cycle than targeted") {
+		t.Errorf("deadlock witness rendering:\n%s", out)
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	completed := filepath.Join(dir, "record-completed.jsonl")
+	if code := run([]string{"replay", completed}, &stdout, &stderr); code != 1 {
+		t.Fatalf("completed witness: exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	want := "dlfuzz replay: " + completed + ": obs: replay ended in completed, want deadlock\n"
+	if stderr.String() != want {
+		t.Errorf("completed witness: stderr %q, want %q", stderr.String(), want)
+	}
+}
+
 // TestReplayUsageErrors covers the replay subcommand's failure exits.
 func TestReplayUsageErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer

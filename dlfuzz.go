@@ -542,17 +542,9 @@ func (p *Program) WithOutput(w io.Writer) *Program {
 // Body returns the program in the form Find/Confirm/Check accept.
 // CLF runtime errors surface as panics carrying a positioned message;
 // front-end errors were already rejected by ParseCLF. The program runs
-// on the bytecode VM; TreeWalkBody selects the reference interpreter.
+// on the bytecode VM.
 func (p *Program) Body() func(*Ctx) {
 	return lang.NewInterp(p.prog, p.out).Main()
-}
-
-// TreeWalkBody returns the program body backed by the tree-walking
-// reference interpreter instead of the bytecode VM. The two back ends
-// are byte-identical (same events, results, reports — the vmdiff suite
-// pins this); the walker exists as the differential baseline.
-func (p *Program) TreeWalkBody() func(*Ctx) {
-	return lang.NewInterp(p.prog, p.out).TreeWalk().Main()
 }
 
 // String identifies the program by file name.

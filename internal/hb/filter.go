@@ -2,35 +2,21 @@ package hb
 
 import "dlfuzz/internal/igoodlock"
 
-// FilterCycles partitions potential deadlock cycles into plausible and
-// provably-false sets using the must-happens-before relation of the
-// observed execution: a cycle requires all of its components' critical
-// sections to overlap, so if any two components' acquire events are
-// ordered by must synchronization (spawn/join/latch), the cycle cannot
-// occur in any execution with the same must-sync structure.
-//
-// Cycles whose dependencies carry no clocks (recorder ran without a
-// ClockSource, or the dependency was merged across observation runs) are
-// conservatively kept as plausible. For relations merged from a
-// multi-seed observation campaign, clocks are only compared between
-// dependencies recorded in the same run (Dep.Run): one run's ordering
-// says nothing about another's, so cross-run component pairs are treated
-// as potentially concurrent.
-func FilterCycles(cycles []*igoodlock.Cycle) (plausible, falsePositives []*igoodlock.Cycle) {
-	for _, c := range cycles {
-		if ProvablyFalse(c) {
-			falsePositives = append(falsePositives, c)
-		} else {
-			plausible = append(plausible, c)
-		}
-	}
-	return plausible, falsePositives
-}
-
 // ProvablyFalse reports whether some pair of the cycle's acquire events
-// is ordered by must-happens-before — the per-cycle predicate behind
-// FilterCycles, exported so finder-agnostic candidate partitioning (and
-// sound finders' prefilters) share exactly one definition.
+// is ordered by must-happens-before. A cycle requires all of its
+// components' critical sections to overlap, so if any two components'
+// acquire events are ordered by must synchronization (spawn/join/latch),
+// the cycle cannot occur in any execution with the same must-sync
+// structure. It is the one definition that finder-agnostic candidate
+// partitioning (and sound finders' prefilters) share.
+//
+// Components whose dependencies carry no clocks (recorder ran without a
+// ClockSource, or the dependency was merged across observation runs)
+// never prove a cycle false. For relations merged from a multi-seed
+// observation campaign, clocks are only compared between dependencies
+// recorded in the same run (Dep.Run): one run's ordering says nothing
+// about another's, so cross-run component pairs are treated as
+// potentially concurrent.
 func ProvablyFalse(c *igoodlock.Cycle) bool {
 	for i := range c.Components {
 		di := c.Components[i].Dep

@@ -162,31 +162,29 @@ func cyclesWithClocks(t *testing.T, prog func(*sched.Ctx)) []*igoodlock.Cycle {
 	return nil
 }
 
-func TestFilterCyclesProvesLatchGuardedFalse(t *testing.T) {
+func TestProvablyFalseLatchGuarded(t *testing.T) {
 	cycles := cyclesWithClocks(t, latchGuarded)
 	if len(cycles) != 1 {
 		t.Fatalf("cycles = %v", cycles)
 	}
-	plausible, fps := FilterCycles(cycles)
-	if len(plausible) != 0 || len(fps) != 1 {
-		t.Errorf("plausible=%d fps=%d, want 0/1", len(plausible), len(fps))
+	if !ProvablyFalse(cycles[0]) {
+		t.Error("latch-guarded cycle not proved false")
 	}
 }
 
-func TestFilterCyclesKeepsConcurrentInversion(t *testing.T) {
+func TestProvablyFalseKeepsConcurrentInversion(t *testing.T) {
 	cycles := cyclesWithClocks(t, concurrentInversion)
 	if len(cycles) != 1 {
 		t.Fatalf("cycles = %v", cycles)
 	}
-	plausible, fps := FilterCycles(cycles)
-	if len(plausible) != 1 || len(fps) != 0 {
-		t.Errorf("plausible=%d fps=%d, want 1/0", len(plausible), len(fps))
+	if ProvablyFalse(cycles[0]) {
+		t.Error("concurrent inversion proved false")
 	}
 }
 
-func TestFilterCyclesKeepsCyclesWithoutClocks(t *testing.T) {
+func TestProvablyFalseKeepsCyclesWithoutClocks(t *testing.T) {
 	// Cycles recorded without a ClockSource must be kept conservatively
-	// — even for the latch-guarded pattern the filter would otherwise
+	// — even for the latch-guarded pattern ProvablyFalse would otherwise
 	// prove false.
 	var cycles []*igoodlock.Cycle
 	for seed := int64(1); seed < 30 && cycles == nil; seed++ {
@@ -199,9 +197,8 @@ func TestFilterCyclesKeepsCyclesWithoutClocks(t *testing.T) {
 	if len(cycles) != 1 {
 		t.Fatalf("cycles = %v", cycles)
 	}
-	plausible, fps := FilterCycles(cycles)
-	if len(fps) != 0 || len(plausible) != 1 {
-		t.Errorf("clockless cycles must stay plausible: %d/%d", len(plausible), len(fps))
+	if ProvablyFalse(cycles[0]) {
+		t.Error("clockless cycle proved false; it must stay plausible")
 	}
 }
 

@@ -1,0 +1,9 @@
+package lang
+
+// TreeWalkMain and TreeWalkRun expose the tree-walking reference back
+// end (treewalk_test.go) to the external lang_test differentials: they
+// are Interp.Main and Interp.Run with the walker in place of the VM.
+var (
+	TreeWalkMain = treeWalkMain
+	TreeWalkRun  = treeWalkRun
+)

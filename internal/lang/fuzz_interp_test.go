@@ -91,11 +91,12 @@ func FuzzInterp(f *testing.F) {
 		run := func(tree bool) (*sched.Result, error, string, []sched.Ev) {
 			var out bytes.Buffer
 			in := lang.NewInterp(prog, &out)
+			run := in.Run
 			if tree {
-				in.TreeWalk()
+				run = func(opts sched.Options) (*sched.Result, error) { return lang.TreeWalkRun(in, opts) }
 			}
 			rec := &streamRecorder{}
-			res, err := in.Run(sched.Options{
+			res, err := run(sched.Options{
 				Seed: 1, MaxSteps: 20000,
 				Observers: []sched.Observer{rec},
 			})

@@ -156,7 +156,9 @@ func TestInterpConcurrentPrint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	for _, in := range []*Interp{NewInterp(prog, &out), NewInterp(prog, &out).TreeWalk()} {
+	vm, tw := NewInterp(prog, &out), NewInterp(prog, &out)
+	treeRun := func(opts sched.Options) (*sched.Result, error) { return treeWalkRun(tw, opts) }
+	for _, run := range []func(sched.Options) (*sched.Result, error){vm.Run, treeRun} {
 		out.Reset()
 		const workers, runs = 4, 50
 		var wg sync.WaitGroup
@@ -165,7 +167,7 @@ func TestInterpConcurrentPrint(t *testing.T) {
 			go func(seed int64) {
 				defer wg.Done()
 				for i := 0; i < runs; i++ {
-					if _, err := in.Run(sched.Options{Seed: seed}); err != nil {
+					if _, err := run(sched.Options{Seed: seed}); err != nil {
 						t.Error(err)
 						return
 					}

@@ -6,7 +6,8 @@ package lang
 // environments, a slice-indexed heap instead of nested maps, and frames
 // pooled across the thousands of executions one Interp drives.
 //
-// Byte-identity with the tree-walker is the contract (see vmdiff tests):
+// Byte-identity with the tree-walker, the test-only reference back end
+// in treewalk_test.go, is the contract (see vmdiff_test.go):
 // same Ctx call sequence with the same labels, same print bytes, same
 // RuntimeError strings and positions — including the panic-unwind path,
 // where open sync blocks release innermost-first before each frame's

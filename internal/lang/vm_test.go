@@ -32,11 +32,12 @@ func runBoth(t *testing.T, src string, seed int64) (*sched.Result, error, string
 	run := func(tree bool) obs {
 		var out bytes.Buffer
 		in := NewInterp(prog, &out)
+		run := in.Run
 		if tree {
-			in.TreeWalk()
+			run = func(opts sched.Options) (*sched.Result, error) { return treeWalkRun(in, opts) }
 		}
 		rec := &recEvents{}
-		res, err := in.Run(sched.Options{
+		res, err := run(sched.Options{
 			Seed: seed, MaxSteps: 100000,
 			Observers: []sched.Observer{rec},
 		})

@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dlfuzz"
@@ -142,4 +143,37 @@ func TestWitnessGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReplayRejectsTruncatedSchedules replays every golden witness and
+// every strict prefix of its schedule. The full schedule must
+// reproduce; a cut one runs out before the program does, and replay
+// must report that as a divergence rather than finish the run on
+// random decisions.
+func TestReplayRejectsTruncatedSchedules(t *testing.T) {
+	cut := 0
+	for _, c := range goldenCases(t) {
+		f, err := os.Open(filepath.Join(witnessGoldenDir, c.name+".jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wit, err := obs.ReadWitness(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := obs.Replay(c.prog, wit); err != nil {
+			t.Fatalf("%s: full schedule: %v", c.name, err)
+		}
+		full := wit.Schedule
+		for n := range full {
+			wit.Schedule = full[:n]
+			_, err := obs.Replay(c.prog, wit)
+			if err == nil || !strings.Contains(err.Error(), "diverged") {
+				t.Errorf("%s: schedule cut to %d of %d decisions: got %v, want a divergence", c.name, n, len(full), err)
+			}
+			cut++
+		}
+	}
+	t.Logf("%d truncated schedules rejected", cut)
 }

@@ -104,12 +104,14 @@ type WitnessEdge struct {
 	Context []string `json:"context"`
 }
 
-// Witness is a complete, self-contained record of one deadlock-
-// confirming execution. Program is a resolvable name in "workload:NAME"
-// or "clf:PATH" form; SchedSeed, MaxSteps and Config pin down the
-// execution; Schedule is the full decision sequence; CycleKey and
-// DeadlockKey are the canonical keys (fuzzer.CycleKey/DeadlockKey) of
-// the targeted cycle and the confirmed deadlock.
+// Witness is a complete, self-contained record of one execution,
+// usually a deadlock-confirming one (Capture). Program is a resolvable
+// name in "workload:NAME" or "clf:PATH" form; SchedSeed, MaxSteps and
+// Config pin down the execution; Schedule is the full decision
+// sequence; CycleKey and DeadlockKey are the canonical keys
+// (fuzzer.CycleKey/DeadlockKey) of the targeted cycle and the confirmed
+// deadlock. An empty CycleKey means the run targeted no cycle; an empty
+// DeadlockKey means the recorded run did not deadlock.
 type Witness struct {
 	Program     string
 	SchedSeed   int64
@@ -129,8 +131,8 @@ type Witness struct {
 
 // Reproduced reports whether the witnessed deadlock is the targeted
 // cycle (as opposed to a cross-matched or novel deadlock reached while
-// biasing toward it).
-func (w *Witness) Reproduced() bool { return w.DeadlockKey == w.CycleKey }
+// biasing toward it). A run that did not deadlock reproduces nothing.
+func (w *Witness) Reproduced() bool { return w.DeadlockKey != "" && w.DeadlockKey == w.CycleKey }
 
 // Cycle reconstructs the targeted cycle in igoodlock form, suitable for
 // fuzzer.MatchesCycle against a replayed deadlock.
@@ -607,31 +609,47 @@ func capture(pol *fuzzer.Policy, prog func(*sched.Ctx), program string, cycle *i
 	if res.Outcome != sched.Deadlock {
 		return nil, fmt.Errorf("obs: capture run ended in %s, not deadlock (program %s, seed %d)", res.Outcome, program, schedSeed)
 	}
+	w := NewWitness(program, schedSeed, maxSteps, cfg, cycle, target, recording.Schedule(), res)
+	w.Points, w.Events = rec.points, rec.events
+	return w, nil
+}
+
+// NewWitness assembles the witness of one recorded execution of
+// program under (schedSeed, maxSteps): its decision sequence and its
+// result. cycle is the candidate the run was biased toward, reported as
+// the target-th; a nil cycle records a run that targeted none (no
+// components, an empty CycleKey). When the run did not deadlock, the
+// trailer is empty: key "", step 0, no edges. Steering points and sync
+// events are left to the caller that observed them.
+func NewWitness(program string, schedSeed int64, maxSteps int, cfg fuzzer.Config, cycle *igoodlock.Cycle, target int, schedule trace.Schedule, res *sched.Result) *Witness {
 	w := &Witness{
-		Program:      program,
-		SchedSeed:    schedSeed,
-		Target:       target,
-		MaxSteps:     maxSteps,
-		Config:       witnessConfig(cfg),
-		CycleKey:     fuzzer.CycleKey(cycle, cfg),
-		DeadlockKey:  fuzzer.DeadlockKey(res.Deadlock, cfg),
-		Points:       rec.points,
-		Events:       rec.events,
-		DeadlockStep: res.Deadlock.Step,
+		Program:   program,
+		SchedSeed: schedSeed,
+		Target:    target,
+		MaxSteps:  maxSteps,
+		Config:    witnessConfig(cfg),
 	}
-	for i, comp := range cycle.Components {
-		wc := WitnessComponent{Index: i, Thread: string(comp.ThreadAbs), Lock: string(comp.LockAbs)}
-		for _, l := range comp.Context {
-			wc.Context = append(wc.Context, string(l))
+	if cycle != nil {
+		w.CycleKey = fuzzer.CycleKey(cycle, cfg)
+		for i, comp := range cycle.Components {
+			wc := WitnessComponent{Index: i, Thread: string(comp.ThreadAbs), Lock: string(comp.LockAbs)}
+			for _, l := range comp.Context {
+				wc.Context = append(wc.Context, string(l))
+			}
+			w.Components = append(w.Components, wc)
 		}
-		w.Components = append(w.Components, wc)
 	}
-	if order := recording.Schedule(); len(order) > 0 {
-		w.Schedule = make([]int, len(order))
-		for i, t := range order {
+	if len(schedule) > 0 {
+		w.Schedule = make([]int, len(schedule))
+		for i, t := range schedule {
 			w.Schedule[i] = int(t)
 		}
 	}
+	if res.Deadlock == nil {
+		return w
+	}
+	w.DeadlockKey = fuzzer.DeadlockKey(res.Deadlock, cfg)
+	w.DeadlockStep = res.Deadlock.Step
 	for _, e := range res.Deadlock.Edges {
 		we := WitnessEdge{
 			Thread:  int(e.Thread),
@@ -646,7 +664,7 @@ func capture(pol *fuzzer.Policy, prog func(*sched.Ctx), program string, cycle *i
 		}
 		w.Edges = append(w.Edges, we)
 	}
-	return w, nil
+	return w
 }
 
 // ReplayReport describes a successful replay.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -368,13 +369,32 @@ func TestWitnessCycleReconstruction(t *testing.T) {
 	}
 }
 
+// TestReproducedNeedsDeadlock: a witness of a run that did not
+// deadlock (empty DeadlockKey) reproduces nothing, even though its
+// empty CycleKey equals the key.
+func TestReproducedNeedsDeadlock(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "cmd", "clfrun", "testdata", "record-completed.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wit, err := obs.ReadWitness(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wit.DeadlockKey != "" || wit.CycleKey != "" || wit.Reproduced() {
+		t.Fatalf("completed run: keys %q/%q, Reproduced %v; want empty keys and false", wit.CycleKey, wit.DeadlockKey, wit.Reproduced())
+	}
+}
+
 // FuzzReadWitness holds the witness decoder to the no-panic contract:
 // any input either fails with an error or decodes to a witness whose
 // checker configuration and target cycle are usable, and which replays
-// (to success or an error) against its built-in workload. The committed
-// regression seed under testdata/fuzz is a dbcp witness whose config
-// says "k":-1, which used to decode and then crash replay with a
-// slice-bounds panic in the abstraction.
+// (to success or an error) against its built-in workload. It is seeded
+// with a captured dbcp witness and the two witnesses `clfrun -record`
+// wrote (a completed run and a deadlock, neither targeting a cycle).
+// The committed regression seed under testdata/fuzz is a dbcp witness
+// whose config says "k":-1, which used to decode and then crash replay
+// with a slice-bounds panic in the abstraction.
 func FuzzReadWitness(f *testing.F) {
 	prog, cyc, cfg, seed := confirmedCycle(f, "dbcp")
 	wit, err := obs.Capture(prog, "workload:dbcp", cyc, 0, cfg, seed, 0)
@@ -386,6 +406,13 @@ func FuzzReadWitness(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	for _, name := range []string{"record-completed.jsonl", "record-deadlock.jsonl"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "cmd", "clfrun", "testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, err := obs.ReadWitness(bytes.NewReader(data))
 		if err != nil {

@@ -11,10 +11,15 @@ import (
 // WriteWitness renders a witness trace for humans: what ran, the
 // targeted cycle, how the checker steered, and the confirmed deadlock —
 // the `dlfuzz replay` counterpart to the JSONL the witness is stored as.
+// A witness with no components (a plain recorded run) names no target,
+// and one with no deadlock says so.
 func WriteWitness(w io.Writer, wit *obs.Witness) {
-	fmt.Fprintf(w, "witness v%d: %s (sched seed %d, target cycle %d, %s/k=%d)\n",
-		obs.WitnessVersion, wit.Program, wit.SchedSeed, wit.Target,
-		wit.Config.Abstraction, wit.Config.K)
+	targeted := len(wit.Components) > 0
+	fmt.Fprintf(w, "witness v%d: %s (sched seed %d, ", obs.WitnessVersion, wit.Program, wit.SchedSeed)
+	if targeted {
+		fmt.Fprintf(w, "target cycle %d, ", wit.Target)
+	}
+	fmt.Fprintf(w, "%s/k=%d)\n", wit.Config.Abstraction, wit.Config.K)
 	for _, c := range wit.Components {
 		fmt.Fprintf(w, "  component %d: thread %s acquires %s", c.Index, c.Thread, c.Lock)
 		if len(c.Context) > 0 {
@@ -37,10 +42,14 @@ func WriteWitness(w io.Writer, wit *obs.Witness) {
 	}
 	fmt.Fprintf(w, "  schedule: %d decisions, %d pauses, %d thrashes, %d yields, %d evictions\n",
 		len(wit.Schedule), pauses, thrashes, yields, evicts)
+	if wit.DeadlockKey == "" {
+		fmt.Fprintln(w, "  no deadlock")
+		return
+	}
 	fmt.Fprintf(w, "  deadlock at step %d", wit.DeadlockStep)
 	if wit.Reproduced() {
 		fmt.Fprint(w, " (reproduces the targeted cycle)")
-	} else {
+	} else if targeted {
 		fmt.Fprint(w, " (different cycle than targeted)")
 	}
 	fmt.Fprintln(w)

@@ -32,9 +32,6 @@ func (ch *Chan) Cap() int { return ch.capacity }
 // Len returns the number of buffered values.
 func (ch *Chan) Len() int { return len(ch.buf) }
 
-// Closed reports whether the channel has been closed.
-func (ch *Chan) Closed() bool { return ch.closed }
-
 // WaitGroup is a Go-style sync.WaitGroup: Add adjusts a counter, Wait
 // blocks until it reaches zero. Like Chan, all state lives on the
 // handle.

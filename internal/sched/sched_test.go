@@ -139,6 +139,20 @@ func TestJoinBlocksUntilChildExits(t *testing.T) {
 	}
 }
 
+// TestJoinEmptyChild joins a thread whose body does nothing: at every
+// seed the run must complete in two steps (the spawn and the join),
+// with no stall.
+func TestJoinEmptyChild(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		res := New(Options{Seed: seed}).Run(func(c *Ctx) {
+			c.Join(c.Spawn("empty", nil, "e:1", func(*Ctx) {}), "e:2")
+		})
+		if res.Outcome != Completed || res.Steps != 2 {
+			t.Errorf("seed %d: %v in %d steps, want completed in 2", seed, res.Outcome, res.Steps)
+		}
+	}
+}
+
 func TestLatchStall(t *testing.T) {
 	s := New(Options{Seed: 2})
 	res := s.Run(func(c *Ctx) {

@@ -66,8 +66,7 @@ func checkDeadlock(dl *sched.DeadlockInfo, poster event.TID) string {
 // decision, from every thread blocked at an acquire, both find the same
 // TID cycle or none; and every deadlock confirmed at an acquire is the
 // graph's cycle from the blocking thread. It covers the Go workloads,
-// the blocking suite and the curated CLF programs on the VM and on the
-// tree-walker.
+// the blocking suite and the curated CLF programs on the VM.
 func TestCycleThroughMatchesWaitGraph(t *testing.T) {
 	type input struct {
 		name string
@@ -90,9 +89,7 @@ func TestCycleThroughMatchesWaitGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ins = append(ins,
-			input{"vm/" + filepath.Base(f), lang.NewInterp(prog, io.Discard).Main()},
-			input{"tree/" + filepath.Base(f), lang.NewInterp(prog, io.Discard).TreeWalk().Main()})
+		ins = append(ins, input{"vm/" + filepath.Base(f), lang.NewInterp(prog, io.Discard).Main()})
 	}
 	blocked, deadlocks := 0, 0
 	for _, in := range ins {

@@ -26,8 +26,8 @@ type warmInput struct {
 
 // warmInputs are programs that leave different state on a shell: the
 // paper's Figure 1, a Go workload with locks, one with channels and
-// locks, a CLF program on the VM and on the tree-walker, a run cut off
-// by its step bound and a run whose workload panics.
+// locks, a CLF program on the VM, a run cut off by its step bound and a
+// run whose workload panics.
 func warmInputs(t *testing.T) []warmInput {
 	t.Helper()
 	ins := []warmInput{{name: "go/fig1", body: sched.Fig1(0), seeds: 40}}
@@ -48,7 +48,6 @@ func warmInputs(t *testing.T) []warmInput {
 	}
 	return append(ins,
 		warmInput{name: "vm/philosophers", body: lang.NewInterp(prog, io.Discard).Main(), seeds: 8},
-		warmInput{name: "tree/philosophers", body: lang.NewInterp(prog, io.Discard).TreeWalk().Main(), seeds: 8},
 		warmInput{name: "go/steplimit", body: goSpin, maxSteps: 300, seeds: 8},
 		warmInput{name: "go/panic", body: goPanic, seeds: 8},
 	)

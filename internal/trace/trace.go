@@ -3,10 +3,12 @@
 // and the scheduling decision sequence, which can be replayed to drive a
 // later execution through the same interleaving.
 //
-// Seeds already make runs reproducible within one binary; traces make
+// Seeds already make runs reproducible within one binary; schedules make
 // them portable — a confirmed deadlock's schedule can be stored next to
 // a bug report and replayed elsewhere, or replayed against a modified
 // program to check whether a fix really removes the interleaving.
+// Schedules persist as witness files (internal/obs), the one schedule
+// format.
 package trace
 
 import (
@@ -131,24 +133,11 @@ func (p *RecordingPolicy) Schedule() Schedule {
 // Schedule is a sequence of scheduling decisions (thread ids).
 type Schedule []event.TID
 
-// Encode serializes the schedule as one JSON array.
-func (s Schedule) Encode(w io.Writer) error {
-	return json.NewEncoder(w).Encode([]event.TID(s))
-}
-
-// ReadSchedule parses a schedule written by Schedule.Encode.
-func ReadSchedule(r io.Reader) (Schedule, error) {
-	var out []event.TID
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	return Schedule(out), nil
-}
-
 // ReplayPolicy drives an execution through a recorded schedule. If the
-// program has changed and a recorded choice is no longer enabled (the
-// schedule diverges), it falls back to random scheduling from that point
-// and remembers the divergence.
+// program has changed and a recorded choice is no longer enabled, or
+// the schedule runs out before the program does (the schedule
+// diverges), it falls back to random scheduling from that point and
+// remembers the divergence.
 type ReplayPolicy struct {
 	schedule Schedule
 	pos      int
@@ -170,8 +159,8 @@ func (p *ReplayPolicy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 				return t
 			}
 		}
-		p.diverged = true
 	}
+	p.diverged = true
 	return enabled[s.Rand().Intn(len(enabled))]
 }
 
@@ -180,9 +169,4 @@ func (p *ReplayPolicy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 // program did).
 func (p *ReplayPolicy) Diverged() bool {
 	return p.diverged
-}
-
-// Exhausted reports whether every recorded decision was consumed.
-func (p *ReplayPolicy) Exhausted() bool {
-	return p.pos >= len(p.schedule)
 }

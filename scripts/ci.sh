@@ -21,22 +21,26 @@
 #                          test ./...`): the traced check must match the
 #                          untraced one, and every workload runs once
 #   5. fuzz smoke        — FuzzParser, FuzzReadWitness, FuzzReadJournal,
-#                          FuzzReadSchedule and FuzzDecodeManifest each
+#                          FuzzReadTrace and FuzzDecodeManifest each
 #                          explore for a few seconds from their seeded
 #                          corpora, FuzzWitnessEncode holds the witness
 #                          encoder to encoding/json's bytes, and
 #                          FuzzActivePolicy holds the incremental Phase II
 #                          policy to the full-rescan reference on
 #                          generated programs
-#   6. vm diff           — the bytecode VM and the tree-walking
-#                          interpreter must be byte-identical (events,
-#                          output, campaign reports) over the curated
-#                          programs, the committed corpus and the
-#                          recorded FuzzInterp seeds (`make vm-diff`)
-#   7. bench smoke       — every benchmark runs once, so benchmark-only
-#                          code paths (pooled runners, allocation
-#                          reporting, BenchmarkCheck behind `make
-#                          profile`) cannot rot between perf runs
+#   6. vm diff           — the bytecode VM and the test-only
+#                          tree-walking reference interpreter must be
+#                          byte-identical (events, output, campaign
+#                          reports) over the curated programs, the
+#                          committed corpus and the recorded FuzzInterp
+#                          seeds (`make vm-diff`, one package:
+#                          internal/lang)
+#   7. bench smoke       — every root benchmark and BenchmarkCLFInterp
+#                          run once, so benchmark-only code paths
+#                          (pooled runners, allocation reporting,
+#                          BenchmarkCheck behind `make profile`, the
+#                          tree-walker's benchmark) cannot rot between
+#                          perf runs
 #   8. replay smoke      — fuzz philosophers with -witness-dir, then
 #                          `dlfuzz replay` every emitted witness
 #   9. corpus smoke      — dlgen harvests a fresh 25-seed corpus into a
@@ -83,7 +87,7 @@ echo "== bench module: traced ≡ untraced fidelity and every-workload smoke =="
 echo "== fuzz smoke: every decoder target, the witness encoder and the active policy for ${FUZZTIME:-10s} each =="
 make fuzz-smoke
 
-echo "== vm diff: bytecode VM vs tree-walker byte identity =="
+echo "== vm diff: bytecode VM vs test-only tree-walker byte identity =="
 make vm-diff
 
 echo "== bench smoke: every benchmark once =="
