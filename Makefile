@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci build test race bench bench-smoke profile fuzz-smoke vet replay-smoke corpus-smoke corpus bakeoff-smoke blocking-smoke vm-diff
+.PHONY: ci build test race bench bench-smoke profile fuzz-smoke vet fmt-check replay-smoke corpus-smoke corpus bakeoff-smoke blocking-smoke vm-diff
 
 ci:
 	./scripts/ci.sh
@@ -17,6 +17,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fail when any Go file is not gofmt-clean (the CI format check,
+# runnable on its own; `gofmt -l .` names the offenders).
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 race:
 	$(GO) test -race ./internal/sched/ ./internal/analysis/ ./internal/campaign/ \

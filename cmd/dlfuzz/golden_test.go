@@ -48,7 +48,8 @@ type cliCase struct {
 
 // cliCases lists dlfuzz on every testdata CLF program, the first five
 // corpus programs and every built-in workload, and dlfuzz -blocking on
-// each blocking-suite workload, all at default budgets.
+// each blocking-suite workload, all at default budgets; and the Phase I
+// report alone (-runs 0) on the philosophers under both finders.
 func cliCases(t *testing.T) []cliCase {
 	t.Helper()
 	testdata := filepath.Join("..", "..", "testdata")
@@ -75,6 +76,10 @@ func cliCases(t *testing.T) []cliCase {
 	for _, w := range workloads.Blocking() {
 		cases = append(cases, cliCase{"dlfuzz-blocking-" + w.Name, []string{"-blocking", "-workload", w.Name}})
 	}
+	phase1 := []string{"-runs", "0", "-p1-runs", "4", "-p1-parallel", "2", filepath.Join(testdata, "philosophers.clf")}
+	cases = append(cases,
+		cliCase{"dlfuzz-phase1-philosophers", phase1},
+		cliCase{"dlfuzz-phase1-philosophers-sync", append([]string{"-finder", "sync"}, phase1...)})
 	return cases
 }
 

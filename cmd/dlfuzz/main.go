@@ -6,6 +6,7 @@
 //
 //	dlfuzz [flags] program.clf
 //	dlfuzz [flags] -workload jigsaw
+//	dlfuzz -runs 0 [flags] program.clf | -workload jigsaw
 //	dlfuzz -blocking [flags] program.clf | -workload chan-cycle-unbuf
 //	dlfuzz -list
 //	dlfuzz replay witness.jsonl... | witness-dir
@@ -18,7 +19,8 @@
 // Flags select the variant (abstraction, context, yields) and the total
 // Phase II execution budget. Phase II is one multi-cycle campaign: the
 // budget is shared across all candidate cycles, and every confirmed
-// deadlock is credited to every cycle it matches.
+// deadlock is credited to every cycle it matches. A budget of -runs 0
+// runs Phase I only: the report stops before the Phase II section.
 //
 // Observability (see docs/OBSERVABILITY.md): -witness-dir writes one
 // replayable witness trace per confirmed cycle, -journal streams one
@@ -55,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		workload  = fs.String("workload", "", "run a named built-in workload instead of a CLF file")
 		list      = fs.Bool("list", false, "list built-in workloads and exit")
-		runs      = fs.Int("runs", 100, "total Phase II executions, shared across all cycles")
+		runs      = fs.Int("runs", 100, "total Phase II executions, shared across all cycles (0 = Phase I only)")
 		k         = fs.Int("k", 10, "abstraction depth")
 		abs       = fs.String("abs", "exec-index", "object abstraction: exec-index, k-object, or trivial")
 		noCtx     = fs.Bool("no-context", false, "ignore acquire contexts when pausing (variant 4)")
@@ -85,6 +87,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-18s %s\n", w.Name, w.Desc)
 		}
 		return 0
+	}
+	if *runs == 0 && (*blocking || *journalTo != "" || *witDir != "") {
+		fmt.Fprintln(stderr, "dlfuzz: -runs 0 runs Phase I only; it cannot be combined with -blocking, -journal or -witness-dir")
+		return 2
 	}
 
 	prog, name, err := resolveProgram(*workload, fs.Args())
@@ -153,16 +159,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i, cyc := range find.FalsePositives {
 		fmt.Fprintf(stdout, "  false positive %d: %s\n", i+1, cyc)
 	}
-	// The Phase II budget follows the finder's ranking (for the default
-	// finder this is exactly report order, so the output is unchanged).
-	opts.Confirm.Ranks = find.Ranks()
 	if len(find.Cycles) == 0 {
 		fmt.Fprintln(stdout, "no plausible cycles; nothing to confirm")
+	}
+	if len(find.Cycles) == 0 || *runs == 0 {
 		if len(find.ObservedDeadlocks) > 0 {
 			return 1
 		}
 		return 0
 	}
+	// The Phase II budget follows the finder's ranking (for the default
+	// finder this is exactly report order, so the output is unchanged).
+	opts.Confirm.Ranks = find.Ranks()
 
 	var journal *obs.Journal
 	if *journalTo != "" {

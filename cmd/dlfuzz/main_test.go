@@ -64,6 +64,12 @@ func TestRunUsageErrors(t *testing.T) {
 	if code := run([]string{"-abs", "bogus", "-workload", "lists"}, &stdout, &stderr); code != 2 {
 		t.Errorf("bad abstraction: exit %d, want 2", code)
 	}
+	if code := run(nil, &stdout, &stderr); code != 2 {
+		t.Errorf("no arguments: exit %d, want 2", code)
+	}
+	if code := run([]string{filepath.Join(t.TempDir(), "missing.clf")}, &stdout, &stderr); code != 2 {
+		t.Errorf("missing file: exit %d, want 2", code)
+	}
 	stdout.Reset()
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 || stdout.Len() == 0 {
 		t.Errorf("-list: exit %d, output %q", code, stdout.String())
@@ -91,6 +97,81 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 	if code := run([]string{"-runs", "20", fig1}, &stdout, &stderr); code != 1 {
 		t.Errorf("fig1 deadlock: exit %d, want 1", code)
+	}
+}
+
+// TestRunPhaseIOnly pins -runs 0: the report is the full pipeline's
+// report cut before its Phase II section, and the flags that only
+// Phase II or -blocking use are a one-line usage error that writes no
+// file.
+func TestRunPhaseIOnly(t *testing.T) {
+	philosophers := filepath.Join("..", "..", "testdata", "philosophers.clf")
+	var full, stdout, stderr bytes.Buffer
+	if code := run([]string{"-runs", "30", philosophers}, &full, &stderr); code != 1 {
+		t.Fatalf("full pipeline: exit %d, want 1; stderr: %s", code, stderr.String())
+	}
+	phase1, _, ok := strings.Cut(full.String(), "\n== "+philosophers+": Phase II")
+	if !ok {
+		t.Fatalf("full pipeline printed no Phase II section:\n%s", full.String())
+	}
+	if code := run([]string{"-runs", "0", philosophers}, &stdout, &stderr); code != 0 {
+		t.Errorf("-runs 0: exit %d, want 0; stderr: %s", code, stderr.String())
+	}
+	if stdout.String() != phase1 {
+		t.Errorf("-runs 0 output:\n%s\nwant the full report's Phase I section:\n%s", stdout.String(), phase1)
+	}
+
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "journal.jsonl")
+	witDir := filepath.Join(dir, "witnesses")
+	for _, args := range [][]string{
+		{"-runs", "0", "-journal", journal, philosophers},
+		{"-runs", "0", "-witness-dir", witDir, philosophers},
+		{"-runs", "0", "-blocking", philosophers},
+	} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(args, &stdout, &stderr); code != 2 || strings.Count(stderr.String(), "\n") != 1 || stdout.Len() != 0 {
+			t.Errorf("%q: exit %d, stderr %q, stdout %q; want exit 2 and one stderr line", args, code, stderr.String(), stdout.String())
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("usage errors left files behind: %v (%v)", entries, err)
+	}
+}
+
+// TestRunPhaseIOnlyUsageErrors covers the non-analysis exit paths of a
+// Phase I-only run (-runs 0): bad inputs are exit 2, and an unknown
+// finder names the registered ones.
+func TestRunPhaseIOnlyUsageErrors(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-runs", "0", "-workload", "no-such-workload"}, &stdout, &stderr); code != 2 {
+		t.Errorf("unknown workload: exit %d, want 2", code)
+	}
+	stderr.Reset()
+	if code := run([]string{"-runs", "0", "-finder", "no-such-finder", "-workload", "lists"}, &stdout, &stderr); code != 2 {
+		t.Errorf("unknown finder: exit %d, want 2", code)
+	}
+	if !bytes.Contains(stderr.Bytes(), []byte("igoodlock")) {
+		t.Errorf("unknown-finder error does not list the registered finders: %s", stderr.String())
+	}
+	if code := run([]string{"-runs", "0"}, &stdout, &stderr); code != 2 {
+		t.Errorf("no program: exit %d, want 2", code)
+	}
+	if code := run([]string{"-runs", "0", filepath.Join(t.TempDir(), "missing.clf")}, &stdout, &stderr); code != 2 {
+		t.Errorf("missing file: exit %d, want 2", code)
+	}
+	fig1 := filepath.Join("..", "..", "testdata", "fig1.clf")
+	for _, args := range [][]string{
+		{"-runs", "0", "-k", "-1", fig1},
+		{"-runs", "0", "-p1-runs", "-1", fig1},
+		{"-runs", "0", "-max-cycle-len", "-1", fig1},
+	} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(args, &stdout, &stderr); code != 2 || strings.Count(stderr.String(), "\n") != 1 || stdout.Len() != 0 {
+			t.Errorf("%q: exit %d, stderr %q, stdout %q; want exit 2 and one stderr line", args, code, stderr.String(), stdout.String())
+		}
 	}
 }
 

@@ -31,7 +31,7 @@ fn main() {
 }
 `
 
-// TestExitCodeContract pins the exit status of all six commands as
+// TestExitCodeContract pins the exit status of all five commands as
 // processes: 0 for a clean result, 1 for findings (a deadlock found, an
 // observation that deadlocked every attempt, a failed validation or
 // benchmark gate), 2 for a usage error. dlstatic only counts potential
@@ -64,9 +64,9 @@ func TestExitCodeContract(t *testing.T) {
 		{"dlfuzz", []string{"-runs", "5", "testdata/prodcons.clf"}, 0},
 		{"dlfuzz", []string{"-runs", "20", "testdata/fig1.clf"}, 1},
 		{"dlfuzz", []string{"-runs", "-1", "testdata/fig1.clf"}, 2},
-		{"igoodlock", []string{"testdata/fig1.clf"}, 0},
-		{"igoodlock", []string{deadlock}, 1},
-		{"igoodlock", []string{"-workload", "no-such-workload"}, 2},
+		{"dlfuzz", []string{"-runs", "0", "testdata/fig1.clf"}, 0},
+		{"dlfuzz", []string{"-runs", "0", deadlock}, 1},
+		{"dlfuzz", []string{"-runs", "0", "-blocking", "testdata/fig1.clf"}, 2},
 		{"clfrun", []string{"-seed", "3", "testdata/fig1.clf"}, 0},
 		{"clfrun", []string{deadlock}, 1},
 		{"clfrun", nil, 2},

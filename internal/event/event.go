@@ -32,40 +32,40 @@ type Kind int
 // scheduler needs for thread lifecycle and timing skew; the paper's
 // algorithms only inspect Acquire, Release, Call, Return and New.
 const (
-	KindAcquire Kind = iota // c: Acquire(l)
-	KindRelease             // c: Release(l)
-	KindCall                // c: Call(m)
-	KindReturn              // c: Return(m)
-	KindNew                 // c: o = new(o', T)
-	KindSpawn               // thread creation (start of a new thread)
-	KindJoin                // wait for another thread to terminate
-	KindStep                // any other statement (a scheduling point)
-	KindYield               // an explicit yield inserted by the fuzzer
-	KindAwait               // block until a latch is signaled
-	KindSignal              // signal a latch
-	KindExit                // thread termination (synthetic)
-	KindWait                // monitor wait: release the monitor, block for a notify
-	KindNotify              // monitor notify: wake one/all waiters
-	KindChanSend            // channel send: block until a receiver or buffer space
-	KindChanRecv            // channel receive: block until a sender, a buffered value, or close
-	KindChanClose           // channel close: wake all blocked receivers
-	KindWGAdd               // WaitGroup counter adjustment (add/done)
-	KindWGWait              // block until a WaitGroup counter reaches zero
+	KindAcquire   Kind = iota // c: Acquire(l)
+	KindRelease               // c: Release(l)
+	KindCall                  // c: Call(m)
+	KindReturn                // c: Return(m)
+	KindNew                   // c: o = new(o', T)
+	KindSpawn                 // thread creation (start of a new thread)
+	KindJoin                  // wait for another thread to terminate
+	KindStep                  // any other statement (a scheduling point)
+	KindYield                 // an explicit yield inserted by the fuzzer
+	KindAwait                 // block until a latch is signaled
+	KindSignal                // signal a latch
+	KindExit                  // thread termination (synthetic)
+	KindWait                  // monitor wait: release the monitor, block for a notify
+	KindNotify                // monitor notify: wake one/all waiters
+	KindChanSend              // channel send: block until a receiver or buffer space
+	KindChanRecv              // channel receive: block until a sender, a buffered value, or close
+	KindChanClose             // channel close: wake all blocked receivers
+	KindWGAdd                 // WaitGroup counter adjustment (add/done)
+	KindWGWait                // block until a WaitGroup counter reaches zero
 )
 
 var kindNames = [...]string{
-	KindAcquire: "Acquire",
-	KindRelease: "Release",
-	KindCall:    "Call",
-	KindReturn:  "Return",
-	KindNew:     "New",
-	KindSpawn:   "Spawn",
-	KindJoin:    "Join",
-	KindStep:    "Step",
-	KindYield:   "Yield",
-	KindAwait:   "Await",
-	KindSignal:  "Signal",
-	KindExit:    "Exit",
+	KindAcquire:   "Acquire",
+	KindRelease:   "Release",
+	KindCall:      "Call",
+	KindReturn:    "Return",
+	KindNew:       "New",
+	KindSpawn:     "Spawn",
+	KindJoin:      "Join",
+	KindStep:      "Step",
+	KindYield:     "Yield",
+	KindAwait:     "Await",
+	KindSignal:    "Signal",
+	KindExit:      "Exit",
 	KindWait:      "Wait",
 	KindNotify:    "Notify",
 	KindChanSend:  "ChanSend",

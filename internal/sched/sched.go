@@ -47,11 +47,11 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"dlfuzz/internal/event"
 	"dlfuzz/internal/object"
-	"dlfuzz/internal/waitgraph"
 )
 
 // Policy decides which enabled thread runs next. Implementations receive
@@ -122,9 +122,9 @@ type Scheduler struct {
 	alloc   object.Allocator
 	threads []*Thread
 	// alive lists the non-terminated threads in ascending TID order (ids
-	// are minted in spawn order, so appends keep it sorted). The per-step
-	// scans — enabled set, alive set, wait-for graph — walk this list
-	// instead of all of threads, so long-dead threads cost nothing.
+	// are minted in spawn order, so appends keep it sorted). The scans —
+	// enabled set, alive set, the stall-time wait-for walk — walk this
+	// list instead of all of threads, so long-dead threads cost nothing.
 	alive []*Thread
 	// latches and locks are allocated lazily: most workloads use no
 	// latches, and recycled shells keep the (cleared) containers across
@@ -154,10 +154,8 @@ type Scheduler struct {
 	parked *[]*Thread
 	// freeLocks is the lockState free list, retained across runs.
 	freeLocks []*lockState
-	// wfg is the stall-time deadlock check's reusable graph; chainBuf,
-	// enabledBuf and aliveBuf are reusable scratch state for the
-	// per-step hot path.
-	wfg        *waitgraph.Graph
+	// chainBuf, enabledBuf and aliveBuf are reusable scratch state for
+	// the per-step hot path.
 	chainBuf   []event.TID
 	enabledBuf []event.TID
 	aliveBuf   []event.TID
@@ -951,23 +949,6 @@ func (s *Scheduler) wake(ls *lockState, all bool) []event.TID {
 	return woken
 }
 
-// buildWaitGraph constructs the wait-for graph over currently blocked
-// threads (alive, pending Acquire on a lock held by someone else) in the
-// scheduler's reusable scratch graph.
-func (s *Scheduler) buildWaitGraph() *waitgraph.Graph {
-	if s.wfg == nil {
-		s.wfg = waitgraph.New()
-	}
-	g := s.wfg
-	g.Reset()
-	for _, t := range s.alive {
-		if h := s.waitsFor(t); h != event.NoThread {
-			g.Wait(t.id, h)
-		}
-	}
-	return g
-}
-
 // waitsFor returns the thread t's pending acquire waits on — the holder
 // of a lock held by someone else — or NoThread when t is not blocked on
 // a lock. It is t's edge in the wait-for graph.
@@ -992,13 +973,13 @@ func (s *Scheduler) cycleThrough(t *Thread) *DeadlockInfo {
 	return s.describeCycle(cyc)
 }
 
-// waitChain is buildWaitGraph().CycleFrom(t.id) without the graph. The
-// wait-for relation is functional — a blocked thread waits on one lock,
-// a lock has one holder — so following t -> holder(want(t)) -> ... visits
-// exactly the threads CycleFrom's walk does, in the same order, and
-// stops where it stops: at a thread not blocked on another thread's
-// lock, or on returning to a thread already on the chain. The result is
-// a reused buffer, valid until the next call.
+// waitChain walks t's chain in the wait-for graph and returns the cycle
+// it runs into, nil for none. The wait-for relation is functional — a
+// blocked thread waits on one lock, a lock has one holder — so the walk
+// follows t -> holder(want(t)) -> ... and stops at a thread not blocked
+// on another thread's lock, or on returning to a thread already on the
+// chain; the cycle is the chain from that thread on. The result is a
+// reused buffer, valid until the next call.
 func (s *Scheduler) waitChain(t *Thread) []event.TID {
 	chain := s.chainBuf[:0]
 	for {
@@ -1019,13 +1000,19 @@ func (s *Scheduler) waitChain(t *Thread) []event.TID {
 	}
 }
 
-// findDeadlock looks for any wait-for cycle in a stalled state.
+// findDeadlock looks for any wait-for cycle in a stalled state: the
+// cycle on the chain of the lowest-TID alive thread whose chain closes
+// one, rotated to start at its smallest TID. Every wait-for edge is
+// added by an acquire post, which cycleThrough already checks, so this
+// is the fallback that catches a cycle those checks missed.
 func (s *Scheduler) findDeadlock() *DeadlockInfo {
-	cycles := s.buildWaitGraph().Cycles()
-	if len(cycles) == 0 {
-		return nil
+	for _, t := range s.alive {
+		if cyc := s.waitChain(t); cyc != nil {
+			mi := slices.Index(cyc, slices.Min(cyc))
+			return s.describeCycle(append(cyc[mi:len(cyc):len(cyc)], cyc[:mi]...))
+		}
 	}
-	return s.describeCycle(cycles[0])
+	return nil
 }
 
 // describeCycle fills in the DeadlockInfo for a TID cycle. The edge

@@ -1,3 +1,15 @@
+// Package waitgraph classifies what blocked threads wait for and
+// decides which of them can never be released: the partial-deadlock
+// test behind the scheduler's blocking-deadlock verdicts.
+//
+// Lock cycles need no graph here. In a lock-based system each blocked
+// thread waits for exactly one lock and each held lock has exactly one
+// holder, so the wait-for relation is functional: t -> holder(want(t)).
+// A resource deadlock is a cycle in it, and the scheduler finds one by
+// walking a single thread's chain (the paper's checkRealDeadlock,
+// Algorithm 4). This package covers the waits that relation cannot
+// express — joins, latches, monitor waits, channels and WaitGroups —
+// through BlockKind and Forever.
 package waitgraph
 
 import (

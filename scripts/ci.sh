@@ -2,6 +2,7 @@
 # Tier-1 CI for dlfuzz, also available as `make ci`:
 #
 #   1. go vet            — static checks
+#   1b. gofmt            — every Go file is gofmt-clean (`make fmt-check`)
 #   2. go build          — every package compiles
 #   3. go test           — the full suite (runs campaigns through the
 #                          parallel engine by default)
@@ -59,7 +60,7 @@
 #  12. docs links        — every relative link in README.md and
 #                          docs/*.md resolves to a file in the repo
 #
-# Steps 4 and 5–11 are Makefile targets, so each smoke has one
+# Steps 1b, 4 and 5–11 are Makefile targets, so each smoke has one
 # definition and runs on its own too. FUZZTIME overrides the fuzz smoke
 # window (the Makefile's default is 10s). Performance is measured by the
 # benchmark under bench/, not here.
@@ -68,6 +69,9 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet ./... =="
 go vet ./...
+
+echo "== gofmt: every Go file formatted =="
+make fmt-check
 
 echo "== go build ./... =="
 go build ./...
