@@ -77,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzReadTrace -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeManifest -fuzztime=$(FUZZTIME) ./internal/corpus/
 	$(GO) test -run=Fuzz -fuzz=FuzzActivePolicy -fuzztime=$(FUZZTIME) ./internal/fuzzer/
+	$(GO) test -run=Fuzz -fuzz=FuzzSoloGrant -fuzztime=$(FUZZTIME) .
 
 # Byte-identity differential between the bytecode VM and the test-only
 # tree-walking reference interpreter: scheduled runs, confirm campaigns

@@ -250,21 +250,35 @@ func BenchmarkCheck(b *testing.B) {
 // out: scheduler handshake cost, dependency recording overhead, and the
 // iGoodlock join itself.
 
-// BenchmarkSchedulerSteps measures raw scheduling throughput (the
-// per-operation cost of the lockstep handshake) on warm shells. One op
-// is a 1000-step execution, so allocs/op ÷ 1000 is the per-step
-// allocation count.
+// BenchmarkSchedulerSteps measures raw scheduling throughput on warm
+// shells. One op is a 1000-step execution, so ns/op ÷ 1000 is the cost
+// of a step and allocs/op ÷ 1000 the per-step allocation count. step
+// prices the per-step handshake: 1000 Step requests under the default
+// policy. solo-work prices forced runs: one thread looping Work(8)
+// under the blocking campaign's policy, so seven of every eight
+// decisions are forced and taken in one Solo call per batch.
 func BenchmarkSchedulerSteps(b *testing.B) {
-	prog := func(c *sched.Ctx) {
-		for i := 0; i < 1000; i++ {
-			c.Step("bench:1")
+	run := func(b *testing.B, pol sched.Policy, prog func(*sched.Ctx)) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sched.New(sched.Options{Seed: int64(i), Policy: pol}).Run(prog)
 		}
+		b.ReportMetric(1000, "steps/op")
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sched.New(sched.Options{Seed: int64(i)}).Run(prog)
-	}
-	b.ReportMetric(1000, "steps/op")
+	b.Run("step", func(b *testing.B) {
+		run(b, nil, func(c *sched.Ctx) {
+			for i := 0; i < 1000; i++ {
+				c.Step("bench:1")
+			}
+		})
+	})
+	b.Run("solo-work", func(b *testing.B) {
+		run(b, fuzzer.BlockingPolicy{P: 0.7}, func(c *sched.Ctx) {
+			for i := 0; i < 1000/8; i++ {
+				c.Work(8, "bench:1")
+			}
+		})
+	})
 }
 
 // acquireProg is the Acquire/Release hot loop: pairs nested

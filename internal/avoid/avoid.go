@@ -64,6 +64,10 @@ func (p *Policy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 	return candidates[0]
 }
 
+// Solo takes all n forced decisions: a lone candidate is returned
+// without a draw.
+func (p *Policy) Solo(_ *sched.Scheduler, _ event.TID, n int) int { return n }
+
 // wouldEnterContestedPattern reports whether tid's pending acquire
 // instantiates a component of some recorded pattern while another thread
 // occupies a different component of the same pattern.

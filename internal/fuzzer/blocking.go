@@ -60,3 +60,10 @@ func (p BlockingPolicy) Next(s *sched.Scheduler, enabled []event.TID) event.TID 
 	}
 	return tid
 }
+
+// Solo takes all n forced decisions: a Step is not completing, so each
+// is the pick's one draw.
+func (BlockingPolicy) Solo(s *sched.Scheduler, _ event.TID, n int) int {
+	s.SkipDraws(n)
+	return n
+}

@@ -5,6 +5,7 @@ import (
 
 	"dlfuzz/internal/event"
 	"dlfuzz/internal/sched"
+	"dlfuzz/internal/workloads"
 )
 
 // sendObs records the sequence number of the first channel send.
@@ -105,5 +106,39 @@ func TestBlockingPolicyDeterministic(t *testing.T) {
 		if a.Outcome != b.Outcome || a.Steps != b.Steps {
 			t.Fatalf("seed %d: %v/%d vs %v/%d", seed, a.Outcome, a.Steps, b.Outcome, b.Steps)
 		}
+	}
+}
+
+// nextOnly hides the Solo of the policy it wraps, so the scheduler
+// decides every step with Next.
+type nextOnly struct{ sched.Policy }
+
+// TestSoloWorkAllocations guards the forced-run path's allocation rate,
+// like the root package's TestBatchedWorkAllocations guards the batch
+// path: spin-not-flagged's spinner works alone in Work(8) batches, so
+// under the blocking campaign's policy nearly every decision is forced
+// and taken through Solo. On a warm shell a run must allocate exactly
+// as much at 50,000 steps as at 5,000 — nothing per decision — and no
+// more than the same policy deciding every step with Next.
+func TestSoloWorkAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector, so warm-shell allocation counts do not repeat")
+	}
+	w, ok := workloads.ByName("spin-not-flagged")
+	if !ok {
+		t.Fatal("spin-not-flagged workload missing")
+	}
+	var solo, perStep sched.Policy = BlockingPolicy{P: 0.7}, nextOnly{BlockingPolicy{P: 0.7}}
+	allocs := func(pol sched.Policy, maxSteps int) float64 {
+		run := func() { sched.New(sched.Options{Seed: 1, MaxSteps: maxSteps, Policy: pol}).Run(w.Prog) }
+		run()
+		return testing.AllocsPerRun(20, run)
+	}
+	short, long := allocs(solo, 5_000), allocs(solo, 50_000)
+	if long != short {
+		t.Errorf("forced runs allocate per decision: %.0f allocs at 50,000 steps, %.0f at 5,000", long, short)
+	}
+	if per := allocs(perStep, 50_000); long > per {
+		t.Errorf("Solo run allocates %.0f, per-step run %.0f", long, per)
 	}
 }

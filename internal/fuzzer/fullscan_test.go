@@ -30,13 +30,15 @@ type hookEv struct {
 }
 
 // decisionLog records a run's decisions and its hook stream, in order.
+// cut counts the forced runs a Solo call took only part of.
 type decisionLog struct {
 	decisions []event.TID
 	hooks     []hookEv
+	cut       int
 }
 
 func (l *decisionLog) reset() {
-	l.decisions, l.hooks = l.decisions[:0], l.hooks[:0]
+	l.decisions, l.hooks, l.cut = l.decisions[:0], l.hooks[:0], 0
 }
 
 func (l *decisionLog) OnPause(t event.TID, step int, loc event.Loc) {
@@ -55,7 +57,9 @@ func (l *decisionLog) OnEvict(t event.TID, step int) {
 	l.hooks = append(l.hooks, hookEv{'e', t, step, ""})
 }
 
-// logged records every decision of the policy it wraps.
+// logged records every decision of the policy it wraps, those its Solo
+// takes included. Wrapping a policy without Solo, it takes none, so the
+// scheduler decides every step with Next.
 type logged struct {
 	sched.Policy
 	log *decisionLog
@@ -67,6 +71,21 @@ func (p logged) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 	return t
 }
 
+func (p logged) Solo(s *sched.Scheduler, t event.TID, n int) int {
+	sp, ok := p.Policy.(sched.SoloPolicy)
+	if !ok {
+		return 0
+	}
+	took := sp.Solo(s, t, n)
+	if took < n {
+		p.log.cut++
+	}
+	for range took {
+		p.log.decisions = append(p.log.decisions, t)
+	}
+	return took
+}
+
 // fullScan runs programs under the incremental Policy and under
 // refPolicy and compares what they did. One Policy serves every run,
 // re-armed by Reset the way a campaign's Runner re-arms it, so class
@@ -74,9 +93,11 @@ func (p logged) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 type fullScan struct {
 	pol      *Policy
 	got, ref decisionLog
-	// hooks totals the hook calls of every compared run by kind, so a
-	// test can check that each hook was exercised.
+	// hooks totals the hook calls of every compared run by kind, and cut
+	// the forced runs a Solo call stopped short of (at a due eviction),
+	// so a test can check that each was exercised.
 	hooks map[byte]int
+	cut   int
 }
 
 func newFullScan() *fullScan {
@@ -98,6 +119,7 @@ func (f *fullScan) compare(prog func(*sched.Ctx), cycle *igoodlock.Cycle, cfg Co
 	for _, h := range f.ref.hooks {
 		f.hooks[h.kind]++
 	}
+	f.cut += f.got.cut
 	if i := firstDiff(f.got.decisions, f.ref.decisions); i >= 0 {
 		return fmt.Sprintf("decision %d differs (of %d vs %d)", i, len(f.got.decisions), len(f.ref.decisions))
 	}
@@ -137,17 +159,20 @@ func hookPair(a, b []hookEv, i int) string {
 	return at(a) + " vs reference " + at(b)
 }
 
-// scanConfigs is the paper's five Figure 2 variants, plus two stress
+// scanConfigs is the paper's five Figure 2 variants, plus three stress
 // configurations: variant 2 with a short pause timeout, so the livelock
-// monitor evicts, and the trivial abstraction without context, under
-// which every acquire matches — a freshly spawned thread's first one
-// included.
+// monitor evicts; variant 2 with a tiny one, so evictions fall due
+// inside the forced runs of a Work batch and Solo must stop short of
+// them; and the trivial abstraction without context, under which every
+// acquire matches — a freshly spawned thread's first one included.
 func scanConfigs() []Config {
 	v := func(a object.Abstraction, ctx, yield bool) Config {
 		return Config{Abstraction: a, K: 10, UseContext: ctx, YieldOpt: yield}
 	}
 	short := v(object.ExecIndex, true, true)
 	short.PauseTimeout = 20
+	tiny := v(object.ExecIndex, true, true)
+	tiny.PauseTimeout = 5
 	return []Config{
 		v(object.KObject, true, true),
 		v(object.ExecIndex, true, true),
@@ -156,7 +181,32 @@ func scanConfigs() []Config {
 		v(object.ExecIndex, true, false),
 		short,
 		v(object.Trivial, false, true),
+		tiny,
 	}
+}
+
+// workInCycle is a two-lock cycle whose first thread works while
+// holding its first lock: once the second thread is paused blocked on
+// that lock, the worker runs alone, and under a tiny pause timeout the
+// eviction falls due part-way through its Work batch.
+func workInCycle(c *sched.Ctx) {
+	a := c.New("Object", "wic.main:1")
+	b := c.New("Object", "wic.main:2")
+	t1 := c.Spawn("t1", nil, "wic.main:3", func(c *sched.Ctx) {
+		c.Acquire(a, "wic.t1:10")
+		c.Work(50, "wic.t1:11")
+		c.Acquire(b, "wic.t1:12")
+		c.Release(b, "wic.t1:12")
+		c.Release(a, "wic.t1:10")
+	})
+	t2 := c.Spawn("t2", nil, "wic.main:4", func(c *sched.Ctx) {
+		c.Acquire(b, "wic.t2:20")
+		c.Acquire(a, "wic.t2:21")
+		c.Release(a, "wic.t2:21")
+		c.Release(b, "wic.t2:20")
+	})
+	c.Join(t1, "wic.main:5")
+	c.Join(t2, "wic.main:6")
 }
 
 // observe merges prog's lock dependencies over four observation runs
@@ -215,9 +265,10 @@ func clfInputs(t *testing.T) []scanInput {
 
 // TestPolicyMatchesFullScan holds the incremental Policy to the literal
 // full-rescan loop (refPolicy): identical decisions, hook calls (with
-// step and site) and Stats on every built-in workload, the committed
-// corpus and generated large programs, for each Phase I cycle under
-// every Figure 2 variant.
+// step and site) and Stats on every built-in workload, workInCycle, the
+// committed corpus and generated large programs, for each Phase I cycle
+// under every Figure 2 variant. The Policy takes forced runs through
+// Solo, the reference decides every step with Next.
 func TestPolicyMatchesFullScan(t *testing.T) {
 	var ins []scanInput
 	for _, w := range append(workloads.All(), workloads.Blocking()...) {
@@ -234,6 +285,9 @@ func TestPolicyMatchesFullScan(t *testing.T) {
 	} else {
 		ins = append(ins, clfInputs(t)...)
 	}
+	// workInCycle is tiny, and the one Go program whose forced runs
+	// reach a due eviction: all its seeds run even under the detector.
+	ins = append(ins, scanInput{"go/work-in-cycle", workInCycle, 50})
 
 	f := newFullScan()
 	runs := 0
@@ -249,11 +303,14 @@ func TestPolicyMatchesFullScan(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d runs identical; hook calls %v", runs, f.hooks)
+	t.Logf("%d runs identical; hook calls %v; %d forced runs cut at an eviction", runs, f.hooks, f.cut)
 	for _, k := range []byte("ptye") {
 		if f.hooks[k] == 0 {
 			t.Errorf("no %c hook call in any run: the differential does not exercise it", k)
 		}
+	}
+	if f.cut == 0 {
+		t.Error("no Solo call stopped short at a due eviction: the differential does not exercise the cap")
 	}
 }
 

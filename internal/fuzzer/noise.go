@@ -45,3 +45,10 @@ func (p NoisePolicy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 	}
 	return tid
 }
+
+// Solo takes all n forced decisions: a Step is no lock operation, so
+// each is the pick's one draw.
+func (NoisePolicy) Solo(s *sched.Scheduler, _ event.TID, n int) int {
+	s.SkipDraws(n)
+	return n
+}

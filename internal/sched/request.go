@@ -52,8 +52,9 @@ type Request struct {
 	// requests). Zero and one both mean a single step. The scheduler
 	// grants a batched request Steps times — each grant is a full
 	// scheduling decision, consuming the same policy/RNG draws as a
-	// per-step execution — but only resumes the thread on the last
-	// grant, eliminating the per-step handshake on the dominant path.
+	// per-step execution, though a SoloPolicy takes the forced ones in
+	// one call — but only resumes the thread on the last grant,
+	// eliminating the per-step handshake on the dominant path.
 	Steps int
 }
 

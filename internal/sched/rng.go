@@ -162,6 +162,38 @@ func (s *fastSource) Uint64() uint64 {
 	return uint64(x)
 }
 
+// skip advances the generator by n draws, leaving it exactly as n
+// Uint64 calls would. The lazy fill is hoisted out of the loop: draw j
+// from here reads tap slot tap−j while the first pass runs (a fresh
+// register's tap 0 stands for 607), so growing until that slot of the
+// n-th draw is filled covers the whole run. Filling early is safe —
+// a chunk's slots are not fed before their lazy grow would have filled
+// them (see grow).
+func (s *fastSource) skip(n int) {
+	if s.fillTap > 0 {
+		first := s.tap
+		if first == 0 {
+			first = rngLen
+		}
+		for s.fillTap > 0 && first-n < s.fillTap {
+			s.grow()
+		}
+	}
+	tap, feed := s.tap, s.feed
+	for ; n > 0; n-- {
+		tap--
+		if tap < 0 {
+			tap += rngLen
+		}
+		feed--
+		if feed < 0 {
+			feed += rngLen
+		}
+		s.vec[feed] += s.vec[tap]
+	}
+	s.tap, s.feed = tap, feed
+}
+
 // Int63 matches rngSource.Int63.
 func (s *fastSource) Int63() int64 { return int64(s.Uint64() & rngMask) }
 

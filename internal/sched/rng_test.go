@@ -84,6 +84,37 @@ func TestFastSourceReseed(t *testing.T) {
 	}
 }
 
+// TestFastSourceSkip pins skip's contract: skip(n) leaves the source
+// exactly where n Uint64 draws would, from any position — a fresh
+// register, any lazy-fill edge, a fully filled one — and for runs that
+// cross chunk edges, the end of the first pass, or several of both.
+func TestFastSourceSkip(t *testing.T) {
+	runs := append(rngEdgeCounts(), 3*rngLen+5, 5000)
+	for _, seed := range rngTestSeeds[:8] {
+		for _, before := range rngEdgeCounts() {
+			for _, n := range runs {
+				want := rand.NewSource(seed).(rand.Source64)
+				src := &fastSource{}
+				src.Seed(seed)
+				for d := 0; d < before; d++ {
+					want.Uint64()
+					src.Uint64()
+				}
+				for d := 0; d < n; d++ {
+					want.Uint64()
+				}
+				src.skip(n)
+				for d := 0; d < rngLen+1; d++ {
+					if w, g := want.Uint64(), src.Uint64(); w != g {
+						t.Fatalf("seed %d: %d draws, skip(%d), draw %d: %d != stdlib %d",
+							seed, before, n, d, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 // The Draw64 pair prices a typical short execution's RNG use: one Seed
 // and 64 draws, which the lazy fill serves from two chunks of each of
 // the register's ranges. Seed alone is O(1) and measures nothing.

@@ -15,10 +15,14 @@
 // the paper's probabilities measurable and its experiments replayable.
 //
 // Invisible work (Ctx.Work) is batched: a thread posts one request for n
-// steps and receives its n grants without reposting, so the policy is
-// still consulted — and the step counter still advances — once per step,
-// with no per-step handshake. The schedule is that of n separate Steps;
-// the batching goldens (batching_test.go in the module root) pin it.
+// steps and receives its n grants without reposting, so every step is
+// still a scheduling decision — the step counter advances and the policy
+// draws once per step — with no per-step handshake. While the batching
+// thread is the only enabled one, each of those decisions is forced, and
+// a policy implementing SoloPolicy takes the whole run of them in one
+// call, with the draws of the per-step calls. The schedule is that of n
+// separate Steps; the batching goldens (batching_test.go in the module
+// root) pin it.
 //
 // A run that ends with threads still blocked tears them down: each is
 // resumed once with an abort and unwinds, its stack's deferred Returns
@@ -61,9 +65,28 @@ import (
 // Next must return one of the TIDs in enabled; enabled is non-empty and
 // sorted ascending. The slice is a buffer the scheduler reuses between
 // steps: policies may read it freely during the call but must not retain
-// it.
+// it. Next is called once per decision, except for the forced decisions
+// a SoloPolicy takes in bulk.
 type Policy interface {
 	Next(s *Scheduler, enabled []event.TID) event.TID
+}
+
+// SoloPolicy is a Policy that can take a run of forced decisions in one
+// call. A decision is forced when the enabled set is {t} and t's request
+// is a batched Step (Ctx.Work) part-way through: Next could only return
+// t, and a Step is no synchronization operation, so a policy has
+// nothing to decide — at most it draws what its Next would.
+//
+// Solo takes up to n consecutive forced decisions for t and returns how
+// many it took; 0 means "decide with Next". Taking k of them must draw
+// what k Next calls would (SkipDraws covers the usual one draw each) and
+// leave the policy's hooks, stats and state as those calls would. The
+// scheduler calls Solo only right after a Next call that returned t, and
+// advances its step count by the decisions taken once Solo returns, so
+// Steps reports the decisions taken before the run.
+type SoloPolicy interface {
+	Policy
+	Solo(s *Scheduler, t event.TID, n int) int
 }
 
 // Ev is one observed dynamic statement, delivered to observers after its
@@ -118,7 +141,9 @@ const defaultMaxSteps = 1_000_000
 type Scheduler struct {
 	opts    Options
 	rng     *rand.Rand
+	src     *fastSource // rng's source, for SkipDraws
 	policy  Policy
+	solo    SoloPolicy // policy as a SoloPolicy, nil when it is not one
 	alloc   object.Allocator
 	threads []*Thread
 	// alive lists the non-terminated threads in ascending TID order (ids
@@ -200,9 +225,9 @@ func (s *Scheduler) init(opts Options) {
 		// rand.NewSource(opts.Seed) with a far cheaper per-run Seed
 		// (a faster fill, done lazily as draws reach the register);
 		// see rng.go for the bit-compatibility argument.
-		src := &fastSource{}
-		src.Seed(opts.Seed)
-		s.rng = rand.New(src)
+		s.src = &fastSource{}
+		s.src.Seed(opts.Seed)
+		s.rng = rand.New(s.src)
 	} else {
 		// Re-seeding produces the identical stream to a fresh
 		// rand.New(rand.NewSource(seed)), without the two allocations.
@@ -212,12 +237,18 @@ func (s *Scheduler) init(opts Options) {
 	if s.policy == nil {
 		s.policy = RandomPolicy{}
 	}
+	s.solo, _ = s.policy.(SoloPolicy)
 	s.observing = len(opts.Observers) > 0
 }
 
 // Rand returns the execution's RNG. Policies draw from it so that one
 // seed determines the whole schedule.
 func (s *Scheduler) Rand() *rand.Rand { return s.rng }
+
+// SkipDraws advances the execution's RNG by what n Rand().Intn(1) calls
+// draw — one source draw each — without computing the values: the draws
+// of n forced decisions (see SoloPolicy).
+func (s *Scheduler) SkipDraws(n int) { s.src.skip(n) }
 
 // Steps returns the number of scheduling decisions taken so far.
 func (s *Scheduler) Steps() int { return s.steps }
@@ -556,6 +587,7 @@ func (s *Scheduler) recycle() {
 	s.alloc.Reset()
 	s.opts = Options{}
 	s.policy = nil
+	s.solo = nil
 	s.steps = 0
 	s.seq = 0
 	s.acquires = 0
@@ -912,10 +944,13 @@ func (s *Scheduler) applyRequest(t *Thread) bool {
 			// policy is consulted once per step either way — so the
 			// decision sequence, RNG draws and event stream are exactly
 			// those of the per-step protocol, minus a switch to the
-			// thread and back.
+			// thread and back. While t is the only enabled thread, a
+			// SoloPolicy takes the batch's forced decisions in one call.
 			r.Steps--
 			s.enabledValid = true
-			return false
+			if s.solo == nil || len(s.enabledBuf) != 1 || !s.soloRun(t, base) {
+				return false
+			}
 		}
 
 	default:
@@ -925,6 +960,31 @@ func (s *Scheduler) applyRequest(t *Thread) bool {
 
 	s.enabledValid = false
 	return true
+}
+
+// soloRun hands the rest of t's batch, as far as the step limit allows,
+// to the SoloPolicy while t is the only enabled thread, and applies the
+// decisions it takes: one Step event each, as the per-step loop would
+// emit them. It reports whether the batch's last grant was among them,
+// so that t must now be granted the turn.
+func (s *Scheduler) soloRun(t *Thread, base *Ev) bool {
+	r := &t.pending
+	n := min(r.Steps, s.opts.MaxSteps-s.steps)
+	if n <= 0 {
+		return false
+	}
+	took := s.solo.Solo(s, t.id, n)
+	if s.observing {
+		for range took {
+			s.steps++
+			s.emit(base)
+		}
+	} else {
+		s.steps += took
+		s.seq += uint64(took)
+	}
+	r.Steps -= took
+	return r.Steps == 0
 }
 
 // wake notifies one (or all) of ls's waiters and returns the woken
@@ -1046,4 +1106,10 @@ type RandomPolicy struct{}
 // Next picks uniformly from enabled.
 func (RandomPolicy) Next(s *Scheduler, enabled []event.TID) event.TID {
 	return enabled[s.Rand().Intn(len(enabled))]
+}
+
+// Solo takes all n forced decisions: each is one draw.
+func (RandomPolicy) Solo(s *Scheduler, _ event.TID, n int) int {
+	s.SkipDraws(n)
+	return n
 }

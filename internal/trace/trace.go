@@ -123,6 +123,20 @@ func (p *RecordingPolicy) Next(s *sched.Scheduler, enabled []event.TID) event.TI
 	return t
 }
 
+// Solo delegates to Inner's Solo, when it has one, and records every
+// decision taken.
+func (p *RecordingPolicy) Solo(s *sched.Scheduler, t event.TID, n int) int {
+	inner, ok := p.Inner.(sched.SoloPolicy)
+	if !ok {
+		return 0
+	}
+	took := inner.Solo(s, t, n)
+	for range took {
+		p.order = append(p.order, t)
+	}
+	return took
+}
+
 // Schedule returns the recorded decision sequence.
 func (p *RecordingPolicy) Schedule() Schedule {
 	out := make(Schedule, len(p.order))
@@ -162,6 +176,26 @@ func (p *ReplayPolicy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 	}
 	p.diverged = true
 	return enabled[s.Rand().Intn(len(enabled))]
+}
+
+// Solo replays the run of t recorded at the current position, up to n
+// decisions; the decision after a shorter run diverges, as Next would
+// find t's recorded rival disabled or the schedule spent, and each
+// decision from there on is a random pick's one draw.
+func (p *ReplayPolicy) Solo(s *sched.Scheduler, t event.TID, n int) int {
+	k := 0
+	if !p.diverged {
+		for k < n && p.pos < len(p.schedule) && p.schedule[p.pos] == t {
+			p.pos++
+			k++
+		}
+		if k == n {
+			return n
+		}
+		p.diverged = true
+	}
+	s.SkipDraws(n - k)
+	return n
 }
 
 // Diverged reports whether the replay left the recorded schedule (the

@@ -25,10 +25,13 @@
 #                          FuzzReadTrace and FuzzDecodeManifest each
 #                          explore for a few seconds from their seeded
 #                          corpora, FuzzWitnessEncode holds the witness
-#                          encoder to encoding/json's bytes, and
+#                          encoder to encoding/json's bytes,
 #                          FuzzActivePolicy holds the incremental Phase II
 #                          policy to the full-rescan reference on
-#                          generated programs
+#                          generated programs, and FuzzSoloGrant holds
+#                          every policy that takes forced runs in one
+#                          call (SoloPolicy) to its step-by-step self on
+#                          generated programs of every preset
 #   6. vm diff           — the bytecode VM and the test-only
 #                          tree-walking reference interpreter must be
 #                          byte-identical (events, output, campaign
@@ -88,7 +91,7 @@ make race
 echo "== bench module: traced ≡ untraced fidelity and every-workload smoke =="
 (cd bench && go test ./...)
 
-echo "== fuzz smoke: every decoder target, the witness encoder and the active policy for ${FUZZTIME:-10s} each =="
+echo "== fuzz smoke: every decoder target, the witness encoder, the active policy and forced runs for ${FUZZTIME:-10s} each =="
 make fuzz-smoke
 
 echo "== vm diff: bytecode VM vs test-only tree-walker byte identity =="
