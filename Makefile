@@ -28,13 +28,23 @@ race:
 		./internal/harness/ ./internal/fuzzer/ ./internal/obs/ ./internal/lang/ ./cmd/dlfuzz/
 
 # Fuzz philosophers with -witness-dir, then replay every emitted witness
-# and require each recorded deadlock to reproduce (the CI replay smoke,
+# and require each recorded deadlock to reproduce; then record a
+# step-limited clfrun run of philosophers, replay the file, and require
+# the same outcome line and no divergence warning (the CI replay smoke,
 # runnable on its own).
 replay-smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/dlfuzz -runs 30 -witness-dir "$$dir" \
 		testdata/philosophers.clf >/dev/null || [ $$? -eq 1 ]; \
-	$(GO) run ./cmd/dlfuzz replay "$$dir"
+	$(GO) run ./cmd/dlfuzz replay "$$dir" && \
+	$(GO) build -o "$$dir/clfrun" ./cmd/clfrun && \
+	{ "$$dir/clfrun" -seed 5 -max-steps 20 -record "$$dir/run.jsonl" \
+		testdata/philosophers.clf >"$$dir/rec.txt" || [ $$? -eq 1 ]; } && \
+	{ "$$dir/clfrun" -replay "$$dir/run.jsonl" \
+		testdata/philosophers.clf >"$$dir/rep.txt" || [ $$? -eq 1 ]; } && \
+	! grep diverged "$$dir/rep.txt" && \
+	[ "$$(grep '^outcome:' "$$dir/rec.txt")" = "$$(grep '^outcome:' "$$dir/rep.txt")" ] && \
+	grep '^outcome:' "$$dir/rep.txt"
 
 # Serial-vs-parallel campaign scaling on the CLF programs, the sharded
 # Phase I closure at 1/2/4 workers, and the finder bakeoff
@@ -74,7 +84,6 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzReadWitness -fuzztime=$(FUZZTIME) ./internal/obs/
 	$(GO) test -run=Fuzz -fuzz=FuzzWitnessEncode -fuzztime=$(FUZZTIME) ./internal/obs/
 	$(GO) test -run=Fuzz -fuzz=FuzzReadJournal -fuzztime=$(FUZZTIME) ./internal/obs/
-	$(GO) test -run=Fuzz -fuzz=FuzzReadTrace -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeManifest -fuzztime=$(FUZZTIME) ./internal/corpus/
 	$(GO) test -run=Fuzz -fuzz=FuzzActivePolicy -fuzztime=$(FUZZTIME) ./internal/fuzzer/
 	$(GO) test -run=Fuzz -fuzz=FuzzSoloGrant -fuzztime=$(FUZZTIME) .

@@ -26,8 +26,8 @@ import (
 	"dlfuzz/internal/campaign"
 	"dlfuzz/internal/fuzzer"
 	"dlfuzz/internal/object"
+	"dlfuzz/internal/obs"
 	"dlfuzz/internal/sched"
-	"dlfuzz/internal/trace"
 	"dlfuzz/internal/workloads"
 )
 
@@ -144,10 +144,10 @@ func renderDeadlock(d *sched.DeadlockInfo) string {
 }
 
 // renderExecution prints one scheduled execution: every Result field,
-// the deadlock or blocked verdict, and the SHA-256 of its trace.Collector
+// the deadlock or blocked verdict, and the SHA-256 of its obs.Collector
 // JSONL event stream.
 func renderExecution(t *testing.T, prog func(*sched.Ctx), seed int64) string {
-	col := trace.NewCollector()
+	col := obs.NewCollector()
 	res := sched.New(sched.Options{Seed: seed, Observers: []sched.Observer{col}}).Run(prog)
 	h := sha256.New()
 	if err := col.Encode(h); err != nil {

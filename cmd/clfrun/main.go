@@ -9,7 +9,7 @@
 //	clfrun -seed 7 prog.clf               # a specific interleaving
 //	clfrun -trace out.jsonl prog.clf      # record the event stream
 //	clfrun -record run.jsonl prog.clf     # record the schedule as a witness
-//	clfrun -replay run.jsonl prog.clf     # replay a witness's schedule (any seed)
+//	clfrun -replay run.jsonl prog.clf     # replay a witness at its seed and step bound
 package main
 
 import (
@@ -20,12 +20,10 @@ import (
 
 	"dlfuzz"
 	"dlfuzz/internal/cliflag"
-	"dlfuzz/internal/event"
 	"dlfuzz/internal/fuzzer"
 	"dlfuzz/internal/lang"
 	"dlfuzz/internal/obs"
 	"dlfuzz/internal/sched"
-	"dlfuzz/internal/trace"
 )
 
 func main() {
@@ -43,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxSteps  = fs.Int("max-steps", 0, "step bound (0 = default)")
 		traceOut  = fs.String("trace", "", "write the event trace (JSON lines) to this file")
 		recordOut = fs.String("record", "", "write the schedule to this file, as a witness")
-		replayIn  = fs.String("replay", "", "replay the schedule of this witness file")
+		replayIn  = fs.String("replay", "", "replay this witness file, at its seed and step bound")
 	)
 	if err := cliflag.Parse(fs, args); err != nil {
 		return 2
@@ -52,9 +50,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: clfrun [flags] program.clf")
 		return 2
 	}
-	if *recordOut != "" && *replayIn != "" {
-		fmt.Fprintln(stderr, "clfrun: -record and -replay cannot be combined")
-		return 2
+	if *replayIn != "" {
+		bad := ""
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "record", "seed", "max-steps":
+				if bad == "" {
+					bad = f.Name
+				}
+			}
+		})
+		if bad != "" {
+			fmt.Fprintf(stderr, "clfrun: -%s and -replay cannot be combined\n", bad)
+			return 2
+		}
 	}
 	file := fs.Arg(0)
 	src, err := os.ReadFile(file)
@@ -69,14 +78,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := sched.Options{Seed: *seed, MaxSteps: *maxSteps}
-
-	var collector *trace.Collector
-	if *traceOut != "" {
-		collector = trace.NewCollector()
-		opts.Observers = append(opts.Observers, collector)
-	}
-	var recorder *trace.RecordingPolicy
-	var replayer *trace.ReplayPolicy
+	var recorder *obs.RecordingPolicy
+	var replayer *obs.ReplayPolicy
 	switch {
 	case *replayIn != "":
 		f, err := os.Open(*replayIn)
@@ -90,15 +93,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "clfrun:", err)
 			return 2
 		}
-		schedule := make(trace.Schedule, len(wit.Schedule))
-		for i, t := range wit.Schedule {
-			schedule[i] = event.TID(t)
-		}
-		replayer = trace.NewReplay(schedule)
-		opts.Policy = replayer
+		opts, replayer = wit.ReplayOptions()
 	case *recordOut != "":
-		recorder = trace.NewRecording(nil)
+		recorder = obs.NewRecording(nil)
 		opts.Policy = recorder
+	}
+	var collector *obs.Collector
+	if *traceOut != "" {
+		collector = obs.NewCollector()
+		opts.Observers = append(opts.Observers, collector)
 	}
 
 	res, err := lang.NewInterp(prog, stdout).Run(opts)

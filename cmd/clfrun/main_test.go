@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -100,30 +101,35 @@ func TestReplayCapturedWitness(t *testing.T) {
 	}
 }
 
-// TestRunRecordReplayRoundTrip records a schedule, replays it, and
-// requires the replayed outcome line to match the recorded run exactly
-// (and not to warn about divergence).
+// TestRunRecordReplayRoundTrip records runs and replays them, and
+// requires the replay to exit as the recorded run did and print what it
+// printed, save the schedule line, with no divergence warning. The
+// replay takes its seed and step bound from the witness: philosophers
+// recorded under -max-steps 20 stops at the same step limit. On
+// notify.clf, single notifies wake one of three waiters, a choice the
+// replay must make as the recording did although it draws nothing from
+// the RNG.
 func TestRunRecordReplayRoundTrip(t *testing.T) {
-	sched := filepath.Join(t.TempDir(), "run.jsonl")
-
-	var recOut, recErr bytes.Buffer
-	recCode := run([]string{"-seed", "5", "-record", sched, philosophers}, &recOut, &recErr)
-	if recCode != 0 && recCode != 1 {
-		t.Fatalf("record run exit %d; stderr: %s", recCode, recErr.String())
+	cases := [][]string{
+		{"-seed", "5", philosophers},
+		{"-seed", "5", "-max-steps", "20", philosophers},
 	}
-
-	var repOut, repErr bytes.Buffer
-	repCode := run([]string{"-replay", sched, philosophers}, &repOut, &repErr)
-	if repCode != recCode {
-		t.Errorf("replay exit %d, recorded run exit %d; stderr: %s", repCode, recCode, repErr.String())
+	for seed := 0; seed <= 30; seed++ {
+		cases = append(cases, []string{"-seed", strconv.Itoa(seed), filepath.Join("testdata", "notify.clf")})
 	}
-	if bytes.Contains(repOut.Bytes(), []byte("diverged")) {
-		t.Errorf("replay diverged:\n%s", repOut.String())
-	}
-	recLine, _, _ := bytes.Cut(recOut.Bytes(), []byte("\n"))
-	repLine, _, _ := bytes.Cut(repOut.Bytes(), []byte("\n"))
-	if !bytes.Equal(recLine, repLine) {
-		t.Errorf("replayed outcome %q != recorded outcome %q", repLine, recLine)
+	for _, args := range cases {
+		rec := filepath.Join(t.TempDir(), "run.jsonl")
+		var recOut, recErr bytes.Buffer
+		recCode := run(append([]string{"-record", rec}, args...), &recOut, &recErr)
+		if recCode == 2 {
+			t.Fatalf("%v: record run exit 2; stderr: %s", args, recErr.String())
+		}
+		var repOut, repErr bytes.Buffer
+		repCode := run([]string{"-replay", rec, args[len(args)-1]}, &repOut, &repErr)
+		recorded, _, _ := strings.Cut(recOut.String(), "schedule: ")
+		if repCode != recCode || repOut.String() != recorded {
+			t.Errorf("%v: replay exit %d printed\n%swant exit %d and\n%s", args, repCode, repOut.String(), recCode, recorded)
+		}
 	}
 }
 
@@ -196,6 +202,13 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "out.jsonl")); err == nil {
 		t.Error("-replay with -record wrote the record file")
+	}
+	for _, set := range [][]string{{"-seed", "5"}, {"-max-steps", "20"}} {
+		stderr.Reset()
+		args := append(set, "-replay", filepath.Join("testdata", "record-deadlock.jsonl"), philosophers)
+		if code := run(args, &stdout, &stderr); code != 2 || strings.Count(stderr.String(), "\n") != 1 {
+			t.Errorf("%s with -replay: exit %d, stderr %q; want exit 2 and one line", set[0], code, stderr.String())
+		}
 	}
 	stderr.Reset()
 	if code := run([]string{"-tree", philosophers}, &stdout, &stderr); code != 2 ||

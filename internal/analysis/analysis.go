@@ -9,7 +9,6 @@ import (
 	"dlfuzz/internal/lockset"
 	"dlfuzz/internal/predict"
 	"dlfuzz/internal/sched"
-	"dlfuzz/internal/trace"
 
 	// Register the sound sync-preserving finder alongside the default
 	// iGoodlock one: every pipeline consumer resolves finders by name.
@@ -49,11 +48,6 @@ func (p *Pipeline) LockDeps(clocks lockset.ClockSource) *lockset.Recorder {
 		r = r.WithClocks(clocks)
 	}
 	return Attach(p, r)
-}
-
-// Trace attaches a full-event-stream collector.
-func (p *Pipeline) Trace() *trace.Collector {
-	return Attach(p, trace.NewCollector())
 }
 
 // Stats attaches a per-kind event counter.
@@ -163,11 +157,6 @@ type runOutcome struct {
 	stats     *Stats
 	deadlocks []*sched.DeadlockInfo
 }
-
-// observeFunc executes one observation run; observeRun is the
-// implementation, and the differential test supplies a reference that
-// observes every attempt.
-type observeFunc func(prog func(*sched.Ctx), base int64, maxSteps int, withHistory bool) runOutcome
 
 // observeRun executes one observation run: seeds from base upward are
 // tried until an execution completes. Attempts that deadlock are

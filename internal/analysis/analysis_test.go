@@ -6,6 +6,7 @@ import (
 
 	"dlfuzz/internal/analysis"
 	"dlfuzz/internal/event"
+	"dlfuzz/internal/obs"
 	"dlfuzz/internal/predict"
 	"dlfuzz/internal/sched"
 )
@@ -55,15 +56,16 @@ func certainDeadlock(c *sched.Ctx) {
 	c.Join(t2, "cd:7")
 }
 
-// TestPipelineSharesOneRun attaches all four stock analyses to one
-// execution and checks they observed the same stream: the trace length,
-// the stats total and the scheduler's own event count must agree, and
-// the dependency recorder must have consumed the HB tracker's clocks.
+// TestPipelineSharesOneRun attaches the three stock analyses and an
+// obs event collector to one execution and checks they observed the
+// same stream: the trace length, the stats total and the scheduler's
+// own event count must agree, and the dependency recorder must have
+// consumed the HB tracker's clocks.
 func TestPipelineSharesOneRun(t *testing.T) {
 	var p analysis.Pipeline
 	tracker := p.HB()
 	rec := p.LockDeps(tracker)
-	tr := p.Trace()
+	tr := analysis.Attach(&p, obs.NewCollector())
 	stats := p.Stats()
 	res := p.Run(inversion, analysis.Exec{Seed: 1})
 	if res.Outcome != sched.Completed {

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -95,11 +94,14 @@ func bareDiffPrograms(t *testing.T) []bareDiffProgram {
 }
 
 // TestBareRetriesMatchObservedReference pins the bare-retry observation
-// loop to the reference that observes every attempt: the full campaign
-// observation (per-run stats, witnessed deadlocks, attempt, step and
-// event totals, candidates) and the merged relation with every run's
-// history must be deeply equal, at one and four runs, at widths 1 and
-// 4, under a finder without history and one with it.
+// loop to the reference that observes every attempt, one observation
+// run at a time: observeRun's outcome (seed, attempts, witnessed
+// deadlocks, relation, history, step, event and per-kind totals) must
+// be deeply equal to the reference's for the run bases of a four-run
+// campaign, with and without history. It also holds the campaign at
+// width 4 to width 1, through ObserveMany under a finder without
+// history and one with it, and through ObserveRelation's merged
+// relation and histories.
 func TestBareRetriesMatchObservedReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential over every program")
@@ -109,28 +111,39 @@ func TestBareRetriesMatchObservedReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const runs, seed = 4, 1
 	for _, p := range bareDiffPrograms(t) {
 		t.Run(p.name, func(t *testing.T) {
-			for _, runs := range []int{1, 4} {
-				for _, finder := range []predict.CandidateFinder{nil, syncFinder} {
-					opts := CampaignOptions{Runs: runs, Parallelism: 1, ClosureParallelism: 1,
-						Seed: 1, MaxSteps: p.maxSteps, Finder: finder}
-					wantCO, wantObs, wantErr := observeMany(p.body, cfg, opts, observeAllObserved)
-					for _, width := range []int{1, 4} {
-						opts.Parallelism = width
-						gotCO, gotObs, gotErr := observeMany(p.body, cfg, opts, observeRun)
-						where := fmt.Sprintf("runs %d, width %d, history %v", runs, width, finder != nil)
-						if gotErr != wantErr {
-							t.Fatalf("%s: err %v, reference %v", where, gotErr, wantErr)
-						}
-						if !reflect.DeepEqual(gotCO, wantCO) {
-							t.Fatalf("%s: campaign observation differs\ngot  %+v\nwant %+v", where, gotCO, wantCO)
-						}
-						if !reflect.DeepEqual(gotObs, wantObs) {
-							t.Fatalf("%s: merged relation or histories differ", where)
-						}
+			for i := int64(0); i < runs; i++ {
+				base := seed + i*maxObserveAttempts
+				for _, withHistory := range []bool{false, true} {
+					got := observeRun(p.body, base, p.maxSteps, withHistory)
+					want := observeAllObserved(p.body, base, p.maxSteps, withHistory)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("run base %d, history %v: outcome differs\ngot  %+v\nwant %+v", base, withHistory, got, want)
 					}
 				}
+			}
+			opts := func(width int, finder predict.CandidateFinder) CampaignOptions {
+				return CampaignOptions{Runs: runs, Parallelism: width, ClosureParallelism: 1,
+					Seed: seed, MaxSteps: p.maxSteps, Finder: finder}
+			}
+			for _, finder := range []predict.CandidateFinder{nil, syncFinder} {
+				want, wantErr := ObserveMany(p.body, cfg, opts(1, finder))
+				got, gotErr := ObserveMany(p.body, cfg, opts(4, finder))
+				if gotErr != wantErr || !reflect.DeepEqual(got, want) {
+					t.Fatalf("ObserveMany, history %v: width 4 differs from width 1\ngot  %+v (%v)\nwant %+v (%v)",
+						finder != nil, got, gotErr, want, wantErr)
+				}
+			}
+			wantCO, wantObs, wantErr := ObserveRelation(p.body, cfg, opts(1, nil))
+			gotCO, gotObs, gotErr := ObserveRelation(p.body, cfg, opts(4, nil))
+			if gotErr != wantErr || !reflect.DeepEqual(gotCO, wantCO) {
+				t.Fatalf("ObserveRelation: width 4 campaign differs from width 1\ngot  %+v (%v)\nwant %+v (%v)",
+					gotCO, gotErr, wantCO, wantErr)
+			}
+			if !reflect.DeepEqual(gotObs, wantObs) {
+				t.Fatal("ObserveRelation: width 4 merged relation or histories differ from width 1")
 			}
 		})
 	}

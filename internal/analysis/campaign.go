@@ -105,25 +105,18 @@ type campaignRun struct {
 // ErrNoCompletedRun is returned only when no run completes; the partial
 // campaign still carries witnessed deadlocks and per-run stats.
 func ObserveMany(prog func(*sched.Ctx), cfg predict.Config, opts CampaignOptions) (*CampaignObservation, error) {
-	co, _, err := observeMany(prog, cfg, opts, observeRun)
-	return co, err
-}
-
-// observeMany is ObserveMany with the observation-run loop as a
-// parameter, also returning the merged observation the finder read.
-func observeMany(prog func(*sched.Ctx), cfg predict.Config, opts CampaignOptions, observe observeFunc) (*CampaignObservation, *predict.Observation, error) {
 	finder := opts.Finder
 	if finder == nil {
 		finder = predict.Default()
 	}
-	co, pobs, err := observeCampaign(prog, cfg, opts, finder, finder.Caps().NeedsHistory, observe)
+	co, pobs, err := observeCampaign(prog, cfg, opts, finder, finder.Caps().NeedsHistory)
 	if err != nil {
-		return co, pobs, err
+		return co, err
 	}
 	cfgMerged := cfg
 	cfgMerged.Parallelism = opts.ClosureParallelism
 	co.Candidates, co.Cycles, co.FalsePositives = partitionCandidates(finder.Find(pobs, cfgMerged))
-	return co, pobs, nil
+	return co, nil
 }
 
 // ObserveRelation runs the observation campaign and returns the merged
@@ -137,15 +130,14 @@ func ObserveRelation(prog func(*sched.Ctx), cfg predict.Config, opts CampaignOpt
 	if finder == nil {
 		finder = predict.Default()
 	}
-	return observeCampaign(prog, cfg, opts, finder, true, observeRun)
+	return observeCampaign(prog, cfg, opts, finder, true)
 }
 
 // observeCampaign is the shared campaign body: observation runs,
 // per-run saturation stats via finder, and the run-order relation
 // merge. withHistory records each run's synchronization history on the
 // returned predict.Observation (keyed by run index, matching Dep.Run).
-// observe executes each observation run (observeRun outside tests).
-func observeCampaign(prog func(*sched.Ctx), cfg predict.Config, opts CampaignOptions, finder predict.CandidateFinder, withHistory bool, observe observeFunc) (*CampaignObservation, *predict.Observation, error) {
+func observeCampaign(prog func(*sched.Ctx), cfg predict.Config, opts CampaignOptions, finder predict.CandidateFinder, withHistory bool) (*CampaignObservation, *predict.Observation, error) {
 	runs := opts.Runs
 	if runs <= 0 {
 		runs = 1
@@ -169,7 +161,7 @@ func observeCampaign(prog func(*sched.Ctx), cfg predict.Config, opts CampaignOpt
 	campaign.Run(runs, campaign.Options{Parallelism: opts.Parallelism},
 		func(i int) campaignRun {
 			cr := campaignRun{
-				runOutcome: observe(prog, opts.Seed+int64(i)*maxObserveAttempts, opts.MaxSteps, withHistory),
+				runOutcome: observeRun(prog, opts.Seed+int64(i)*maxObserveAttempts, opts.MaxSteps, withHistory),
 			}
 			if !cr.completed {
 				return cr

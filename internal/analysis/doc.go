@@ -3,7 +3,7 @@
 //
 // The paper's two phases are really one event stream consumed by several
 // analyses — the lock-dependency recorder (Definition 1), the vector-clock
-// tracker behind the happens-before filter, the trace collector, simple
+// tracker behind the happens-before filter, an event-trace collector, simple
 // event statistics. Without a shared pipeline each consumer is
 // hand-threaded through its caller: a hardcoded observer list per entry
 // point, and another bespoke wiring site for every new consumer. A Pipeline makes the

@@ -80,11 +80,6 @@ type Table1Options struct {
 	OnRun func(*obs.RunRecord)
 }
 
-// DefaultTable1Options mirrors the paper's setup.
-func DefaultTable1Options() Table1Options {
-	return Table1Options{Runs: 100, BaselineRuns: 100}
-}
-
 // BuildTable1Row runs the full two-phase experiment for one workload.
 func BuildTable1Row(w workloads.Workload, opt Table1Options) (Table1Row, error) {
 	if opt.Runs == 0 {

@@ -2,19 +2,26 @@
 // versioned artifacts describing what a campaign did, designed so that a
 // confirmed deadlock does not die with the process.
 //
-// Two artifact families live here, both JSON lines so external tooling
-// can consume them without this library:
+// Three artifact families live here, all JSON lines so external
+// tooling can consume them without this library:
 //
 //   - Witness traces (witness.go): a deterministic JSONL record of one
 //     deadlock-confirming execution — the target cycle, every scheduling
 //     decision, the active checker's pause/thrash/yield points, the sync
 //     event stream, and the confirmed cycle's canonical key. Capture
 //     re-executes a known-reproducing (cycle, seed) pair under a
-//     recording policy; Replay drives a fresh execution through the
-//     recorded schedule and asserts the identical deadlock re-forms.
-//     Both run on warm scheduler shells, like every execution, and
-//     Capture on a pooled checker policy, so a witness costs what a
-//     campaign run costs.
+//     RecordingPolicy; Replay drives a fresh execution through the
+//     recorded schedule with a ReplayPolicy, at the witness's seed and
+//     step bound (Witness.ReplayOptions), and asserts the identical
+//     deadlock re-forms. Both run on warm scheduler shells, like every
+//     execution, and Capture on a pooled checker policy, so a witness
+//     costs what a campaign run costs. Witnesses are the one schedule
+//     format: a schedule is the witness's []int from recording to
+//     replay, and clfrun records and replays single runs through the
+//     same policies.
+//
+//   - Event traces (trace.go): the full event stream of one run, one
+//     record per scheduler event, written by Collector.
 //
 //   - Run journals (journal.go): one RunRecord per campaign execution
 //     (outcome, steps, acquires, pauses, thrashes, yields, wall time,

@@ -1,28 +1,16 @@
-// Package trace captures executions for offline inspection and replay:
-// the full event stream (serialized as JSON lines for external tooling)
-// and the scheduling decision sequence, which can be replayed to drive a
-// later execution through the same interleaving.
-//
-// Seeds already make runs reproducible within one binary; schedules make
-// them portable — a confirmed deadlock's schedule can be stored next to
-// a bug report and replayed elsewhere, or replayed against a modified
-// program to check whether a fix really removes the interleaving.
-// Schedules persist as witness files (internal/obs), the one schedule
-// format.
-package trace
+package obs
 
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"dlfuzz/internal/event"
 	"dlfuzz/internal/sched"
 )
 
-// Record is one serialized event.
-type Record struct {
+// traceRecord is one event of the JSON-lines event trace.
+type traceRecord struct {
 	Seq     uint64   `json:"seq"`
 	Kind    string   `json:"kind"`
 	Thread  int      `json:"thread"`
@@ -36,9 +24,10 @@ type Record struct {
 	Context []string `json:"context,omitempty"`
 }
 
-// Collector is a scheduler observer that accumulates the event stream.
+// Collector is a scheduler observer that accumulates the full event
+// stream, for Encode to write as JSON lines.
 type Collector struct {
-	records []Record
+	records []traceRecord
 }
 
 // NewCollector returns an empty collector.
@@ -46,7 +35,7 @@ func NewCollector() *Collector { return &Collector{} }
 
 // OnEvent appends the event as a record.
 func (c *Collector) OnEvent(ev sched.Ev) {
-	r := Record{
+	r := traceRecord{
 		Seq:    ev.Seq,
 		Kind:   ev.Kind.String(),
 		Thread: int(ev.Thread),
@@ -68,9 +57,6 @@ func (c *Collector) OnEvent(ev sched.Ev) {
 	c.records = append(c.records, r)
 }
 
-// Records returns the collected records in order.
-func (c *Collector) Records() []Record { return c.records }
-
 // Len returns the number of collected records.
 func (c *Collector) Len() int { return len(c.records) }
 
@@ -86,26 +72,11 @@ func (c *Collector) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read parses JSON-lines records.
-func Read(r io.Reader) ([]Record, error) {
-	var out []Record
-	dec := json.NewDecoder(r)
-	for {
-		var rec Record
-		if err := dec.Decode(&rec); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: %w", err)
-		}
-		out = append(out, rec)
-	}
-}
-
-// RecordingPolicy wraps a scheduling policy and records every decision,
-// producing a Schedule that ReplayPolicy can drive later.
+// RecordingPolicy wraps a scheduling policy and records every decision
+// as a witness schedule, which ReplayPolicy can drive later.
 type RecordingPolicy struct {
-	Inner sched.Policy
-	order []event.TID
+	inner sched.Policy
+	order []int
 }
 
 // NewRecording wraps inner (nil means the plain random policy).
@@ -113,39 +84,34 @@ func NewRecording(inner sched.Policy) *RecordingPolicy {
 	if inner == nil {
 		inner = sched.RandomPolicy{}
 	}
-	return &RecordingPolicy{Inner: inner}
+	return &RecordingPolicy{inner: inner}
 }
 
 // Next delegates and records the choice.
 func (p *RecordingPolicy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
-	t := p.Inner.Next(s, enabled)
-	p.order = append(p.order, t)
+	t := p.inner.Next(s, enabled)
+	p.order = append(p.order, int(t))
 	return t
 }
 
-// Solo delegates to Inner's Solo, when it has one, and records every
-// decision taken.
+// Solo delegates to the wrapped policy's Solo, when it has one, and
+// records every decision taken.
 func (p *RecordingPolicy) Solo(s *sched.Scheduler, t event.TID, n int) int {
-	inner, ok := p.Inner.(sched.SoloPolicy)
+	solo, ok := p.inner.(sched.SoloPolicy)
 	if !ok {
 		return 0
 	}
-	took := inner.Solo(s, t, n)
+	took := solo.Solo(s, t, n)
 	for range took {
-		p.order = append(p.order, t)
+		p.order = append(p.order, int(t))
 	}
 	return took
 }
 
-// Schedule returns the recorded decision sequence.
-func (p *RecordingPolicy) Schedule() Schedule {
-	out := make(Schedule, len(p.order))
-	copy(out, p.order)
-	return out
-}
-
-// Schedule is a sequence of scheduling decisions (thread ids).
-type Schedule []event.TID
+// Schedule returns the recorded decision sequence, nil when no decision
+// was taken. The slice is the recording's own: it is meant to be handed
+// to a Witness once the run is over.
+func (p *RecordingPolicy) Schedule() []int { return p.order }
 
 // ReplayPolicy drives an execution through a recorded schedule. If the
 // program has changed and a recorded choice is no longer enabled, or
@@ -153,20 +119,20 @@ type Schedule []event.TID
 // diverges), it falls back to random scheduling from that point and
 // remembers the divergence.
 type ReplayPolicy struct {
-	schedule Schedule
+	schedule []int
 	pos      int
 	diverged bool
 }
 
 // NewReplay returns a policy replaying the schedule.
-func NewReplay(s Schedule) *ReplayPolicy {
-	return &ReplayPolicy{schedule: s}
+func NewReplay(schedule []int) *ReplayPolicy {
+	return &ReplayPolicy{schedule: schedule}
 }
 
 // Next replays the recorded decision when it is still enabled.
 func (p *ReplayPolicy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 	if !p.diverged && p.pos < len(p.schedule) {
-		want := p.schedule[p.pos]
+		want := event.TID(p.schedule[p.pos])
 		for _, t := range enabled {
 			if t == want {
 				p.pos++
@@ -185,7 +151,7 @@ func (p *ReplayPolicy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 func (p *ReplayPolicy) Solo(s *sched.Scheduler, t event.TID, n int) int {
 	k := 0
 	if !p.diverged {
-		for k < n && p.pos < len(p.schedule) && p.schedule[p.pos] == t {
+		for k < n && p.pos < len(p.schedule) && event.TID(p.schedule[p.pos]) == t {
 			p.pos++
 			k++
 		}

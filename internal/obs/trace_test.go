@@ -1,11 +1,10 @@
-package trace
+package obs
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
+	"encoding/json"
+	"io"
 	"reflect"
-	"strings"
 	"testing"
 
 	"dlfuzz/internal/event"
@@ -41,17 +40,19 @@ func TestCollectorRoundTrip(t *testing.T) {
 	if err := col.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != col.Len() {
-		t.Fatalf("round trip lost records: %d vs %d", len(back), col.Len())
-	}
-	for i, r := range back {
-		if !reflect.DeepEqual(r, col.Records()[i]) {
-			t.Fatalf("record %d changed in round trip: %+v vs %+v", i, r, col.Records()[i])
+	var back []traceRecord
+	dec := json.NewDecoder(&buf)
+	for {
+		var r traceRecord
+		if err := dec.Decode(&r); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
 		}
+		back = append(back, r)
+	}
+	if !reflect.DeepEqual(back, col.records) {
+		t.Fatalf("round trip changed the records: %d decoded, %d collected", len(back), col.Len())
 	}
 	first := back[0]
 	if first.Seq == 0 || first.Kind == "" {
@@ -73,7 +74,7 @@ func TestCollectorRoundTrip(t *testing.T) {
 }
 
 // findDeadlockSchedule records schedules until one deadlocks.
-func findDeadlockSchedule(t *testing.T) Schedule {
+func findDeadlockSchedule(t *testing.T) []int {
 	t.Helper()
 	for seed := int64(0); seed < 100; seed++ {
 		rec := NewRecording(nil)
@@ -88,8 +89,8 @@ func findDeadlockSchedule(t *testing.T) Schedule {
 
 func TestReplayReproducesDeadlock(t *testing.T) {
 	schedule := findDeadlockSchedule(t)
-	// Replay with a *different* RNG seed: the schedule, not the seed,
-	// must determine the outcome.
+	// Replay with a *different* RNG seed: on a program without a single
+	// notify, the schedule, not the seed, determines the outcome.
 	rep := NewReplay(schedule)
 	s := sched.New(sched.Options{Seed: 987654, Policy: rep})
 	res := s.Run(inversion)
@@ -120,12 +121,6 @@ func TestReplayDivergesOnChangedProgram(t *testing.T) {
 	}
 }
 
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewBufferString("{not json")); err == nil {
-		t.Error("expected parse error")
-	}
-}
-
 func TestRecordingPreservesInnerBehaviour(t *testing.T) {
 	// Recording must not perturb scheduling: same seed with and without
 	// the wrapper yields the same outcome and step count.
@@ -147,30 +142,7 @@ func TestEventStringHasKind(t *testing.T) {
 	// Guard the Kind serialization against enum drift.
 	col := NewCollector()
 	col.OnEvent(sched.Ev{Kind: event.KindWait, Thread: 2, Seq: 1})
-	if col.Records()[0].Kind != "Wait" {
-		t.Errorf("kind = %q", col.Records()[0].Kind)
+	if col.records[0].Kind != "Wait" {
+		t.Errorf("kind = %q", col.records[0].Kind)
 	}
-}
-
-// FuzzReadTrace feeds arbitrary bytes to the event-trace decoder Read,
-// seeded with a committed event trace. Bad input must come back as a
-// "trace:" error with no records, never a panic.
-func FuzzReadTrace(f *testing.F) {
-	seed, err := os.ReadFile(filepath.Join("testdata", "fig1.trace"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := Read(bytes.NewReader(data))
-		if err == nil {
-			return
-		}
-		if recs != nil {
-			t.Fatalf("Read: records alongside error %v", err)
-		}
-		if !strings.HasPrefix(err.Error(), "trace: ") {
-			t.Fatalf("Read: malformed error %q", err)
-		}
-	})
 }

@@ -12,7 +12,6 @@ import (
 	"dlfuzz/internal/igoodlock"
 	"dlfuzz/internal/object"
 	"dlfuzz/internal/sched"
-	"dlfuzz/internal/trace"
 )
 
 // WitnessVersion identifies the witness JSONL format. Bump on any
@@ -598,7 +597,7 @@ func capture(pol *fuzzer.Policy, prog func(*sched.Ctx), program string, cycle *i
 	rec := &recorder{}
 	pol.Reset(cycle, cfg)
 	pol.SetHooks(rec)
-	recording := trace.NewRecording(pol)
+	recording := NewRecording(pol)
 	res := sched.New(sched.Options{
 		Seed:      schedSeed,
 		MaxSteps:  maxSteps,
@@ -620,8 +619,10 @@ func capture(pol *fuzzer.Policy, prog func(*sched.Ctx), program string, cycle *i
 // the target-th; a nil cycle records a run that targeted none (no
 // components, an empty CycleKey). When the run did not deadlock, the
 // trailer is empty: key "", step 0, no edges. Steering points and sync
-// events are left to the caller that observed them.
-func NewWitness(program string, schedSeed int64, maxSteps int, cfg fuzzer.Config, cycle *igoodlock.Cycle, target int, schedule trace.Schedule, res *sched.Result) *Witness {
+// events are left to the caller that observed them. The witness keeps
+// schedule, a RecordingPolicy's Schedule, without copying it; an empty
+// one is stored as nil, so its order line reads null.
+func NewWitness(program string, schedSeed int64, maxSteps int, cfg fuzzer.Config, cycle *igoodlock.Cycle, target int, schedule []int, res *sched.Result) *Witness {
 	w := &Witness{
 		Program:   program,
 		SchedSeed: schedSeed,
@@ -640,10 +641,7 @@ func NewWitness(program string, schedSeed int64, maxSteps int, cfg fuzzer.Config
 		}
 	}
 	if len(schedule) > 0 {
-		w.Schedule = make([]int, len(schedule))
-		for i, t := range schedule {
-			w.Schedule[i] = int(t)
-		}
+		w.Schedule = schedule
 	}
 	if res.Deadlock == nil {
 		return w
@@ -665,6 +663,17 @@ func NewWitness(program string, schedSeed int64, maxSteps int, cfg fuzzer.Config
 		w.Edges = append(w.Edges, we)
 	}
 	return w
+}
+
+// ReplayOptions returns the scheduler options that replay w: the
+// recorded scheduler seed and step bound, and a fresh ReplayPolicy over
+// the recorded schedule, also returned so the caller can ask whether
+// the run left it. Following the schedule draws nothing from the RNG,
+// so the seed matters only to what the run does not decide through the
+// policy (see sched.Scheduler.wake) and to a replay that diverges.
+func (w *Witness) ReplayOptions() (sched.Options, *ReplayPolicy) {
+	rp := NewReplay(w.Schedule)
+	return sched.Options{Seed: w.SchedSeed, MaxSteps: w.MaxSteps, Policy: rp}, rp
 }
 
 // ReplayReport describes a successful replay.
@@ -689,12 +698,8 @@ func Replay(prog func(*sched.Ctx), w *Witness) (*ReplayReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	schedule := make(trace.Schedule, len(w.Schedule))
-	for i, t := range w.Schedule {
-		schedule[i] = event.TID(t)
-	}
-	rp := trace.NewReplay(schedule)
-	res := sched.New(sched.Options{Seed: w.SchedSeed, MaxSteps: w.MaxSteps, Policy: rp}).Run(prog)
+	opts, rp := w.ReplayOptions()
+	res := sched.New(opts).Run(prog)
 	if rp.Diverged() {
 		return nil, fmt.Errorf("obs: replay diverged from the recorded schedule after %d steps (program changed?)", res.Steps)
 	}

@@ -331,6 +331,92 @@ func TestReplayRejectsTamperedSchedule(t *testing.T) {
 	}
 }
 
+// notifyInversion parks two waiters on m, each of which then takes a
+// before b, while a third thread takes b before a. The notifier wakes
+// them with two single notifies, so which waiter each one wakes is part
+// of the run a witness records.
+const notifyInversion = `
+fn waiter(m, a, b) {
+    sync (m) {
+        waiton m;
+    }
+    sync (a) {
+        sync (b) {
+            work(1);
+        }
+    }
+}
+
+fn other(a, b) {
+    sync (b) {
+        sync (a) {
+            work(1);
+        }
+    }
+}
+
+fn notifier(m) {
+    sync (m) {
+        notify m;
+    }
+    sync (m) {
+        notify m;
+    }
+}
+
+fn main() {
+    var m = new Monitor;
+    var a = new Lock;
+    var b = new Lock;
+    var w1 = spawn waiter(m, a, b);
+    var w2 = spawn waiter(m, a, b);
+    var o = spawn other(a, b);
+    var n = spawn notifier(m);
+    join w1;
+    join w2;
+    join o;
+    join n;
+}
+`
+
+// TestCaptureReplayWithSingleNotify captures every deadlocking Phase II
+// run of seeds 0–199 on a program whose waiters a single notify wakes,
+// for every Phase I candidate, and replays each witness. The checker
+// draws from the RNG and a replay does not, so the woken waiter must
+// not depend on the RNG stream: every replay must reproduce its
+// recorded deadlock without leaving the schedule.
+func TestCaptureReplayWithSingleNotify(t *testing.T) {
+	p, err := dlfuzz.ParseCLF("notify.clf", notifyInversion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := p.WithOutput(io.Discard).Body()
+	v := harness.DefaultVariant()
+	p1, err := analysis.ObserveMany(prog, v.Goodlock, analysis.CampaignOptions{Runs: 1, Seed: 1})
+	if err != nil || len(p1.Cycles) == 0 {
+		t.Fatalf("phase 1: %d cycles, err %v", len(p1.Cycles), err)
+	}
+	captured := 0
+	for i, cyc := range p1.Cycles {
+		for seed := int64(0); seed < 200; seed++ {
+			if fuzzer.Run(prog, cyc, v.Fuzzer, seed, 0).Result.Outcome != sched.Deadlock {
+				continue
+			}
+			wit, err := obs.Capture(prog, "clf:notify.clf", cyc, i, v.Fuzzer, seed, 0)
+			if err != nil {
+				t.Fatalf("cycle %d, seed %d: capture: %v", i, seed, err)
+			}
+			captured++
+			if _, err := obs.Replay(prog, wit); err != nil {
+				t.Errorf("cycle %d, seed %d: %v", i, seed, err)
+			}
+		}
+	}
+	if captured < 100 {
+		t.Fatalf("only %d deadlocking runs captured", captured)
+	}
+}
+
 // TestReadWitnessRejectsGarbage covers the reader's validation: a
 // non-witness stream and an empty stream must both error.
 func TestReadWitnessRejectsGarbage(t *testing.T) {

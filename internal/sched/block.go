@@ -187,7 +187,6 @@ func (s *Scheduler) blockedOn(t *Thread) (kind waitgraph.BlockKind, on event.TID
 // earlier by the wait-for graph.
 func (s *Scheduler) classifyBlocked(runners int) *BlockedInfo {
 	var waits []waitgraph.BlockedOn
-	var kinds []waitgraph.BlockKind
 	var objs []*object.Obj
 	for _, t := range s.alive {
 		if s.executable(t) {
@@ -198,7 +197,6 @@ func (s *Scheduler) classifyBlocked(runners int) *BlockedInfo {
 			continue
 		}
 		waits = append(waits, waitgraph.BlockedOn{Thread: t.id, Kind: kind, On: on})
-		kinds = append(kinds, kind)
 		objs = append(objs, obj)
 	}
 	stuck := waitgraph.Forever(waits, runners)
@@ -219,7 +217,7 @@ func (s *Scheduler) classifyBlocked(runners int) *BlockedInfo {
 			Thread:    w.Thread,
 			ThreadObj: t.obj,
 			Name:      t.name,
-			Kind:      kinds[i],
+			Kind:      w.Kind,
 			Obj:       objs[i],
 			Loc:       t.pending.Loc,
 		})

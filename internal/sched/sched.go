@@ -988,8 +988,12 @@ func (s *Scheduler) soloRun(t *Thread, base *Ev) bool {
 }
 
 // wake notifies one (or all) of ls's waiters and returns the woken
-// thread ids. The single-notify choice is drawn from the seeded RNG,
-// mirroring the JVM's arbitrary selection deterministically.
+// thread ids. The single-notify choice mirrors the JVM's arbitrary
+// selection deterministically: it hashes the run's seed with the event
+// sequence number, so it is fixed by what a replay reproduces, the
+// seed and the schedule so far. It draws nothing from the policy's
+// RNG stream, which a replay does not consume the way the recorded
+// policy did.
 func (s *Scheduler) wake(ls *lockState, all bool) []event.TID {
 	if len(ls.waitset) == 0 {
 		return nil
@@ -999,7 +1003,7 @@ func (s *Scheduler) wake(ls *lockState, all bool) []event.TID {
 		woken = append(woken, ls.waitset...)
 		ls.waitset = nil
 	} else {
-		i := s.rng.Intn(len(ls.waitset))
+		i := wakeIndex(s.opts.Seed, s.seq, len(ls.waitset))
 		woken = append(woken, ls.waitset[i])
 		ls.waitset = append(ls.waitset[:i], ls.waitset[i+1:]...)
 	}
@@ -1007,6 +1011,16 @@ func (s *Scheduler) wake(ls *lockState, all bool) []event.TID {
 		s.threads[w].notified = true
 	}
 	return woken
+}
+
+// wakeIndex picks which of n waiters a single notify wakes: the
+// splitmix64 finalizer over seed and seq, reduced mod n.
+func wakeIndex(seed int64, seq uint64, n int) int {
+	z := uint64(seed) + seq*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return int(z % uint64(n))
 }
 
 // waitsFor returns the thread t's pending acquire waits on — the holder

@@ -372,8 +372,9 @@ func (c *Ctx) Wait(o *object.Obj, site event.Loc) {
 }
 
 // Notify wakes one thread waiting on o's monitor (the scheduler picks
-// which, seeded-randomly, mirroring the JVM's arbitrary choice). The
-// caller must hold the monitor. No-op if nobody waits.
+// which from the seed and the run so far, mirroring the JVM's arbitrary
+// choice; see Scheduler.wake). The caller must hold the monitor. No-op
+// if nobody waits.
 func (c *Ctx) Notify(o *object.Obj, site event.Loc) {
 	c.t.pending = Request{Kind: event.KindNotify, Obj: o, Loc: site}
 	c.t.postPending()

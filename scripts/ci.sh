@@ -21,8 +21,8 @@
 #   4b. bench module     — the benchmark's own tests (`cd bench && go
 #                          test ./...`): the traced check must match the
 #                          untraced one, and every workload runs once
-#   5. fuzz smoke        — FuzzParser, FuzzReadWitness, FuzzReadJournal,
-#                          FuzzReadTrace and FuzzDecodeManifest each
+#   5. fuzz smoke        — FuzzParser, FuzzReadWitness, FuzzReadJournal
+#                          and FuzzDecodeManifest each
 #                          explore for a few seconds from their seeded
 #                          corpora, FuzzWitnessEncode holds the witness
 #                          encoder to encoding/json's bytes,
@@ -46,7 +46,9 @@
 #                          tree-walker's benchmark) cannot rot between
 #                          perf runs
 #   8. replay smoke      — fuzz philosophers with -witness-dir, then
-#                          `dlfuzz replay` every emitted witness
+#                          `dlfuzz replay` every emitted witness; record
+#                          a step-limited `clfrun` run and replay it to
+#                          the same outcome line, with no divergence
 #   9. corpus smoke      — dlgen harvests a fresh 25-seed corpus into a
 #                          temp dir and re-validates it, then re-validates
 #                          the committed testdata/corpus (every program

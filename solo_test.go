@@ -22,8 +22,8 @@ import (
 	"dlfuzz/internal/lang/gen"
 	"dlfuzz/internal/lockset"
 	"dlfuzz/internal/object"
+	"dlfuzz/internal/obs"
 	"dlfuzz/internal/sched"
-	"dlfuzz/internal/trace"
 	"dlfuzz/internal/workloads"
 )
 
@@ -138,15 +138,15 @@ func soloPolicies(cycles []*igoodlock.Cycle) []soloPolicy {
 type soloRun struct {
 	res      *sched.Result
 	out      string
-	schedule trace.Schedule
+	schedule []int
 }
 
 // runRecorded runs prog under pol behind a RecordingPolicy, observed by
-// a trace.Collector, and renders every Result field, the deadlock and
+// an obs.Collector, and renders every Result field, the deadlock and
 // blocked verdicts, the event stream's hash and extra.
 func runRecorded(t testing.TB, prog func(*sched.Ctx), pol sched.Policy, seed int64, maxSteps int, extra func() string) soloRun {
-	rec := trace.NewRecording(pol)
-	col := trace.NewCollector()
+	rec := obs.NewRecording(pol)
+	col := obs.NewCollector()
 	res := sched.New(sched.Options{Seed: seed, MaxSteps: maxSteps, Policy: rec, Observers: []sched.Observer{col}}).Run(prog)
 	h := sha256.New()
 	if err := col.Encode(h); err != nil {
@@ -169,7 +169,7 @@ func runRecorded(t testing.TB, prog func(*sched.Ctx), pol sched.Policy, seed int
 // Solo and describes the first difference, or returns "". It also runs
 // the Solo side without observers, where the scheduler counts forced
 // events instead of emitting them, and requires the same Result.
-func compareSolo(t testing.TB, prog func(*sched.Ctx), sp soloPolicy, seed int64, maxSteps int) (string, trace.Schedule) {
+func compareSolo(t testing.TB, prog func(*sched.Ctx), sp soloPolicy, seed int64, maxSteps int) (string, []int) {
 	fast, slow := sp.mk(), sp.mk()
 	if _, ok := fast.(sched.SoloPolicy); !ok {
 		t.Fatalf("%s: policy has no Solo", sp.name)
@@ -202,7 +202,7 @@ func compareSolo(t testing.TB, prog func(*sched.Ctx), sp soloPolicy, seed int64,
 // difference, or returns "". The cut and the change fall in the middle
 // of the schedule's longest run of one thread, where a Work batch's
 // forced runs are.
-func compareReplay(t testing.TB, prog func(*sched.Ctx), schedule trace.Schedule, seed int64, maxSteps int) string {
+func compareReplay(t testing.TB, prog func(*sched.Ctx), schedule []int, seed int64, maxSteps int) string {
 	longest, mid := 0, 0
 	for i := 0; i < len(schedule); {
 		j := i + 1
@@ -216,7 +216,7 @@ func compareReplay(t testing.TB, prog func(*sched.Ctx), schedule trace.Schedule,
 	}
 	diverging := slices.Clone(schedule)
 	if len(diverging) > 0 {
-		diverging[mid] = event.NoThread
+		diverging[mid] = int(event.NoThread)
 		for _, other := range schedule {
 			if other != schedule[mid] {
 				diverging[mid] = other
@@ -226,10 +226,10 @@ func compareReplay(t testing.TB, prog func(*sched.Ctx), schedule trace.Schedule,
 	}
 	for _, v := range []struct {
 		name     string
-		schedule trace.Schedule
+		schedule []int
 	}{{"full", schedule}, {"truncated", schedule[:mid]}, {"diverging", diverging}} {
-		sp := soloPolicy{"replay-" + v.name, func() sched.Policy { return trace.NewReplay(v.schedule) },
-			func(p sched.Policy) string { return fmt.Sprint(p.(*trace.ReplayPolicy).Diverged()) }}
+		sp := soloPolicy{"replay-" + v.name, func() sched.Policy { return obs.NewReplay(v.schedule) },
+			func(p sched.Policy) string { return fmt.Sprint(p.(*obs.ReplayPolicy).Diverged()) }}
 		if d, _ := compareSolo(t, prog, sp, seed, maxSteps); d != "" {
 			return sp.name + ": " + d
 		}
