@@ -254,9 +254,11 @@ func BenchmarkCheck(b *testing.B) {
 // shells. One op is a 1000-step execution, so ns/op ÷ 1000 is the cost
 // of a step and allocs/op ÷ 1000 the per-step allocation count. step
 // prices the per-step handshake: 1000 Step requests under the default
-// policy. solo-work prices forced runs: one thread looping Work(8)
-// under the blocking campaign's policy, so seven of every eight
-// decisions are forced and taken in one Solo call per batch.
+// policy, where each Step after the first is a forced decision taken in
+// a one-step Solo call. solo-work prices forced runs: one thread
+// looping Work(8) under the blocking campaign's policy, where every
+// batch after the first is taken whole in one Solo call, since the
+// thread's previous grant was its own Step.
 func BenchmarkSchedulerSteps(b *testing.B) {
 	run := func(b *testing.B, pol sched.Policy, prog func(*sched.Ctx)) {
 		b.ReportAllocs()

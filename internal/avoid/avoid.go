@@ -65,7 +65,8 @@ func (p *Policy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 }
 
 // Solo takes all n forced decisions: a lone candidate is returned
-// without a draw.
+// without a draw and without touching the policy's state, so no Next
+// call has to come first.
 func (p *Policy) Solo(_ *sched.Scheduler, _ event.TID, n int) int { return n }
 
 // wouldEnterContestedPattern reports whether tid's pending acquire

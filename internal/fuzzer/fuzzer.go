@@ -340,11 +340,13 @@ func (p *Policy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 
 // Solo takes up to n forced decisions for t, stopping before the one at
 // which the livelock monitor's next eviction is due. Each is one draw
-// and no hook: Next last returned t, whose Step neither pauses nor
-// yields, no thread has been spawned since, and t, just granted, is not
-// paused — so each Next would find nothing to check, pick t from {t}
-// and return. The eviction pass runs at the decision whose step count
-// exceeds PauseTimeout + oldest − 1, so the run ends one short of it.
+// and no hook. The scheduler offers them only after a state-neutral
+// grant to t, so the last decision Next took returned t (p.last == t)
+// and every one since was t's, no thread has been spawned since, t's
+// Step neither pauses nor yields, and t, granted, is not paused — so
+// each Next would find nothing to check, pick t from {t} and return.
+// The eviction pass runs at the decision whose step count exceeds
+// PauseTimeout + oldest − 1, so the run ends one short of it.
 func (p *Policy) Solo(s *sched.Scheduler, t event.TID, n int) int {
 	if p.npaused > 0 {
 		n = min(n, p.cfg.PauseTimeout+p.oldest-1-s.Steps())

@@ -3,6 +3,7 @@ package fuzzer
 import (
 	"bytes"
 	"slices"
+	"sync"
 
 	"dlfuzz/internal/igoodlock"
 	"dlfuzz/internal/sched"
@@ -15,17 +16,25 @@ import (
 // same cycle; witness traces persist the key so a replay can assert it
 // reproduced the identical deadlock.
 func DeadlockKey(dl *sched.DeadlockInfo, cfg Config) string {
-	var b keyBuilder
-	return string(b.deadlock(dl, cfg, nil))
+	b := keyBuilders.Get().(*keyBuilder)
+	key := string(b.deadlock(dl, cfg, nil))
+	keyBuilders.Put(b)
+	return key
 }
 
 // CycleKey is DeadlockKey's counterpart for a potential cycle: the same
 // canonical triple multiset, built from iGoodlock's component
 // abstractions instead of a live deadlock's edges.
 func CycleKey(cycle *igoodlock.Cycle, cfg Config) string {
-	var b keyBuilder
-	return string(b.cycle(cycle, cfg))
+	b := keyBuilders.Get().(*keyBuilder)
+	key := string(b.cycle(cycle, cfg))
+	keyBuilders.Put(b)
+	return key
 }
+
+// keyBuilders holds the grown buffers of past DeadlockKey and CycleKey
+// renders, so that the returned string is a render's only allocation.
+var keyBuilders = sync.Pool{New: func() any { return new(keyBuilder) }}
 
 // keyBuilder renders canonical keys into reusable buffers: every
 // triple is appended to buf back to back (ends holds the boundaries),

@@ -88,3 +88,41 @@ func TestRunnerRetargets(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyRenderAllocs pins DeadlockKey and CycleKey, with and without
+// contexts, at one allocation per call — the returned string: the
+// render buffers come from a pool. Under the race detector sync.Pool
+// drops puts at random, so the bound cannot hold there.
+func TestKeyRenderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	cycles := phase1(t, fig1, igoodlock.DefaultConfig())
+	if len(cycles) == 0 {
+		t.Fatal("no cycles")
+	}
+	var dl *sched.DeadlockInfo
+	for seed := int64(0); dl == nil && seed < 100; seed++ {
+		if res := Run(fig1, cycles[0], DefaultConfig(), seed, 0); res.Result.Outcome == sched.Deadlock {
+			dl = res.Result.Deadlock
+		}
+	}
+	if dl == nil {
+		t.Fatal("no deadlock in 100 runs")
+	}
+	for _, useContext := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.UseContext = useContext
+		for _, render := range []struct {
+			name string
+			f    func()
+		}{
+			{"DeadlockKey", func() { DeadlockKey(dl, cfg) }},
+			{"CycleKey", func() { CycleKey(cycles[0], cfg) }},
+		} {
+			if n := testing.AllocsPerRun(100, render.f); n != 1 {
+				t.Errorf("%s (context %v): %.0f allocations per call, want 1", render.name, useContext, n)
+			}
+		}
+	}
+}

@@ -95,7 +95,9 @@ func (p *RecordingPolicy) Next(s *sched.Scheduler, enabled []event.TID) event.TI
 }
 
 // Solo delegates to the wrapped policy's Solo, when it has one, and
-// records every decision taken.
+// records every decision taken. The wrapper passes every call through,
+// so the inner policy sees the decisions its Solo precondition is
+// stated over.
 func (p *RecordingPolicy) Solo(s *sched.Scheduler, t event.TID, n int) int {
 	solo, ok := p.inner.(sched.SoloPolicy)
 	if !ok {
@@ -147,7 +149,9 @@ func (p *ReplayPolicy) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
 // Solo replays the run of t recorded at the current position, up to n
 // decisions; the decision after a shorter run diverges, as Next would
 // find t's recorded rival disabled or the schedule spent, and each
-// decision from there on is a random pick's one draw.
+// decision from there on is a random pick's one draw. The position
+// alone fixes what Next would return, so Solo needs no Next call before
+// it, the batch's first decision included.
 func (p *ReplayPolicy) Solo(s *sched.Scheduler, t event.TID, n int) int {
 	k := 0
 	if !p.diverged {

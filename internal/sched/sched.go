@@ -20,9 +20,17 @@
 // draws once per step — with no per-step handshake. While the batching
 // thread is the only enabled one, each of those decisions is forced, and
 // a policy implementing SoloPolicy takes the whole run of them in one
-// call, with the draws of the per-step calls. The schedule is that of n
-// separate Steps; the batching goldens (batching_test.go in the module
-// root) pin it.
+// call, the batch's first decision included when the thread's previous
+// grant was state-neutral. The draws of the per-step calls are owed, not
+// made: SkipDraws counts them and Rand applies the count before the next
+// real pick reads the stream. The schedule is that of n separate Steps;
+// the batching goldens (batching_test.go in the module root) pin it.
+//
+// The enabled set is kept, not rescanned, across state-neutral grants
+// (Step, Yield, Call, Return, New, Join, Await): such a grant changes no
+// state another thread's executability reads, so only the granted
+// thread's membership can change, and only when it posts again. Any
+// other grant, and a post of Exit or ChanRecv, forces a full rescan.
 //
 // A run that ends with threads still blocked tears them down: each is
 // resumed once with an abort and unwinds, its stack's deferred Returns
@@ -73,17 +81,20 @@ type Policy interface {
 
 // SoloPolicy is a Policy that can take a run of forced decisions in one
 // call. A decision is forced when the enabled set is {t} and t's request
-// is a batched Step (Ctx.Work) part-way through: Next could only return
-// t, and a Step is no synchronization operation, so a policy has
-// nothing to decide — at most it draws what its Next would.
+// is a Step (batched by Ctx.Work or single): Next could only return t,
+// and a Step is no synchronization operation, so a policy has nothing to
+// decide — at most it draws what its Next would.
 //
 // Solo takes up to n consecutive forced decisions for t and returns how
 // many it took; 0 means "decide with Next". Taking k of them must draw
 // what k Next calls would (SkipDraws covers the usual one draw each) and
 // leave the policy's hooks, stats and state as those calls would. The
-// scheduler calls Solo only right after a Next call that returned t, and
-// advances its step count by the decisions taken once Solo returns, so
-// Steps reports the decisions taken before the run.
+// scheduler calls Solo only when the previous decision granted t a
+// state-neutral request (a Step, Yield, Call, Return, New, Join or
+// Await), whether Next or Solo took it: no thread has been spawned or
+// changed state since, and the last thread the policy returned is t.
+// It advances its step count by the decisions taken once Solo returns,
+// so Steps reports the decisions taken before the run.
 type SoloPolicy interface {
 	Policy
 	Solo(s *Scheduler, t event.TID, n int) int
@@ -139,9 +150,12 @@ const defaultMaxSteps = 1_000_000
 // single-use: Run recycles it into the warm set New draws from, so it
 // must not be touched once Run returns (or panics).
 type Scheduler struct {
-	opts    Options
-	rng     *rand.Rand
-	src     *fastSource // rng's source, for SkipDraws
+	opts Options
+	rng  *rand.Rand
+	src  *fastSource // rng's source, for SkipDraws
+	// draws counts the source draws owed by SkipDraws; Rand applies them
+	// before it hands the generator out.
+	draws   int
 	policy  Policy
 	solo    SoloPolicy // policy as a SoloPolicy, nil when it is not one
 	alloc   object.Allocator
@@ -184,10 +198,14 @@ type Scheduler struct {
 	chainBuf   []event.TID
 	enabledBuf []event.TID
 	aliveBuf   []event.TID
-	// enabledValid marks enabledBuf as still describing the current
-	// state: a mid-batch Step grant mutates nothing the enabled set
-	// depends on, so Run reuses the buffer instead of rescanning.
+	// enabledValid marks enabledBuf as the kept enabled set: a rescan's
+	// result, carried across state-neutral grants (see neutral). Between
+	// such a grant to t and t's next post only t's membership may be
+	// stale; schedule settles it when t posts.
 	enabledValid bool
+	// neutral is the thread the previous decision granted a state-neutral
+	// request, nil when that grant was of another kind.
+	neutral *Thread
 	// observing caches len(opts.Observers) > 0. Without observers the
 	// event stream has no consumer, so applyRequest skips materializing
 	// Ev values entirely (evBuf is its write-only scratch) and emit only
@@ -233,6 +251,7 @@ func (s *Scheduler) init(opts Options) {
 		// rand.New(rand.NewSource(seed)), without the two allocations.
 		s.rng.Seed(opts.Seed)
 	}
+	s.draws = 0
 	s.policy = opts.Policy
 	if s.policy == nil {
 		s.policy = RandomPolicy{}
@@ -241,14 +260,29 @@ func (s *Scheduler) init(opts Options) {
 	s.observing = len(opts.Observers) > 0
 }
 
-// Rand returns the execution's RNG. Policies draw from it so that one
-// seed determines the whole schedule.
-func (s *Scheduler) Rand() *rand.Rand { return s.rng }
+// Rand returns the execution's RNG, first applying the draws SkipDraws
+// owes it. Policies draw from it so that one seed determines the whole
+// schedule; they call Rand for every pick rather than keep the
+// generator, so that no pick reads the stream ahead of owed draws.
+func (s *Scheduler) Rand() *rand.Rand {
+	if s.draws > 0 {
+		s.applyDraws()
+	}
+	return s.rng
+}
 
-// SkipDraws advances the execution's RNG by what n Rand().Intn(1) calls
-// draw — one source draw each — without computing the values: the draws
-// of n forced decisions (see SoloPolicy).
-func (s *Scheduler) SkipDraws(n int) { s.src.skip(n) }
+// applyDraws advances the source by the owed draws. It is kept out of
+// Rand so that Rand stays small enough to inline.
+func (s *Scheduler) applyDraws() {
+	s.src.skip(s.draws)
+	s.draws = 0
+}
+
+// SkipDraws owes the execution's RNG what n Rand().Intn(1) calls draw —
+// one source draw each — without computing the values: the draws of n
+// forced decisions (see SoloPolicy). The count is applied when Rand is
+// next called, so a run that ends before its next pick never makes them.
+func (s *Scheduler) SkipDraws(n int) { s.draws += n }
 
 // Steps returns the number of scheduling decisions taken so far.
 func (s *Scheduler) Steps() int { return s.steps }
@@ -482,17 +516,30 @@ func (s *Scheduler) retire(t *Thread) {
 // sequence, RNG draws and event stream are identical to a classic
 // one-goroutine scheduler loop — only which stack evaluates each
 // decision changes, and exactly one of them runs at any instant.
+//
+// The poster is the thread the previous decision granted, so when that
+// grant was state-neutral, the kept enabled set is stale at most in the
+// poster's membership: the poster leaves the set when its new request is
+// not executable. Posting Exit (which enables the thread's joiners) or
+// ChanRecv (which enables a blocked unbuffered sender) forces a rescan.
 func (s *Scheduler) schedule(poster *Thread) bool {
 	if poster != nil {
 		switch poster.pending.Kind {
 		case event.KindExit:
 			s.retire(poster)
+			s.enabledValid = false
+		case event.KindChanRecv:
+			s.enabledValid = false
 		case event.KindAcquire:
 			// checkRealDeadlock (Algorithm 4): the moment a thread wants
 			// a lock, see whether its wait-for chain now closes a cycle.
 			if dl := s.cycleThrough(poster); dl != nil {
 				s.deadlock = dl
 			}
+		}
+		if s.enabledValid && !s.executable(poster) {
+			i := slices.Index(s.enabledBuf, poster.id)
+			s.enabledBuf = slices.Delete(s.enabledBuf, i, i+1)
 		}
 	}
 	for {
@@ -509,17 +556,10 @@ func (s *Scheduler) schedule(poster *Thread) bool {
 			// (join/lock waits on stuck threads) are already provably
 			// blocked forever — a partial deadlock the cut-off run can
 			// still report soundly.
-			s.blocked = s.classifyBlocked(len(s.enabled()))
+			s.blocked = s.classifyBlocked(len(s.enabledSet()))
 			return false
 		}
-		var enabled []event.TID
-		if s.enabledValid {
-			// The previous decision was a mid-batch Step grant, which
-			// mutates no state the enabled set depends on.
-			enabled = s.enabledBuf
-		} else {
-			enabled = s.enabled()
-		}
+		enabled := s.enabledSet()
 		if len(enabled) == 0 {
 			if s.aliveCount() == 0 {
 				s.outcome = Completed
@@ -534,10 +574,20 @@ func (s *Scheduler) schedule(poster *Thread) bool {
 			}
 			return false
 		}
-		s.steps++
-		t := s.threads[s.policy.Next(s, enabled)]
-		if !s.applyRequest(t) {
-			continue // mid-batch grant or scheduler error: the loop goes on
+		// A lone thread at a Step, granted a state-neutral request by the
+		// previous decision, faces forced decisions only: a SoloPolicy
+		// takes them in bulk (see SoloPolicy).
+		t := s.neutral
+		if t != nil && s.solo != nil && len(enabled) == 1 && t.pending.Kind == event.KindStep && s.soloRun(t) {
+			if t.pending.Steps > 0 {
+				continue // the policy stopped part-way through the batch
+			}
+		} else {
+			s.steps++
+			t = s.threads[s.policy.Next(s, enabled)]
+			if !s.applyRequest(t) {
+				continue // mid-batch grant or scheduler error: the loop goes on
+			}
 		}
 		if t == poster {
 			return true // self-grant: poster's post returns, no switch
@@ -574,6 +624,7 @@ func (s *Scheduler) recycle() {
 	}
 	s.alive = s.alive[:0]
 	s.enabledValid = false
+	s.neutral = nil
 	for i, ls := range s.locks {
 		if ls == nil {
 			continue
@@ -633,6 +684,16 @@ func (s *Scheduler) dropAlive(t *Thread) {
 // Enabled reports whether thread t's pending request is executable now.
 func (s *Scheduler) Enabled(t event.TID) bool {
 	return s.threads[t].alive && s.executable(s.threads[t])
+}
+
+// enabledSet returns the enabled set: the kept one when it is valid,
+// else a fresh scan, which it keeps.
+func (s *Scheduler) enabledSet() []event.TID {
+	if !s.enabledValid {
+		s.enabled()
+		s.enabledValid = true
+	}
+	return s.enabledBuf
 }
 
 // enabled returns the executable threads in ascending TID order, in a
@@ -947,10 +1008,8 @@ func (s *Scheduler) applyRequest(t *Thread) bool {
 			// thread and back. While t is the only enabled thread, a
 			// SoloPolicy takes the batch's forced decisions in one call.
 			r.Steps--
-			s.enabledValid = true
-			if s.solo == nil || len(s.enabledBuf) != 1 || !s.soloRun(t, base) {
-				return false
-			}
+			s.neutral = t
+			return false
 		}
 
 	default:
@@ -958,23 +1017,41 @@ func (s *Scheduler) applyRequest(t *Thread) bool {
 		return false
 	}
 
-	s.enabledValid = false
+	if neutralGrant(r.Kind) {
+		s.neutral = t
+	} else {
+		s.neutral = nil
+		s.enabledValid = false
+	}
 	return true
 }
 
-// soloRun hands the rest of t's batch, as far as the step limit allows,
-// to the SoloPolicy while t is the only enabled thread, and applies the
+// neutralGrant reports whether granting a request of kind k leaves
+// every other thread's executability as it was: the grant changes no
+// lock, latch, channel, WaitGroup or thread liveness.
+func neutralGrant(k event.Kind) bool {
+	switch k {
+	case event.KindStep, event.KindYield, event.KindCall, event.KindReturn,
+		event.KindNew, event.KindJoin, event.KindAwait:
+		return true
+	}
+	return false
+}
+
+// soloRun offers t's Step, as far as the step limit allows, to the
+// SoloPolicy while t is the only enabled thread, and applies the
 // decisions it takes: one Step event each, as the per-step loop would
-// emit them. It reports whether the batch's last grant was among them,
-// so that t must now be granted the turn.
-func (s *Scheduler) soloRun(t *Thread, base *Ev) bool {
+// emit them. It reports whether the policy took any.
+func (s *Scheduler) soloRun(t *Thread) bool {
 	r := &t.pending
-	n := min(r.Steps, s.opts.MaxSteps-s.steps)
-	if n <= 0 {
+	left := max(r.Steps, 1) // a single Step posts 0 or 1
+	took := s.solo.Solo(s, t.id, min(left, s.opts.MaxSteps-s.steps))
+	if took == 0 {
 		return false
 	}
-	took := s.solo.Solo(s, t.id, n)
 	if s.observing {
+		base := &s.evBuf
+		*base = Ev{Kind: r.Kind, Thread: t.id, ThreadObj: t.obj, Loc: r.Loc}
 		for range took {
 			s.steps++
 			s.emit(base)
@@ -983,8 +1060,8 @@ func (s *Scheduler) soloRun(t *Thread, base *Ev) bool {
 		s.steps += took
 		s.seq += uint64(took)
 	}
-	r.Steps -= took
-	return r.Steps == 0
+	r.Steps = left - took
+	return true
 }
 
 // wake notifies one (or all) of ls's waiters and returns the woken

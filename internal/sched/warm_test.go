@@ -26,7 +26,8 @@ type warmInput struct {
 
 // warmInputs are programs that leave different state on a shell: the
 // paper's Figure 1, a Go workload with locks, one with channels and
-// locks, a CLF program on the VM, a run cut off by its step bound and a
+// locks, a CLF program on the VM, a run cut off by its step bound, one
+// cut off inside a forced run with draws still owed to the RNG, and a
 // run whose workload panics.
 func warmInputs(t *testing.T) []warmInput {
 	t.Helper()
@@ -49,8 +50,20 @@ func warmInputs(t *testing.T) []warmInput {
 	return append(ins,
 		warmInput{name: "vm/philosophers", body: lang.NewInterp(prog, io.Discard).Main(), seeds: 8},
 		warmInput{name: "go/steplimit", body: goSpin, maxSteps: 300, seeds: 8},
+		warmInput{name: "go/owed-draws", body: goOwedDraws, maxSteps: 300, seeds: 8},
 		warmInput{name: "go/panic", body: goPanic, seeds: 8},
 	)
+}
+
+// goOwedDraws races two steppers against main's long Work, which runs
+// alone once they exit: a step bound inside that forced run ends the
+// run with its draws still owed, and the next run on the shell must not
+// read them.
+func goOwedDraws(c *sched.Ctx) {
+	for range 2 {
+		c.Spawn("stepper", nil, "owed.main:1", func(c *sched.Ctx) { c.Work(20, "owed.stepper:2") })
+	}
+	c.Work(100_000, "owed.main:3")
 }
 
 // evCollector keeps every event of a run as delivered.

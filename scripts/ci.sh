@@ -31,7 +31,11 @@
 #                          generated programs, and FuzzSoloGrant holds
 #                          every policy that takes forced runs in one
 #                          call (SoloPolicy) to its step-by-step self on
-#                          generated programs of every preset
+#                          generated programs of every preset and on the
+#                          hand-written forced-run cases, and
+#                          FuzzEnabledMatchesRescan holds the enabled set
+#                          the scheduler keeps across state-neutral
+#                          grants to a full rescan on generated programs
 #   6. vm diff           — the bytecode VM and the test-only
 #                          tree-walking reference interpreter must be
 #                          byte-identical (events, output, campaign
@@ -93,7 +97,7 @@ make race
 echo "== bench module: traced ≡ untraced fidelity and every-workload smoke =="
 (cd bench && go test ./...)
 
-echo "== fuzz smoke: every decoder target, the witness encoder, the active policy and forced runs for ${FUZZTIME:-10s} each =="
+echo "== fuzz smoke: every decoder target, the witness encoder, the active policy, forced runs and the kept enabled set for ${FUZZTIME:-10s} each =="
 make fuzz-smoke
 
 echo "== vm diff: bytecode VM vs test-only tree-walker byte identity =="

@@ -31,36 +31,38 @@ import (
 // decides every step with Next.
 type nextOnly struct{ sched.Policy }
 
-// soloThenRace works alone for 50 steps, then races three threads on
+// soloThenRace works alone for n steps, then races three threads on
 // two locks. A forced run that draws the wrong number of times shifts
 // every later pick, so the race's interleaving changes with it. Two of
 // the racers take the locks in opposite orders, and the third works
 // while holding one of them: once the active policy has paused a cycle
 // thread blocked on that lock, the worker runs alone, and under a tiny
 // pause timeout the eviction falls due part-way through its batch.
-func soloThenRace(c *sched.Ctx) {
-	c.Work(50, "str.main:1")
-	a := c.New("Object", "str.main:2")
-	b := c.New("Object", "str.main:3")
-	nested := func(first, second *object.Obj, site event.Loc) func(*sched.Ctx) {
-		return func(c *sched.Ctx) {
-			c.Acquire(first, site+"0")
-			c.Acquire(second, site+"1")
-			c.Release(second, site+"1")
-			c.Release(first, site+"0")
+func soloThenRace(n int) func(*sched.Ctx) {
+	return func(c *sched.Ctx) {
+		c.Work(n, "str.main:1")
+		a := c.New("Object", "str.main:2")
+		b := c.New("Object", "str.main:3")
+		nested := func(first, second *object.Obj, site event.Loc) func(*sched.Ctx) {
+			return func(c *sched.Ctx) {
+				c.Acquire(first, site+"0")
+				c.Acquire(second, site+"1")
+				c.Release(second, site+"1")
+				c.Release(first, site+"0")
+			}
 		}
-	}
-	racers := []*sched.Thread{
-		c.Spawn("worker", nil, "str.main:4", func(c *sched.Ctx) {
-			c.Acquire(a, "str.worker:10")
-			c.Work(200, "str.worker:11")
-			c.Release(a, "str.worker:10")
-		}),
-		c.Spawn("ab", nil, "str.main:5", nested(a, b, "str.ab:2")),
-		c.Spawn("ba", nil, "str.main:6", nested(b, a, "str.ba:3")),
-	}
-	for _, r := range racers {
-		c.Join(r, "str.main:7")
+		racers := []*sched.Thread{
+			c.Spawn("worker", nil, "str.main:4", func(c *sched.Ctx) {
+				c.Acquire(a, "str.worker:10")
+				c.Work(200, "str.worker:11")
+				c.Release(a, "str.worker:10")
+			}),
+			c.Spawn("ab", nil, "str.main:5", nested(a, b, "str.ab:2")),
+			c.Spawn("ba", nil, "str.main:6", nested(b, a, "str.ba:3")),
+		}
+		for _, r := range racers {
+			c.Join(r, "str.main:7")
+		}
 	}
 }
 
@@ -244,7 +246,8 @@ type soloInput struct {
 }
 
 // soloInputs are diffProgs, the blocking suite, the generated blocking
-// programs of seeds 1-8, and soloThenRace.
+// programs of seeds 1-8, soloThenRace after a short and a long forced
+// run, and soloCases.
 func soloInputs(t *testing.T) []soloInput {
 	var ins []soloInput
 	for name, prog := range diffProgs(t) {
@@ -256,7 +259,10 @@ func soloInputs(t *testing.T) []soloInput {
 	for seed := int64(1); seed <= 8; seed++ {
 		ins = append(ins, soloInput{"gen-blocking/" + gen.FileName(seed), genBody(t, seed, gen.Blocking())})
 	}
-	ins = append(ins, soloInput{"solo-then-race", soloThenRace})
+	ins = append(ins, soloInput{"solo-then-race", soloThenRace(50)}, soloInput{"long-solo-then-race", soloThenRace(5000)})
+	for _, c := range soloCases {
+		ins = append(ins, soloInput{"case/" + c.name, c.prog})
+	}
 	slices.SortFunc(ins, func(a, b soloInput) int { return strings.Compare(a.name, b.name) })
 	return ins
 }
@@ -321,13 +327,84 @@ func TestSoloMatchesPerStep(t *testing.T) {
 	}
 }
 
+// soloCase is a program that starts its forced runs in one way, with
+// the number of forced decisions a run of it leaves to Next.
+type soloCase struct {
+	name       string
+	prog       func(*sched.Ctx)
+	forcedNext int
+}
+
+// soloCases start forced runs in each way the scheduler treats apart:
+// Work right after a Call, a New or a Return, and single Steps, whose
+// first forced decision Solo takes, since the previous decision granted
+// the same thread a state-neutral request; and Work after a grant to
+// another thread, whose first forced decision Next takes.
+var soloCases = []soloCase{
+	{"work-after-call", func(c *sched.Ctx) {
+		c.Call("m", nil, "wac.main:1", func() { c.Work(8, "wac.m:2") })
+	}, 0},
+	{"work-after-new", func(c *sched.Ctx) {
+		c.New("Object", "wan.main:1")
+		c.Work(8, "wan.main:2")
+	}, 0},
+	{"work-after-return", func(c *sched.Ctx) {
+		c.Call("m", nil, "war.main:1", func() {})
+		c.Work(8, "war.main:2")
+	}, 0},
+	{"single-steps", func(c *sched.Ctx) {
+		c.New("Object", "ss.main:1")
+		c.Step("ss.main:2")
+		c.Step("ss.main:3")
+	}, 0},
+	// Whichever of main's New and the worker's first step goes first,
+	// main then blocks joining the worker, which works on alone after
+	// main's grant: one forced Next, then Solo.
+	{"work-after-cross-grant", func(c *sched.Ctx) {
+		w := c.Spawn("worker", nil, "wacg.main:1", func(c *sched.Ctx) { c.Work(64, "wacg.worker:2") })
+		c.New("Object", "wacg.main:3")
+		c.Join(w, "wacg.main:4")
+	}, 1},
+}
+
+// forcedNexts is the random policy, counting the forced decisions it is
+// asked to take with Next.
+type forcedNexts struct {
+	sched.RandomPolicy
+	n int
+}
+
+func (p *forcedNexts) Next(s *sched.Scheduler, enabled []event.TID) event.TID {
+	if len(enabled) == 1 && s.PendingRef(enabled[0]).Kind == event.KindStep {
+		p.n++
+	}
+	return p.RandomPolicy.Next(s, enabled)
+}
+
+// TestSoloFromFirstDecision pins which forced decisions reach Solo
+// without a Next call first: those after a state-neutral grant to the
+// same thread, and not those after a grant to another thread.
+func TestSoloFromFirstDecision(t *testing.T) {
+	for _, c := range soloCases {
+		for seed := int64(0); seed < 8; seed++ {
+			p := &forcedNexts{}
+			sched.New(sched.Options{Seed: seed, Policy: p}).Run(c.prog)
+			if p.n != c.forcedNext {
+				t.Errorf("%s seed %d: %d forced decisions taken by Next, want %d", c.name, seed, p.n, c.forcedNext)
+			}
+		}
+	}
+}
+
 // soloPresets are the generator presets FuzzSoloGrant draws from.
 var soloPresets = []func() gen.Config{gen.Small, gen.Medium, gen.Large, gen.Blocking}
 
 // FuzzSoloGrant generates a program from the fuzz bytes — a preset, a
 // generator seed, a scheduler seed and a step limit — and holds every
 // SoloPolicy, and ReplayPolicy on the random policy's schedule, to its
-// per-step self.
+// per-step self. A preset byte of 0x80 or more picks a soloCase (or
+// soloThenRace after a generator-seed-long forced run) instead of a
+// generated program.
 func FuzzSoloGrant(f *testing.F) {
 	input := func(preset byte, genSeed, schedSeed int64, maxSteps uint32) []byte {
 		b := []byte{preset}
@@ -339,17 +416,31 @@ func FuzzSoloGrant(f *testing.F) {
 		f.Add(input(byte(seed), seed, seed, uint32(37*seed)))
 		f.Add(input(byte(seed), seed, seed, 50_001))
 	}
+	for i := range len(soloCases) + 1 {
+		f.Add(input(0x80+byte(i), 3000, int64(i), 7))
+		f.Add(input(0x80+byte(i), 3000, int64(i), 1500))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 21 {
 			return
 		}
-		cfg := soloPresets[int(data[0])%len(soloPresets)]()
 		genSeed := int64(binary.LittleEndian.Uint64(data[1:]))
 		schedSeed := int64(binary.LittleEndian.Uint64(data[9:]))
 		maxSteps := 1 + int(binary.LittleEndian.Uint32(data[17:])%100_000)
-		prog := genBody(t, genSeed, cfg)
+		var name string
+		var prog func(*sched.Ctx)
+		if data[0] < 0x80 {
+			cfg := soloPresets[int(data[0])%len(soloPresets)]()
+			name = fmt.Sprintf("%s seed %d", cfg.Preset, genSeed)
+			prog = genBody(t, genSeed, cfg)
+		} else if i := int(data[0]-0x80) % (len(soloCases) + 1); i < len(soloCases) {
+			name, prog = soloCases[i].name, soloCases[i].prog
+		} else {
+			n := 1 + int(uint64(genSeed)%10_000)
+			name, prog = fmt.Sprintf("solo-then-race(%d)", n), soloThenRace(n)
+		}
 		if d := checkSolo(t, prog, soloPolicies(findCycles(prog)), schedSeed, maxSteps); d != "" {
-			t.Fatalf("%s seed %d, sched seed %d, max-steps %d: %s", cfg.Preset, genSeed, schedSeed, maxSteps, d)
+			t.Fatalf("%s, sched seed %d, max-steps %d: %s", name, schedSeed, maxSteps, d)
 		}
 	})
 }
