@@ -29,20 +29,18 @@ race:
 
 # Fuzz philosophers with -witness-dir, then replay every emitted witness
 # and require each recorded deadlock to reproduce; then record a
-# step-limited clfrun run of philosophers, replay the file, and require
-# the same outcome line and no divergence warning (the CI replay smoke,
-# runnable on its own).
+# step-limited `dlfuzz run` of philosophers, replay the file with
+# `dlfuzz replay`, and require exit 0 and the same outcome line (the CI
+# replay smoke, runnable on its own).
 replay-smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/dlfuzz -runs 30 -witness-dir "$$dir" \
-		testdata/philosophers.clf >/dev/null || [ $$? -eq 1 ]; \
-	$(GO) run ./cmd/dlfuzz replay "$$dir" && \
-	$(GO) build -o "$$dir/clfrun" ./cmd/clfrun && \
-	{ "$$dir/clfrun" -seed 5 -max-steps 20 -record "$$dir/run.jsonl" \
+	$(GO) build -o "$$dir/dlfuzz" ./cmd/dlfuzz && \
+	{ "$$dir/dlfuzz" -runs 30 -witness-dir "$$dir/w" \
+		testdata/philosophers.clf >/dev/null || [ $$? -eq 1 ]; } && \
+	"$$dir/dlfuzz" replay "$$dir/w" && \
+	{ "$$dir/dlfuzz" run -seed 5 -max-steps 20 -record "$$dir/run.jsonl" \
 		testdata/philosophers.clf >"$$dir/rec.txt" || [ $$? -eq 1 ]; } && \
-	{ "$$dir/clfrun" -replay "$$dir/run.jsonl" \
-		testdata/philosophers.clf >"$$dir/rep.txt" || [ $$? -eq 1 ]; } && \
-	! grep diverged "$$dir/rep.txt" && \
+	"$$dir/dlfuzz" replay "$$dir/run.jsonl" >"$$dir/rep.txt" && \
 	[ "$$(grep '^outcome:' "$$dir/rec.txt")" = "$$(grep '^outcome:' "$$dir/rep.txt")" ] && \
 	grep '^outcome:' "$$dir/rep.txt"
 

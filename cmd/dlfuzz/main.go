@@ -9,7 +9,8 @@
 //	dlfuzz -runs 0 [flags] program.clf | -workload jigsaw
 //	dlfuzz -blocking [flags] program.clf | -workload chan-cycle-unbuf
 //	dlfuzz -list
-//	dlfuzz replay witness.jsonl... | witness-dir
+//	dlfuzz run [-seed N] [-max-steps N] [-record F] [-trace F] program.clf
+//	dlfuzz replay [-q] witness.jsonl... | witness-dir
 //
 // -blocking switches from the two-phase mutex pipeline to a blocking-
 // deadlock campaign: seeded runs under a completion-delaying bias
@@ -22,10 +23,15 @@
 // deadlock is credited to every cycle it matches. A budget of -runs 0
 // runs Phase I only: the report stops before the Phase II section.
 //
+// The run subcommand executes a CLF program once at one seed and shows
+// its print() output and outcome; -record writes the schedule as a
+// witness and -trace the event stream.
+//
 // Observability (see docs/OBSERVABILITY.md): -witness-dir writes one
 // replayable witness trace per confirmed cycle, -journal streams one
 // JSONL record per Phase II execution, and the replay subcommand
-// re-executes recorded witnesses and asserts their deadlocks reproduce.
+// re-executes recorded witnesses, from -witness-dir or from `dlfuzz run
+// -record`, and asserts each recorded run reproduces.
 package main
 
 import (
@@ -49,8 +55,13 @@ func main() {
 // testable end to end. The exit code follows test-runner convention:
 // 0 clean, 1 deadlocks found, 2 usage error.
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) > 0 && args[0] == "replay" {
-		return runReplay(args[1:], stdout, stderr)
+	if len(args) > 0 {
+		switch args[0] {
+		case "run":
+			return runOnce(args[1:], stdout, stderr)
+		case "replay":
+			return runReplay(args[1:], stdout, stderr)
+		}
 	}
 	fs := flag.NewFlagSet("dlfuzz", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -273,7 +284,8 @@ func printObserved(w io.Writer, find *dlfuzz.FindReport) {
 
 // resolveProgram loads either a named workload or a CLF file. CLF
 // print() output is discarded: the pipeline runs a program many times,
-// and only the report belongs on stdout (clfrun shows program output).
+// and only the report belongs on stdout (`dlfuzz run` shows program
+// output).
 func resolveProgram(workload string, args []string) (func(*dlfuzz.Ctx), string, error) {
 	if workload != "" {
 		wl, ok := workloads.ByName(workload)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dlfuzz/internal/lang/gen"
+	"dlfuzz/internal/obs"
 )
 
 // TestRunPhilosophersGolden locks down the CLI's end-to-end output on
@@ -105,7 +106,6 @@ func TestRunUsageErrors(t *testing.T) {
 // Phase II or -blocking use are a one-line usage error that writes no
 // file.
 func TestRunPhaseIOnly(t *testing.T) {
-	philosophers := filepath.Join("..", "..", "testdata", "philosophers.clf")
 	var full, stdout, stderr bytes.Buffer
 	if code := run([]string{"-runs", "30", philosophers}, &full, &stderr); code != 1 {
 		t.Fatalf("full pipeline: exit %d, want 1; stderr: %s", code, stderr.String())
@@ -222,31 +222,97 @@ func TestWitnessReplayEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReplayClfrunWitness replays the witness files `clfrun -record`
-// writes (cmd/clfrun's goldens): the deadlocking run must reproduce and
-// render without naming a target cycle; the completed run must fail
-// with the replay error on stderr, exit 1, and not panic.
-func TestReplayClfrunWitness(t *testing.T) {
-	dir := filepath.Join("..", "clfrun", "testdata")
+// TestReplayRecordedWitness replays the witness files `dlfuzz run
+// -record` writes (TestRecordWitnessGolden's goldens). Both reproduce
+// and print the outcome report the recording run printed: the
+// deadlocking run renders without naming a target cycle, and the
+// completed run reproduces its completion. The completed witness
+// diverges with its schedule cut short, and against a program that
+// ends before the schedule is spent: a FAIL line, the divergence error
+// on stderr, exit 1.
+func TestReplayRecordedWitness(t *testing.T) {
+	deadlock := filepath.Join("testdata", "record-deadlock.jsonl")
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"replay", filepath.Join(dir, "record-deadlock.jsonl")}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"replay", deadlock}, &stdout, &stderr); code != 0 {
 		t.Fatalf("deadlock witness: exit %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
 	out := stdout.String()
-	if !strings.Contains(out, "1 of 1 witnesses reproduced") || strings.Contains(out, "target cycle") ||
-		strings.Contains(out, "different cycle than targeted") {
+	if !strings.Contains(out, "\noutcome: deadlock (") || !strings.Contains(out, "1 of 1 witnesses reproduced") ||
+		strings.Contains(out, "target cycle") || strings.Contains(out, "different cycle than targeted") {
 		t.Errorf("deadlock witness rendering:\n%s", out)
 	}
 
 	stdout.Reset()
 	stderr.Reset()
-	completed := filepath.Join(dir, "record-completed.jsonl")
-	if code := run([]string{"replay", completed}, &stdout, &stderr); code != 1 {
-		t.Fatalf("completed witness: exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	completed := filepath.Join("testdata", "record-completed.jsonl")
+	if code := run([]string{"replay", "-q", completed}, &stdout, &stderr); code != 0 {
+		t.Fatalf("completed witness: exit %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
-	want := "dlfuzz replay: " + completed + ": obs: replay ended in completed, want deadlock\n"
-	if stderr.String() != want {
-		t.Errorf("completed witness: stderr %q, want %q", stderr.String(), want)
+	want := "ok   " + completed + ": run reproduced at step 52\n" +
+		"outcome: completed (52 steps, 56 events, 4 threads, 7 objects)\n" +
+		"1 of 1 witnesses reproduced\n"
+	if stdout.String() != want || stderr.Len() != 0 {
+		t.Errorf("completed witness: stdout %q, stderr %q; want stdout %q", stdout.String(), stderr.String(), want)
+	}
+
+	// Two changes to the recorded run: its schedule cut short, and a
+	// program that ends before the schedule is spent.
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.clf")
+	if err := os.WriteFile(empty, []byte("fn main() { }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, change := range map[string]func(*obs.Witness){
+		"truncated": func(w *obs.Witness) { w.Schedule = w.Schedule[:len(w.Schedule)/2] },
+		"shorter":   func(w *obs.Witness) { w.Program = "clf:" + empty },
+	} {
+		wit, err := readWitnessFile(completed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		change(wit)
+		path := filepath.Join(dir, name+".jsonl")
+		if err := writeFile(path, wit.Encode); err != nil {
+			t.Fatal(err)
+		}
+		stdout.Reset()
+		stderr.Reset()
+		if code := run([]string{"replay", path}, &stdout, &stderr); code != 1 {
+			t.Fatalf("%s witness: exit %d, want 1\nstdout:\n%s\nstderr:\n%s", name, code, stdout.String(), stderr.String())
+		}
+		if !strings.HasPrefix(stdout.String(), "FAIL "+path+"\n") ||
+			!strings.HasPrefix(stderr.String(), "dlfuzz replay: "+path+": obs: replay diverged from the recorded schedule after ") {
+			t.Errorf("%s witness: stdout %q, stderr %q", name, stdout.String(), stderr.String())
+		}
+	}
+}
+
+// TestReplayDirWithJournal replays a directory that holds a journal
+// beside the witnesses, as `-witness-dir W -journal W/journal.jsonl`
+// leaves it: the journal is skipped with one stderr line, and every
+// witness reproduces.
+func TestReplayDirWithJournal(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "journal.jsonl")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-runs", "30", "-witness-dir", dir, "-journal", journal, philosophers}, &stdout, &stderr); code != 1 {
+		t.Fatalf("fuzz exit %d, want 1; stderr: %s", code, stderr.String())
+	}
+	witnesses, err := filepath.Glob(filepath.Join(dir, "cycle-*.jsonl"))
+	if err != nil || len(witnesses) == 0 {
+		t.Fatalf("no witness files emitted (%v); stdout:\n%s", err, stdout.String())
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"replay", "-q", dir}, &stdout, &stderr); code != 0 {
+		t.Fatalf("replay exit %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	want := fmt.Sprintf("%d of %d witnesses reproduced\n", len(witnesses), len(witnesses))
+	if !strings.HasSuffix(stdout.String(), want) {
+		t.Errorf("replay output lacks %q:\n%s", want, stdout.String())
+	}
+	if got := stderr.String(); strings.Count(got, "\n") != 1 || !strings.Contains(got, "skipping "+journal+": ") {
+		t.Errorf("stderr %q, want one line skipping the journal", got)
 	}
 }
 
@@ -262,6 +328,17 @@ func TestReplayUsageErrors(t *testing.T) {
 	empty := t.TempDir()
 	if code := run([]string{"replay", empty}, &stdout, &stderr); code != 2 {
 		t.Errorf("empty directory: exit %d, want 2", code)
+	}
+	// A journal is not a witness: named on the command line it is an
+	// error, and a directory holding nothing else has no witnesses.
+	journal := filepath.Join(empty, "journal.jsonl")
+	if err := os.WriteFile(journal, []byte(`{"k":"journal"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, arg := range []string{journal, empty} {
+		if code := run([]string{"replay", arg}, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit %d, want 2", arg, code)
+		}
 	}
 }
 

@@ -2,10 +2,12 @@ package main
 
 // Witness emission (-witness-dir) and the `dlfuzz replay` subcommand:
 // the CLI surface of internal/obs. A campaign writes one witness trace
-// per confirmed cycle; replay re-executes a trace's recorded schedule
-// and asserts the same deadlock re-forms.
+// per confirmed cycle, and `dlfuzz run -record` one per run; replay
+// re-executes a trace's recorded schedule and asserts the recorded
+// run re-forms.
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -57,15 +59,7 @@ func writeWitnesses(dir, programRef string, prog func(*dlfuzz.Ctx), cycles []*dl
 			return fmt.Errorf("witness for cycle %d: %w", i+1, err)
 		}
 		path := filepath.Join(dir, fmt.Sprintf("cycle-%02d.jsonl", i+1))
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := wit.Encode(f); err != nil {
-			f.Close()
-			return fmt.Errorf("witness %s: %w", path, err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(path, wit.Encode); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "witness: wrote %s (deadlock at step %d, %d schedule decisions)\n",
@@ -76,8 +70,10 @@ func writeWitnesses(dir, programRef string, prog func(*dlfuzz.Ctx), cycles []*dl
 
 // runReplay is the `dlfuzz replay` subcommand: replay every witness
 // given as a file or found in a given directory, assert each recorded
-// deadlock reproduces, and render it. Exit 0 when every witness
-// reproduces, 1 when any fails to, 2 on usage or read errors.
+// run reproduces (obs.Replay), and render it. A witness that targets no
+// cycle, such as one `dlfuzz run -record` wrote, also gets the outcome
+// report that command printed. Exit 0 when every witness reproduces, 1
+// when any fails to, 2 on usage or read errors.
 func runReplay(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dlfuzz replay", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -85,67 +81,93 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	paths, err := witnessPaths(fs.Args())
+	wits, err := readWitnesses(fs.Args(), stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "dlfuzz replay:", err)
 		return 2
 	}
 	failed := 0
-	for _, path := range paths {
-		wit, err := readWitnessFile(path)
+	for _, w := range wits {
+		prog, err := resolveWitnessProgram(w.Program)
 		if err != nil {
-			fmt.Fprintln(stderr, "dlfuzz replay:", err)
+			fmt.Fprintf(stderr, "dlfuzz replay: %s: %v\n", w.path, err)
 			return 2
 		}
-		prog, err := resolveWitnessProgram(wit.Program)
+		rep, err := obs.Replay(prog, w.Witness)
 		if err != nil {
-			fmt.Fprintf(stderr, "dlfuzz replay: %s: %v\n", path, err)
-			return 2
-		}
-		rep, err := obs.Replay(prog, wit)
-		if err != nil {
-			fmt.Fprintf(stdout, "FAIL %s\n", path)
-			fmt.Fprintf(stderr, "dlfuzz replay: %s: %v\n", path, err)
+			fmt.Fprintf(stdout, "FAIL %s\n", w.path)
+			fmt.Fprintf(stderr, "dlfuzz replay: %s: %v\n", w.path, err)
 			failed++
 			continue
 		}
-		fmt.Fprintf(stdout, "ok   %s: deadlock reproduced at step %d\n", path, rep.Result.Deadlock.Step)
+		if res := rep.Result; res.Deadlock != nil {
+			fmt.Fprintf(stdout, "ok   %s: deadlock reproduced at step %d\n", w.path, res.Deadlock.Step)
+		} else {
+			fmt.Fprintf(stdout, "ok   %s: run reproduced at step %d\n", w.path, res.Steps)
+		}
+		if len(w.Components) == 0 {
+			writeOutcome(stdout, rep.Result)
+		}
 		if !*quiet {
-			report.WriteWitness(stdout, wit)
+			report.WriteWitness(stdout, w.Witness)
 		}
 	}
-	fmt.Fprintf(stdout, "%d of %d witnesses reproduced\n", len(paths)-failed, len(paths))
+	fmt.Fprintf(stdout, "%d of %d witnesses reproduced\n", len(wits)-failed, len(wits))
 	if failed > 0 {
 		return 1
 	}
 	return 0
 }
 
-// witnessPaths expands the subcommand's arguments: files stand for
-// themselves, directories for their *.jsonl entries in name order.
-func witnessPaths(args []string) ([]string, error) {
+// witnessFile is one decoded witness and the file it came from.
+type witnessFile struct {
+	*obs.Witness
+	path string
+}
+
+// readWitnesses expands the subcommand's arguments and decodes them: a
+// file stands for itself and must be a witness; a directory stands for
+// its *.jsonl entries, in name order, whose first line is a witness
+// header. Each other entry, such as a journal written beside the
+// witnesses, is skipped with a note on stderr.
+func readWitnesses(args []string, stderr io.Writer) ([]witnessFile, error) {
 	if len(args) == 0 {
 		return nil, fmt.Errorf("usage: dlfuzz replay witness.jsonl... | dlfuzz replay witness-dir")
 	}
-	var out []string
+	var out []witnessFile
 	for _, arg := range args {
 		info, err := os.Stat(arg)
 		if err != nil {
 			return nil, err
 		}
 		if !info.IsDir() {
-			out = append(out, arg)
+			wit, err := readWitnessFile(arg)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, witnessFile{wit, arg})
 			continue
 		}
 		matches, err := filepath.Glob(filepath.Join(arg, "*.jsonl"))
 		if err != nil {
 			return nil, err
 		}
-		if len(matches) == 0 {
-			return nil, fmt.Errorf("no *.jsonl witnesses in %s", arg)
-		}
 		sort.Strings(matches)
-		out = append(out, matches...)
+		found := len(out)
+		for _, path := range matches {
+			wit, err := readWitnessFile(path)
+			if errors.Is(err, obs.ErrNotWitness) {
+				fmt.Fprintln(stderr, "dlfuzz replay: skipping", err)
+				continue
+			}
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, witnessFile{wit, path})
+		}
+		if len(out) == found {
+			return nil, fmt.Errorf("no witnesses in %s", arg)
+		}
 	}
 	return out, nil
 }
@@ -167,7 +189,8 @@ func readWitnessFile(path string) (*obs.Witness, error) {
 // resolveWitnessProgram resolves a witness header's program reference:
 // "workload:NAME" names a built-in, "clf:PATH" a CLF source file
 // (relative to the replaying process's working directory; print output
-// is discarded so replays stay comparable).
+// is discarded so replays stay comparable, and only `dlfuzz run` shows
+// it).
 func resolveWitnessProgram(ref string) (func(*dlfuzz.Ctx), error) {
 	if name, ok := strings.CutPrefix(ref, "workload:"); ok {
 		w, ok := workloads.ByName(name)

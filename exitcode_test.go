@@ -31,11 +31,13 @@ fn main() {
 }
 `
 
-// TestExitCodeContract pins the exit status of all five commands as
-// processes: 0 for a clean result, 1 for findings (a deadlock found, an
-// observation that deadlocked every attempt, a failed validation or
-// benchmark gate), 2 for a usage error. dlstatic only counts potential
-// cycles and confirms none, so it has no status 1.
+// TestExitCodeContract pins the exit status of all four commands, and
+// of dlfuzz's run and replay subcommands, as processes: 0 for a clean
+// result, 1 for findings (a deadlock found, an observation that
+// deadlocked every attempt, a witness that no longer reproduces, a
+// failed validation or benchmark gate), 2 for a usage error. dlstatic
+// only counts potential cycles and confirms none, so it has no status
+// 1.
 func TestExitCodeContract(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds every command")
@@ -55,6 +57,20 @@ func TestExitCodeContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := t.TempDir() // a corpus directory with no manifest
+	// A witness of a program that has changed since the recording: its
+	// replay runs out of recorded schedule.
+	changed := filepath.Join(dir, "changed.clf")
+	stale := filepath.Join(dir, "stale.jsonl")
+	if err := os.WriteFile(changed, []byte("fn main() { }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	record := exec.Command(filepath.Join(bin, "dlfuzz"), "run", "-record", stale, changed)
+	if out, err := record.CombinedOutput(); err != nil {
+		t.Fatalf("dlfuzz run -record: %v\n%s", err, out)
+	}
+	if err := os.WriteFile(changed, []byte(alwaysDeadlocks), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		cmd  string
@@ -67,9 +83,12 @@ func TestExitCodeContract(t *testing.T) {
 		{"dlfuzz", []string{"-runs", "0", "testdata/fig1.clf"}, 0},
 		{"dlfuzz", []string{"-runs", "0", deadlock}, 1},
 		{"dlfuzz", []string{"-runs", "0", "-blocking", "testdata/fig1.clf"}, 2},
-		{"clfrun", []string{"-seed", "3", "testdata/fig1.clf"}, 0},
-		{"clfrun", []string{deadlock}, 1},
-		{"clfrun", nil, 2},
+		{"dlfuzz", []string{"run", "-seed", "3", "testdata/fig1.clf"}, 0},
+		{"dlfuzz", []string{"run", deadlock}, 1},
+		{"dlfuzz", []string{"run"}, 2},
+		{"dlfuzz", []string{"replay", "testdata/golden/witness/fig1.jsonl"}, 0},
+		{"dlfuzz", []string{"replay", stale}, 1},
+		{"dlfuzz", []string{"replay"}, 2},
 		{"dlstatic", []string{"testdata/fig1.clf"}, 0},
 		{"dlstatic", nil, 2},
 		{"dlgen", []string{"generate", "-seed", "1"}, 0},

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dlfuzz/internal/sched"
-	"dlfuzz/internal/waitgraph"
 )
 
 func TestLexBlockingKeywords(t *testing.T) {
@@ -202,7 +201,7 @@ func TestInterpChanDeadlockVerdicts(t *testing.T) {
 		t.Errorf("stuck threads = %d, want 2", len(res.Blocked.Threads))
 	}
 	for _, bt := range res.Blocked.Threads {
-		if bt.Kind != waitgraph.BlockChanRecv {
+		if bt.Kind != sched.BlockChanRecv {
 			t.Errorf("kind = %v, want recv", bt.Kind)
 		}
 	}

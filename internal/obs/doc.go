@@ -12,16 +12,23 @@
 //     re-executes a known-reproducing (cycle, seed) pair under a
 //     RecordingPolicy; Replay drives a fresh execution through the
 //     recorded schedule with a ReplayPolicy, at the witness's seed and
-//     step bound (Witness.ReplayOptions), and asserts the identical
-//     deadlock re-forms. Both run on warm scheduler shells, like every
+//     step bound (Witness.ReplayOptions), and asserts the recorded run
+//     re-forms: it stays on the schedule and ends with the recorded
+//     deadlock key. Both run on warm scheduler shells, like every
 //     execution, and Capture on a pooled checker policy, so a witness
 //     costs what a campaign run costs. Witnesses are the one schedule
 //     format: a schedule is the witness's []int from recording to
-//     replay, and clfrun records and replays single runs through the
-//     same policies.
+//     replay. `dlfuzz run -record` records single runs through the same
+//     policies, and Replay checks every witness, one that recorded no
+//     deadlock included (its DeadlockKey is empty).
 //
 //   - Event traces (trace.go): the full event stream of one run, one
-//     record per scheduler event, written by Collector.
+//     record per scheduler event, written by Collector (`dlfuzz run
+//     -trace`). A trace record and a witness's ev line are two
+//     encodings of one event, kept apart on purpose: the trace bytes
+//     are hashed by the batching golden and the ev line is pinned by
+//     the witness goldens, so one encoder for both would move one of
+//     those byte contracts.
 //
 //   - Run journals (journal.go): one RunRecord per campaign execution
 //     (outcome, steps, acquires, pauses, thrashes, yields, wall time,

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -445,6 +446,10 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
+// ErrNotWitness is wrapped by ReadWitness's error for JSON lines whose
+// first record is not a witness header, such as a run journal.
+var ErrNotWitness = errors.New("obs: not a witness trace")
+
 // ReadWitness decodes a witness written by Encode. The deadlock trailer
 // is required; its key must agree with the header, and the header's
 // checker configuration must decode (see WitnessConfig.FuzzerConfig).
@@ -455,7 +460,7 @@ func ReadWitness(r io.Reader) (*Witness, error) {
 		return nil, fmt.Errorf("obs: witness header: %w", err)
 	}
 	if hdr.K != "witness" {
-		return nil, fmt.Errorf("obs: not a witness trace (first line %q)", hdr.K)
+		return nil, fmt.Errorf("%w (first line %q)", ErrNotWitness, hdr.K)
 	}
 	if hdr.V != WitnessVersion {
 		return nil, fmt.Errorf("obs: witness version %d, want %d", hdr.V, WitnessVersion)
@@ -678,10 +683,12 @@ func (w *Witness) ReplayOptions() (sched.Options, *ReplayPolicy) {
 
 // ReplayReport describes a successful replay.
 type ReplayReport struct {
-	// Result is the replayed execution's verdict (Outcome == Deadlock).
+	// Result is the replayed execution's verdict. It ends in a deadlock
+	// exactly when the recorded run did.
 	Result *sched.Result
-	// DeadlockKey is the canonical key of the replayed deadlock; it
-	// equals the witness's DeadlockKey.
+	// DeadlockKey is the canonical key of the replayed deadlock, empty
+	// when the run did not deadlock; it equals the witness's
+	// DeadlockKey.
 	DeadlockKey string
 	// Reproduced reports whether the deadlock is the witness's targeted
 	// cycle (mirrors Witness.Reproduced).
@@ -689,10 +696,12 @@ type ReplayReport struct {
 }
 
 // Replay drives prog through the witness's recorded schedule and
-// asserts the recorded deadlock re-forms: the run must end in a
-// deadlock, without leaving the schedule, and the confirmed cycle's
-// canonical key must equal the recorded one. Any other outcome is an
-// error describing the divergence. It is safe for concurrent use.
+// asserts the recorded run re-forms: the run must follow the whole
+// schedule, neither leaving it nor ending before it is spent, and it
+// must end with the recorded canonical deadlock key — a deadlock with
+// the same key, or, for a witness whose key is empty, no lock deadlock
+// at all. Any other outcome is an error describing the divergence. It
+// is safe for concurrent use.
 func Replay(prog func(*sched.Ctx), w *Witness) (*ReplayReport, error) {
 	cfg, err := w.Config.FuzzerConfig()
 	if err != nil {
@@ -700,19 +709,25 @@ func Replay(prog func(*sched.Ctx), w *Witness) (*ReplayReport, error) {
 	}
 	opts, rp := w.ReplayOptions()
 	res := sched.New(opts).Run(prog)
-	if rp.Diverged() {
+	if rp.Diverged() || rp.pos < len(rp.schedule) {
 		return nil, fmt.Errorf("obs: replay diverged from the recorded schedule after %d steps (program changed?)", res.Steps)
 	}
-	if res.Outcome != sched.Deadlock {
-		return nil, fmt.Errorf("obs: replay ended in %s, want deadlock", res.Outcome)
+	key := ""
+	if res.Deadlock != nil {
+		key = fuzzer.DeadlockKey(res.Deadlock, cfg)
 	}
-	key := fuzzer.DeadlockKey(res.Deadlock, cfg)
-	if key != w.DeadlockKey {
+	switch {
+	case key == w.DeadlockKey:
+	case w.DeadlockKey == "":
+		return nil, errors.New("obs: replay ended in deadlock, want no deadlock")
+	case key == "":
+		return nil, fmt.Errorf("obs: replay ended in %s, want deadlock", res.Outcome)
+	default:
 		return nil, fmt.Errorf("obs: replay confirmed a different deadlock:\n  got  %s\n  want %s", key, w.DeadlockKey)
 	}
 	return &ReplayReport{
 		Result:      res,
 		DeadlockKey: key,
-		Reproduced:  fuzzer.MatchesCycle(res.Deadlock, w.Cycle(), cfg),
+		Reproduced:  key != "" && fuzzer.MatchesCycle(res.Deadlock, w.Cycle(), cfg),
 	}, nil
 }

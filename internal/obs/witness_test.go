@@ -459,7 +459,7 @@ func TestWitnessCycleReconstruction(t *testing.T) {
 // deadlock (empty DeadlockKey) reproduces nothing, even though its
 // empty CycleKey equals the key.
 func TestReproducedNeedsDeadlock(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "cmd", "clfrun", "testdata", "record-completed.jsonl"))
+	data, err := os.ReadFile(filepath.Join("..", "..", "cmd", "dlfuzz", "testdata", "record-completed.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestReproducedNeedsDeadlock(t *testing.T) {
 // any input either fails with an error or decodes to a witness whose
 // checker configuration and target cycle are usable, and which replays
 // (to success or an error) against its built-in workload. It is seeded
-// with a captured dbcp witness and the two witnesses `clfrun -record`
+// with a captured dbcp witness and the two witnesses `dlfuzz run -record`
 // wrote (a completed run and a deadlock, neither targeting a cycle).
 // The committed regression seed under testdata/fuzz is a dbcp witness
 // whose config says "k":-1, which used to decode and then crash replay
@@ -493,7 +493,7 @@ func FuzzReadWitness(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	for _, name := range []string{"record-completed.jsonl", "record-deadlock.jsonl"} {
-		data, err := os.ReadFile(filepath.Join("..", "..", "cmd", "clfrun", "testdata", name))
+		data, err := os.ReadFile(filepath.Join("..", "..", "cmd", "dlfuzz", "testdata", name))
 		if err != nil {
 			f.Fatal(err)
 		}

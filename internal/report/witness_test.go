@@ -24,21 +24,21 @@ func readWitness(t *testing.T, path string) *obs.Witness {
 }
 
 // TestWriteWitnessTargets renders a captured witness, which names its
-// target cycle, and the two witnesses `clfrun -record` wrote, which
+// target cycle, and the two witnesses `dlfuzz run -record` wrote, which
 // target none: those name no target and no targeted-cycle verdict, and
 // the one that did not deadlock says so.
 func TestWriteWitnessTargets(t *testing.T) {
-	clfrun := filepath.Join("..", "..", "cmd", "clfrun", "testdata")
+	recorded := filepath.Join("..", "..", "cmd", "dlfuzz", "testdata")
 	for _, c := range []struct {
 		path      string
 		want, not []string
 	}{
 		{filepath.Join("..", "..", "testdata", "golden", "witness", "fig1.jsonl"),
 			[]string{"target cycle 0, ", "(reproduces the targeted cycle)\n"}, nil},
-		{filepath.Join(clfrun, "record-deadlock.jsonl"),
+		{filepath.Join(recorded, "record-deadlock.jsonl"),
 			[]string{"(sched seed 13, exec-index/k=10)\n", "  deadlock at step 33\n"},
 			[]string{"target cycle", "targeted"}},
-		{filepath.Join(clfrun, "record-completed.jsonl"),
+		{filepath.Join(recorded, "record-completed.jsonl"),
 			[]string{"(sched seed 5, exec-index/k=10)\n", "  no deadlock\n"},
 			[]string{"target cycle", "targeted", "deadlock at step"}},
 	} {

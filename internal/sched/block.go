@@ -7,8 +7,63 @@ import (
 
 	"dlfuzz/internal/event"
 	"dlfuzz/internal/object"
-	"dlfuzz/internal/waitgraph"
 )
+
+// BlockKind classifies what a blocked thread is waiting for: every
+// blocking operation the scheduler models, beyond the lock waits the
+// wait-for chain walk (findDeadlock) covers. The partial-deadlock
+// analysis (classifyBlocked) reasons about which of these waits can
+// still be satisfied.
+type BlockKind int
+
+const (
+	// BlockAcquire waits for a monitor held by exactly one other thread.
+	BlockAcquire BlockKind = iota
+	// BlockJoin waits for exactly one other thread to terminate.
+	BlockJoin
+	// BlockAwait waits for a latch any running thread could signal.
+	BlockAwait
+	// BlockNotifyWait is a monitor wait that any running thread could
+	// notify.
+	BlockNotifyWait
+	// BlockChanSend waits for buffer space or a receiver any running
+	// thread could provide.
+	BlockChanSend
+	// BlockChanRecv waits for a value or a close any running thread
+	// could provide.
+	BlockChanRecv
+	// BlockWGWait waits for a WaitGroup counter any running thread
+	// could drive to zero.
+	BlockWGWait
+)
+
+var blockKindNames = [...]string{
+	BlockAcquire:    "acquire",
+	BlockJoin:       "join",
+	BlockAwait:      "await",
+	BlockNotifyWait: "wait",
+	BlockChanSend:   "send",
+	BlockChanRecv:   "recv",
+	BlockWGWait:     "wg-wait",
+}
+
+// String names the block kind as it appears in reports.
+func (k BlockKind) String() string {
+	if k < 0 || int(k) >= len(blockKindNames) {
+		return fmt.Sprintf("BlockKind(%d)", int(k))
+	}
+	return blockKindNames[k]
+}
+
+// SoleUnblocker reports whether waits of this kind can only ever be
+// satisfied by one specific thread (the lock holder, the join target).
+// Multi-satisfier waits — channel operations, latches, notifies,
+// WaitGroups — could be unblocked by *any* thread that is still
+// running, so they are only provably stuck when no runner exists or
+// every runner is itself stuck.
+func (k BlockKind) SoleUnblocker() bool {
+	return k == BlockAcquire || k == BlockJoin
+}
 
 // Chan is a Go-style channel simulated by the scheduler: sends block
 // until a receiver rendezvous (capacity 0) or buffer space exists,
@@ -82,7 +137,7 @@ type BlockedThread struct {
 	Thread    event.TID
 	ThreadObj *object.Obj
 	Name      string
-	Kind      waitgraph.BlockKind
+	Kind      BlockKind
 	// Obj is the object the wait targets: the lock, channel, WaitGroup
 	// or latch, or the joined thread's object. May be nil for synthetic
 	// waits.
@@ -149,34 +204,49 @@ func (b *BlockedInfo) Key() string {
 	return prefix + strings.Join(parts, "+")
 }
 
-// blockedOn classifies an alive, non-enabled thread's pending request,
-// returning the wait kind, the sole unblocker (or NoThread) and the
-// object the wait targets. ok is false for requests that are not
-// blocking waits (e.g. a posted Exit).
-func (s *Scheduler) blockedOn(t *Thread) (kind waitgraph.BlockKind, on event.TID, obj *object.Obj, ok bool) {
+// waiter is one candidate of the partial-deadlock analysis: a blocked
+// thread, what it waits on and, for a sole-unblocker wait, the one
+// thread that can release it (event.NoThread otherwise). freed marks a
+// candidate the analysis has discharged.
+type waiter struct {
+	t     *Thread
+	obj   *object.Obj
+	kind  BlockKind
+	on    event.TID
+	freed bool
+}
+
+// blockedOn classifies an alive, non-enabled thread's pending request:
+// the wait kind, the object the wait targets and the sole unblocker.
+// ok is false for requests that are not blocking waits (e.g. a posted
+// Exit).
+func (s *Scheduler) blockedOn(t *Thread) (w waiter, ok bool) {
 	r := &t.pending
+	w = waiter{t: t, obj: r.Obj, on: event.NoThread}
 	switch r.Kind {
 	case event.KindAcquire:
 		if r.WaitResume && !t.notified {
-			return waitgraph.BlockNotifyWait, event.NoThread, r.Obj, true
+			w.kind = BlockNotifyWait
+			return w, true
 		}
-		on := event.NoThread
+		w.kind = BlockAcquire
 		if ls := s.lookupLock(r.Obj.ID); ls != nil {
-			on = ls.holder
+			w.on = ls.holder
 		}
-		return waitgraph.BlockAcquire, on, r.Obj, true
 	case event.KindJoin:
-		return waitgraph.BlockJoin, r.Target, s.threads[r.Target].obj, true
+		w.kind, w.on, w.obj = BlockJoin, r.Target, s.threads[r.Target].obj
 	case event.KindAwait:
-		return waitgraph.BlockAwait, event.NoThread, r.Obj, true
+		w.kind = BlockAwait
 	case event.KindChanSend:
-		return waitgraph.BlockChanSend, event.NoThread, r.Ch.obj, true
+		w.kind, w.obj = BlockChanSend, r.Ch.obj
 	case event.KindChanRecv:
-		return waitgraph.BlockChanRecv, event.NoThread, r.Ch.obj, true
+		w.kind, w.obj = BlockChanRecv, r.Ch.obj
 	case event.KindWGWait:
-		return waitgraph.BlockWGWait, event.NoThread, r.WG.obj, true
+		w.kind, w.obj = BlockWGWait, r.WG.obj
+	default:
+		return waiter{}, false
 	}
-	return 0, event.NoThread, nil, false
+	return w, true
 }
 
 // classifyBlocked runs the partial-deadlock analysis over the current
@@ -184,46 +254,83 @@ func (s *Scheduler) blockedOn(t *Thread) (kind waitgraph.BlockKind, on event.TID
 // runners is the number of enabled threads (zero in a stalled state).
 // It returns nil when no thread is provably stuck forever — in
 // particular for every mutex-only program, whose lock cycles are caught
-// earlier by the wait-for graph.
+// earlier by the wait-for chain walk.
 func (s *Scheduler) classifyBlocked(runners int) *BlockedInfo {
-	var waits []waitgraph.BlockedOn
-	var objs []*object.Obj
+	var ws []waiter
 	for _, t := range s.alive {
 		if s.executable(t) {
 			continue
 		}
-		kind, on, obj, ok := s.blockedOn(t)
-		if !ok {
-			continue
+		if w, ok := s.blockedOn(t); ok {
+			ws = append(ws, w)
 		}
-		waits = append(waits, waitgraph.BlockedOn{Thread: t.id, Kind: kind, On: on})
-		objs = append(objs, obj)
 	}
-	stuck := waitgraph.Forever(waits, runners)
+	stuck := forever(ws, runners)
 	if len(stuck) == 0 {
 		return nil
 	}
-	info := &BlockedInfo{Step: s.steps}
-	stuckSet := make(map[event.TID]bool, len(stuck))
-	for _, tid := range stuck {
-		stuckSet[tid] = true
-	}
-	for i, w := range waits {
-		if !stuckSet[w.Thread] {
-			continue
+	info := &BlockedInfo{Step: s.steps, Threads: make([]BlockedThread, len(stuck))}
+	for i, w := range stuck {
+		info.Threads[i] = BlockedThread{
+			Thread: w.t.id, ThreadObj: w.t.obj, Name: w.t.name,
+			Kind: w.kind, Obj: w.obj, Loc: w.t.pending.Loc,
 		}
-		t := s.threads[w.Thread]
-		info.Threads = append(info.Threads, BlockedThread{
-			Thread:    w.Thread,
-			ThreadObj: t.obj,
-			Name:      t.name,
-			Kind:      w.Kind,
-			Obj:       objs[i],
-			Loc:       t.pending.Loc,
-		})
 	}
 	// Partial iff some thread escaped: it already exited, it is still
 	// runnable (step limit), or it is blocked but not provably stuck.
 	info.Partial = len(info.Threads) < len(s.threads)
 	return info
+}
+
+// forever returns the candidates that can never be unblocked, given
+// how many non-blocked runnable threads exist: the partial-deadlock
+// test. A nonempty result with runners > 0 (or with some threads
+// already exited) is a partial deadlock.
+//
+// The analysis is a greatest fixpoint, dual to the lock-only cycle
+// search: start by assuming every candidate is stuck forever, then
+// discharge any candidate whose wait could still be satisfied — a
+// multi-satisfier wait while runners exist (some runner might send,
+// close, signal or Done), or a sole-unblocker wait whose unblocker is
+// not itself stuck (it runs, or was discharged) — and repeat until
+// nothing changes. With runners == 0 (a stalled state) every candidate
+// is trivially stuck; with runners > 0 only sole-unblocker chains and
+// cycles that never reach a live thread survive, so the result is
+// sound: it never flags a thread a future schedule could release.
+//
+// The result keeps the input's order. It reuses ws's backing array, so
+// ws is not valid afterwards.
+func forever(ws []waiter, runners int) []waiter {
+	for changed := true; changed; {
+		changed = false
+		for i := range ws {
+			w := &ws[i]
+			if w.freed {
+				continue
+			}
+			if w.kind.SoleUnblocker() {
+				w.freed = !stuckIn(ws, w.on)
+			} else {
+				w.freed = runners > 0
+			}
+			changed = changed || w.freed
+		}
+	}
+	stuck := ws[:0]
+	for _, w := range ws {
+		if !w.freed {
+			stuck = append(stuck, w)
+		}
+	}
+	return stuck
+}
+
+// stuckIn reports whether thread t is a candidate not yet discharged.
+func stuckIn(ws []waiter, t event.TID) bool {
+	for _, w := range ws {
+		if w.t.id == t {
+			return !w.freed
+		}
+	}
+	return false
 }

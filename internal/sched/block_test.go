@@ -1,11 +1,11 @@
 package sched
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"dlfuzz/internal/event"
-	"dlfuzz/internal/waitgraph"
 )
 
 // TestChanUnbufferedRendezvous: a plain producer/consumer handshake on
@@ -175,7 +175,7 @@ func TestChanPartialDeadlock(t *testing.T) {
 		if n := len(res.Blocked.Threads); n != 1 {
 			t.Errorf("seed %d: %d blocked threads, want 1", seed, n)
 		}
-		if k := res.Blocked.Threads[0].Kind; k != waitgraph.BlockChanSend {
+		if k := res.Blocked.Threads[0].Kind; k != BlockChanSend {
 			t.Errorf("seed %d: kind %v, want send", seed, k)
 		}
 	}
@@ -198,7 +198,7 @@ func TestWGMiscountPartialDeadlock(t *testing.T) {
 	if !res.Blocked.Partial {
 		t.Errorf("want partial (worker exited): %v", res.Blocked)
 	}
-	if res.Blocked.Threads[0].Kind != waitgraph.BlockWGWait {
+	if res.Blocked.Threads[0].Kind != BlockWGWait {
 		t.Errorf("kind %v, want wg-wait", res.Blocked.Threads[0].Kind)
 	}
 }
@@ -231,11 +231,11 @@ func TestLockChanMixedStall(t *testing.T) {
 	if res.Blocked.Partial {
 		t.Errorf("want total: %v", res.Blocked)
 	}
-	kinds := map[waitgraph.BlockKind]int{}
+	kinds := map[BlockKind]int{}
 	for _, bt := range res.Blocked.Threads {
 		kinds[bt.Kind]++
 	}
-	if kinds[waitgraph.BlockChanRecv] != 1 || kinds[waitgraph.BlockAcquire] != 1 || kinds[waitgraph.BlockJoin] != 1 {
+	if kinds[BlockChanRecv] != 1 || kinds[BlockAcquire] != 1 || kinds[BlockJoin] != 1 {
 		t.Errorf("kinds %v, want one each of recv/acquire/join", kinds)
 	}
 }
@@ -412,3 +412,128 @@ func TestBlockedEventStream(t *testing.T) {
 type observerFunc func(Ev)
 
 func (f observerFunc) OnEvent(ev Ev) { f(ev) }
+
+// wait builds one candidate of the partial-deadlock fixpoint.
+func wait(thread int, kind BlockKind, on event.TID) waiter {
+	return waiter{t: &Thread{id: event.TID(thread)}, kind: kind, on: on}
+}
+
+func TestForever(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		blocked []waiter
+		runners int
+		want    []event.TID
+	}{
+		{name: "empty", blocked: nil, runners: 3, want: nil},
+		{
+			// A stalled state: every blocked thread is stuck, whatever
+			// it waits on.
+			name: "stall-all-stuck",
+			blocked: []waiter{
+				wait(0, BlockChanRecv, event.NoThread),
+				wait(1, BlockWGWait, event.NoThread),
+				wait(2, BlockAwait, event.NoThread),
+			},
+			runners: 0,
+			want:    []event.TID{0, 1, 2},
+		},
+		{
+			// With a runner, multi-satisfier waits might still be served.
+			name: "runner-releases-multi",
+			blocked: []waiter{
+				wait(0, BlockChanSend, event.NoThread),
+				wait(1, BlockNotifyWait, event.NoThread),
+			},
+			runners: 1,
+			want:    nil,
+		},
+		{
+			// A join cycle survives any number of runners.
+			name: "join-cycle",
+			blocked: []waiter{
+				wait(1, BlockJoin, 2),
+				wait(2, BlockJoin, 1),
+			},
+			runners: 5,
+			want:    []event.TID{1, 2},
+		},
+		{
+			// A chain hanging off a cycle is dragged down with it.
+			name: "chain-into-cycle",
+			blocked: []waiter{
+				wait(1, BlockJoin, 2),
+				wait(2, BlockJoin, 1),
+				wait(3, BlockAcquire, 1),
+			},
+			runners: 1,
+			want:    []event.TID{1, 2, 3},
+		},
+		{
+			// A lock wait on a thread that is itself waiting on a channel
+			// is NOT stuck while a runner could serve the channel: the
+			// holder discharges first, then the waiter.
+			name: "holder-discharged-cascades",
+			blocked: []waiter{
+				wait(1, BlockChanRecv, event.NoThread),
+				wait(2, BlockAcquire, 1),
+			},
+			runners: 1,
+			want:    nil,
+		},
+		{
+			// An acquire on a lock whose holder is running (not in the
+			// blocked set) is never stuck.
+			name: "holder-running",
+			blocked: []waiter{
+				wait(1, BlockAcquire, 9),
+			},
+			runners: 1,
+			want:    nil,
+		},
+		{
+			// A join on an already-stuck chain plus an unrelated channel
+			// wait: only the sole-unblocker part is flagged.
+			name: "mixed",
+			blocked: []waiter{
+				wait(1, BlockJoin, 2),
+				wait(2, BlockJoin, 1),
+				wait(3, BlockChanSend, event.NoThread),
+			},
+			runners: 1,
+			want:    []event.TID{1, 2},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := slices.Clone(tc.blocked)
+			var got []event.TID
+			for _, w := range forever(in, tc.runners) {
+				got = append(got, w.t.id)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("forever(%v, %d) = %v, want %v", tc.blocked, tc.runners, got, tc.want)
+			}
+		})
+	}
+}
+
+func TestBlockKindStrings(t *testing.T) {
+	kinds := []BlockKind{BlockAcquire, BlockJoin, BlockAwait, BlockNotifyWait,
+		BlockChanSend, BlockChanRecv, BlockWGWait}
+	seen := map[string]bool{}
+	for _, k := range kinds {
+		s := k.String()
+		if s == "" || seen[s] {
+			t.Errorf("kind %d: bad or duplicate name %q", int(k), s)
+		}
+		seen[s] = true
+	}
+	if !BlockAcquire.SoleUnblocker() || !BlockJoin.SoleUnblocker() {
+		t.Error("acquire/join must be sole-unblocker kinds")
+	}
+	for _, k := range []BlockKind{BlockAwait, BlockNotifyWait, BlockChanSend, BlockChanRecv, BlockWGWait} {
+		if k.SoleUnblocker() {
+			t.Errorf("%v must be multi-satisfier", k)
+		}
+	}
+}

@@ -9,7 +9,7 @@ import (
 // The blocking-operation microbenchmark suite: small programs whose
 // deadlocks come from channels, WaitGroups, and lock/channel mixes
 // rather than lock-order cycles. They are the fixture set for the
-// partial-deadlock classifier (internal/waitgraph.Forever) and the
+// partial-deadlock classifier (internal/sched's classifyBlocked) and the
 // blocking campaign (internal/campaign.Blocking), in the style of the
 // Go blocking-bug microbenchmark suites: each program plants one known
 // bug — or, for the controls, provably none — and records the verdict

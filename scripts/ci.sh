@@ -51,8 +51,8 @@
 #                          perf runs
 #   8. replay smoke      — fuzz philosophers with -witness-dir, then
 #                          `dlfuzz replay` every emitted witness; record
-#                          a step-limited `clfrun` run and replay it to
-#                          the same outcome line, with no divergence
+#                          a step-limited `dlfuzz run` and replay it with
+#                          `dlfuzz replay`: exit 0, same outcome line
 #   9. corpus smoke      — dlgen harvests a fresh 25-seed corpus into a
 #                          temp dir and re-validates it, then re-validates
 #                          the committed testdata/corpus (every program
