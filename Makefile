@@ -79,6 +79,7 @@ profile:
 
 fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzParser -fuzztime=$(FUZZTIME) ./internal/lang/
+	$(GO) test -run=Fuzz -fuzz=FuzzInterp -fuzztime=$(FUZZTIME) ./internal/lang/
 	$(GO) test -run=Fuzz -fuzz=FuzzReadWitness -fuzztime=$(FUZZTIME) ./internal/obs/
 	$(GO) test -run=Fuzz -fuzz=FuzzWitnessEncode -fuzztime=$(FUZZTIME) ./internal/obs/
 	$(GO) test -run=Fuzz -fuzz=FuzzReadJournal -fuzztime=$(FUZZTIME) ./internal/obs/

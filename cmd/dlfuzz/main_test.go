@@ -287,6 +287,52 @@ func TestReplayRecordedWitness(t *testing.T) {
 	}
 }
 
+// TestReplayRuntimeError replays witnesses whose programs were edited
+// after the recording so that the replay reaches a CLF runtime error: a
+// division by zero, and a channel misuse the scheduler aborts on. Each
+// is a witness that no longer reproduces: a FAIL line, the positioned
+// message on stderr, and exit 1, while the other witnesses of the
+// directory still replay.
+func TestReplayRuntimeError(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct{ name, recorded, edited string }{
+		{"div", "fn main() {\n    var a = 1;\n    var b = 0;\n}\n", "fn main() {\n    var a = 1;\n    var b = a / 0;\n}\n"},
+		{"misuse", "fn main() {\n    var ch = newchan;\n    close ch;\n}\n", "fn main() {\n    var ch = newchan;\n    close ch; close ch;\n}\n"},
+	} {
+		src := filepath.Join(dir, c.name+".clf")
+		if err := os.WriteFile(src, []byte(c.recorded), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"run", "-record", filepath.Join(dir, c.name+".jsonl"), src}, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: record exit %d\n%s", c.name, code, stderr.String())
+		}
+		if err := os.WriteFile(src, []byte(c.edited), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"run", "-record", filepath.Join(dir, "ok.jsonl"), "-seed", "5", "-max-steps", "20", philosophers}, &stdout, &stderr); code != 0 {
+		t.Fatalf("record exit %d\n%s", code, stderr.String())
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"replay", "-q", dir}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	div, misuse := filepath.Join(dir, "div.jsonl"), filepath.Join(dir, "misuse.jsonl")
+	for _, want := range []string{"FAIL " + div + "\n", "FAIL " + misuse + "\n", "ok   " + filepath.Join(dir, "ok.jsonl") + ": run reproduced", "1 of 3 witnesses reproduced\n"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout.String())
+		}
+	}
+	wantErr := "dlfuzz replay: " + div + ": " + filepath.Join(dir, "div.clf") + ":3:15: runtime error: division by zero\n" +
+		"dlfuzz replay: " + misuse + ": " + filepath.Join(dir, "misuse.clf") + ":3:1: runtime error: t0 closes closed channel o2:Chan@" + filepath.Join(dir, "misuse.clf") + ":2\n"
+	if stderr.String() != wantErr {
+		t.Errorf("stderr:\n%s\nwant:\n%s", stderr.String(), wantErr)
+	}
+}
+
 // TestReplayDirWithJournal replays a directory that holds a journal
 // beside the witnesses, as `-witness-dir W -journal W/journal.jsonl`
 // leaves it: the journal is skipped with one stderr line, and every

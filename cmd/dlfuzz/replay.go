@@ -18,6 +18,7 @@ import (
 
 	"dlfuzz"
 	"dlfuzz/internal/fuzzer"
+	"dlfuzz/internal/lang"
 	"dlfuzz/internal/obs"
 	"dlfuzz/internal/report"
 	"dlfuzz/internal/workloads"
@@ -93,7 +94,7 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "dlfuzz replay: %s: %v\n", w.path, err)
 			return 2
 		}
-		rep, err := obs.Replay(prog, w.Witness)
+		rep, err := replayWitness(prog, w.Witness)
 		if err != nil {
 			fmt.Fprintf(stdout, "FAIL %s\n", w.path)
 			fmt.Fprintf(stderr, "dlfuzz replay: %s: %v\n", w.path, err)
@@ -117,6 +118,23 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// replayWitness is obs.Replay with a CLF runtime error reached during
+// the replay, such as one a program edited since the recording now
+// hits, returned as the replay's error instead of a panic. Other panics
+// propagate.
+func replayWitness(prog func(*dlfuzz.Ctx), w *obs.Witness) (rep *obs.ReplayReport, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			rt, ok := lang.AsRuntimeError(r)
+			if !ok {
+				panic(r)
+			}
+			rep, err = nil, rt
+		}
+	}()
+	return obs.Replay(prog, w)
 }
 
 // witnessFile is one decoded witness and the file it came from.

@@ -71,6 +71,20 @@ func TestExitCodeContract(t *testing.T) {
 	if err := os.WriteFile(changed, []byte(alwaysDeadlocks), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A witness of a program edited since the recording so that its
+	// replay reaches a runtime error.
+	faulty := filepath.Join(dir, "faulty.clf")
+	faultyWit := filepath.Join(dir, "faulty.jsonl")
+	if err := os.WriteFile(faulty, []byte("fn main() { var a = 1; var b = 0; }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	record = exec.Command(filepath.Join(bin, "dlfuzz"), "run", "-record", faultyWit, faulty)
+	if out, err := record.CombinedOutput(); err != nil {
+		t.Fatalf("dlfuzz run -record: %v\n%s", err, out)
+	}
+	if err := os.WriteFile(faulty, []byte("fn main() { var a = 1; var b = a / 0; }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		cmd  string
@@ -88,6 +102,7 @@ func TestExitCodeContract(t *testing.T) {
 		{"dlfuzz", []string{"run"}, 2},
 		{"dlfuzz", []string{"replay", "testdata/golden/witness/fig1.jsonl"}, 0},
 		{"dlfuzz", []string{"replay", stale}, 1},
+		{"dlfuzz", []string{"replay", faultyWit}, 1},
 		{"dlfuzz", []string{"replay"}, 2},
 		{"dlstatic", []string{"testdata/fig1.clf"}, 0},
 		{"dlstatic", nil, 2},

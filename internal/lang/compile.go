@@ -2,14 +2,19 @@ package lang
 
 // The CLF bytecode compiler. compile lowers a resolved AST into flat
 // instruction streams: one compiledFunc per declaration, each a slice of
-// slot-addressed instructions with pre-rendered event.Loc labels and the
-// exact source positions the tree-walker would report in runtime errors.
+// pointer-free, slot-addressed instructions. An instruction names its
+// literal by index into its function's constant pool and its statement
+// label by index into the program's label table, which holds one
+// pre-rendered event.Loc per source line; it stores the exact line and
+// column the tree-walker would report in a runtime error, the file being
+// held once per program. Nothing of the AST survives compilation.
 // The VM (vm.go) executes the streams; byte-identity with the walker is
 // the contract, so every instruction documents which interp.go path it
 // mirrors, including evaluation order and error positions.
 
 import (
 	"fmt"
+	"slices"
 
 	"dlfuzz/internal/event"
 )
@@ -17,7 +22,7 @@ import (
 type opcode uint8
 
 const (
-	opConst      opcode = iota // push in.val
+	opConst      opcode = iota // push consts[in.k]
 	opLoad                     // push slots[in.a]
 	opStore                    // slots[in.a] = pop (var decl and assignment)
 	opJump                     // pc = in.a
@@ -26,10 +31,10 @@ const (
 	opNot                      // pop; must be bool (error at operand pos); push negation
 	opNeg                      // pop; must be int (error at operand pos); push negation
 	opBinop                    // pop r, pop l; apply TokKind(in.a); errors at in.pos
-	opBinopK                   // pop l; apply TokKind(in.a) with constant right operand in.val
-	opBinopS                   // pop l; apply TokKind(in.a) with right operand slots[in.b]
+	opBinopK                   // pop l; apply TokKind(in.a) with constant right operand consts[in.k]
+	opBinopS                   // pop l; apply TokKind(in.a) with right operand slots[in.k]
 	opBinopKS                  // opBinopK storing the result in slots[in.b] instead of pushing
-	opBinopSS                  // opBinopS (right operand slots[in.val.i]) storing into slots[in.b]
+	opBinopSS                  // opBinopS storing the result in slots[in.b] instead of pushing
 	opEq                       // pop r, pop l; push equality (in.a != 0 negates)
 	opPop                      // discard top (ExprStmt)
 	opPrint                    // pop in.a args; print space-joined + newline
@@ -37,68 +42,83 @@ const (
 	opIntChk                   // top must be int; error at in.pos (evalInt of a subexpression)
 	opChanChk                  // top must be chan; error at in.pos (evalChan before a later operand)
 	opWGChk                    // top must be waitgroup; error at in.pos
-	opNewObj                   // c.New(in.val.s, in.loc); push
-	opNewLatch                 // c.NewLatch(in.loc); push
-	opNewWG                    // c.NewWaitGroup(in.loc); push
+	opNewObj                   // c.New(type name strs[in.a], labels[in.k]); push
+	opNewLatch                 // c.NewLatch(labels[in.k]); push
+	opNewWG                    // c.NewWaitGroup(labels[in.k]); push
 	opNewChan                  // in.a != 0: pop capacity (int-checked; negative error at in.pos); c.NewChan; push
-	opRecv                     // pop chan (error at in.pos); c.Recv(in.loc); push
-	opSend                     // pop value if in.a != 0 (else nil), pop chan (pre-checked); c.Send(in.loc)
-	opClose                    // pop chan (error at in.pos); c.Close(in.loc)
-	opWGAdd                    // pop n (pre-checked int), pop wg (pre-checked); c.WGAdd(in.loc)
-	opWGDone                   // pop wg (error at in.pos); c.WGDone(in.loc)
-	opWGWait                   // pop wg (error at in.pos); c.WGWait(in.loc)
-	opSyncEnter                // pop lockable (error at in.pos); c.Acquire(in.loc); push sync stack
+	opRecv                     // pop chan (error at in.pos); c.Recv(labels[in.k]); push
+	opSend                     // pop value if in.a != 0 (else nil), pop chan (pre-checked); c.Send(labels[in.k])
+	opClose                    // pop chan (error at in.pos); c.Close(labels[in.k])
+	opWGAdd                    // pop n (pre-checked int), pop wg (pre-checked); c.WGAdd(labels[in.k])
+	opWGDone                   // pop wg (error at in.pos); c.WGDone(labels[in.k])
+	opWGWait                   // pop wg (error at in.pos); c.WGWait(labels[in.k])
+	opSyncEnter                // pop lockable (error at in.pos); c.Acquire(labels[in.k]); push sync stack
 	opSyncExit                 // pop sync stack; c.Release
-	opWork                     // pop n (pre-checked int; negative error at in.pos); c.Work(in.loc)
-	opStep                     // c.Step(in.loc) — while-loop back edge
-	opJoin                     // pop thread (error at in.pos); c.Join(in.loc)
-	opAwait                    // pop latch (error at in.pos); c.Await(in.loc)
-	opSignal                   // pop latch (error at in.pos); c.Signal(in.loc)
-	opWaitOn                   // pop lockable (error at in.pos); c.Wait(in.loc)
+	opWork                     // pop n (pre-checked int; negative error at in.pos); c.Work(labels[in.k])
+	opStep                     // c.Step(labels[in.k]) — while-loop back edge
+	opJoin                     // pop thread (error at in.pos); c.Join(labels[in.k])
+	opAwait                    // pop latch (error at in.pos); c.Await(labels[in.k])
+	opSignal                   // pop latch (error at in.pos); c.Signal(labels[in.k])
+	opWaitOn                   // pop lockable (error at in.pos); c.Wait(labels[in.k])
 	opNotify                   // pop lockable (error at in.pos); c.Notify/NotifyAll (in.a = all)
 	opFieldGet                 // pop object (error at in.pos); push field in.a ("unset" error at in.pos)
 	opFieldOwner               // pop; must be a plain object (error at in.pos); push back
 	opFieldSet                 // pop value, pop object (pre-checked); write field in.a
-	opCall                     // pop in.b args; invoke funcs[in.a]; push result
-	opSpawn                    // pop in.b args; c.Spawn funcs[in.a]; push thread handle
+	opCall                     // pop in.b args; invoke funcs[in.a] at labels[in.k]; push result
+	opSpawn                    // pop in.b args; c.Spawn funcs[in.a] at labels[in.k]; push thread handle
 	opReturn                   // return pop if in.a != 0, else nil
 )
 
-// instr is one VM instruction. The operand fields are wide but flat: the
-// dispatch loop reads one record and never chases AST pointers.
+// instr is one VM instruction: an opcode and int32 operands, with no
+// pointer for the garbage collector to scan.
 type instr struct {
 	op  opcode
-	a   int32     // slot / jump target / field id / func index / flag / TokKind
-	b   int32     // argument count (opCall, opSpawn)
-	val vval      // literal payload (opConst); type name in val.s (opNewObj)
-	loc event.Loc // pre-rendered "file:line" label for scheduling points
-	pos Pos       // source position for runtime errors
+	a   int32  // slot / jump target / field id / func index / flag / TokKind / type-name string
+	b   int32  // argument count (opCall, opSpawn); destination slot (opBinopKS, opBinopSS)
+	k   int32  // constant index (opConst, opBinopK, opBinopKS); right slot (opBinopS, opBinopSS); label index (scheduling points)
+	pos srcPos // source position for runtime errors
 }
+
+// srcPos is a line and column in the program's one source file.
+type srcPos struct{ line, col int32 }
+
+func at(p Pos) srcPos { return srcPos{line: int32(p.Line), col: int32(p.Col)} }
 
 // compiledFunc is one lowered function.
 type compiledFunc struct {
 	name    string
-	nparams int
 	nslots  int // named-variable slots; the operand stack starts here
 	frame   int // nslots + deepest operand-stack use
 	code    []instr
-	declPos Pos       // function declaration position (main's call site)
-	declLoc event.Loc // declPos pre-rendered as a label
+	consts  []vval // literal pool: opConst and opBinopK operands
+	declPos srcPos // function declaration position (main's call site)
+	declLbl int32  // declPos's label
 }
 
 // compiledProg is the bytecode form of a Program.
 type compiledProg struct {
-	funcs  []*compiledFunc
-	main   *compiledFunc
-	fields []string // interned field names, for "unset field" messages
+	file     string
+	funcs    []*compiledFunc
+	main     *compiledFunc
+	fields   []string    // interned field names, for "unset field" messages
+	maxFrame int         // the largest compiledFunc.frame
+	labels   []event.Loc // one "file:line" label per source line that has one
+	strs     []string    // string literals and type names, see vmRun.str
+}
+
+// errAt is rtErrf at a position in the program's file.
+func (cp *compiledProg) errAt(p srcPos, format string, args ...any) *RuntimeError {
+	return rtErrf(Pos{File: cp.file, Line: int(p.line), Col: int(p.col)}, format, args...)
 }
 
 // compile lowers a resolved program, caching the result on the Program.
 func (p *Program) compile() *compiledProg {
 	p.compileOnce.Do(func() {
-		cp := &compiledProg{fields: p.fields}
-		for _, f := range p.Funcs {
-			cp.funcs = append(cp.funcs, compileFunc(f))
+		cp := &compiledProg{file: p.File, fields: p.fields, funcs: make([]*compiledFunc, len(p.Funcs))}
+		c := &fnCompiler{cp: cp, lines: map[int]int32{}}
+		for i, f := range p.Funcs {
+			cp.funcs[i] = c.function(f)
+			cp.maxFrame = max(cp.maxFrame, cp.funcs[i].frame)
 		}
 		cp.main = cp.funcs[p.funcIdx["main"]]
 		p.compiled = cp
@@ -106,31 +126,39 @@ func (p *Program) compile() *compiledProg {
 	return p.compiled
 }
 
-// fnCompiler emits one function's instruction stream, tracking the
-// operand-stack depth (for frame sizing) and the statically-known stack
-// of open sync blocks (so `return` can release them in unwind order).
+// fnCompiler emits one function's instruction stream at a time, tracking
+// the operand-stack depth (for frame sizing) and the statically-known
+// stack of open sync blocks (so `return` can release them in unwind
+// order). One fnCompiler lowers every function of a program: its code
+// and constant buffers are reused from function to function, and each
+// compiledFunc gets exact-size copies.
 type fnCompiler struct {
+	cp       *compiledProg
+	lines    map[int]int32 // source line -> index in cp.labels
 	code     []instr
+	consts   []vval
 	depth    int // current operand-stack depth (conservative on joins)
 	maxDepth int
 	syncs    int // open sync blocks at this point in the function
 	fence    int // highest recorded jump target; fusion must not cross it
 }
 
-func compileFunc(f *FuncDecl) *compiledFunc {
-	c := &fnCompiler{}
+// function lowers one declaration.
+func (c *fnCompiler) function(f *FuncDecl) *compiledFunc {
+	c.code, c.consts = c.code[:0], c.consts[:0]
+	c.depth, c.maxDepth, c.syncs, c.fence = 0, 0, 0, 0
 	c.block(f.Body)
 	// Falling off the end returns nil, like the tree-walker's callFunction
 	// when no return statement unwinds.
 	c.emit(instr{op: opReturn}, 0)
 	return &compiledFunc{
 		name:    f.Name,
-		nparams: len(f.Params),
 		nslots:  f.numSlots,
 		frame:   f.numSlots + c.maxDepth,
-		code:    c.code,
-		declPos: f.Pos,
-		declLoc: loc(f.Pos),
+		code:    slices.Clone(c.code),
+		consts:  slices.Clone(c.consts),
+		declPos: at(f.Pos),
+		declLbl: c.label(f.Pos),
 	}
 }
 
@@ -157,7 +185,29 @@ func (c *fnCompiler) patch(i int) {
 	}
 }
 
-func loc(p Pos) event.Loc { return event.Loc(p.Loc()) }
+// label returns the index of p's statement label, rendering and
+// interning it on its line's first use.
+func (c *fnCompiler) label(p Pos) int32 {
+	if i, ok := c.lines[p.Line]; ok {
+		return i
+	}
+	i := int32(len(c.cp.labels))
+	c.cp.labels = append(c.cp.labels, event.Loc(p.Loc()))
+	c.lines[p.Line] = i
+	return i
+}
+
+// str adds s to the program's constant strings and returns its index.
+func (c *fnCompiler) str(s string) int32 {
+	c.cp.strs = append(c.cp.strs, s)
+	return int32(len(c.cp.strs) - 1)
+}
+
+// konst adds v to the function's constant pool and returns its index.
+func (c *fnCompiler) konst(v vval) int32 {
+	c.consts = append(c.consts, v)
+	return int32(len(c.consts) - 1)
+}
 
 func (c *fnCompiler) block(b *Block) {
 	for _, s := range b.Stmts {
@@ -181,7 +231,7 @@ func (c *fnCompiler) stmt(s Stmt) {
 	case *SyncStmt:
 		// evalObject's error position is the lock expression's own.
 		c.expr(s.Lock)
-		c.emit(instr{op: opSyncEnter, pos: s.Lock.exprPos(), loc: loc(s.Pos)}, -1)
+		c.emit(instr{op: opSyncEnter, pos: at(s.Lock.exprPos()), k: c.label(s.Pos)}, -1)
 		c.syncs++
 		c.block(s.Body)
 		c.syncs--
@@ -189,7 +239,7 @@ func (c *fnCompiler) stmt(s Stmt) {
 
 	case *IfStmt:
 		c.expr(s.Cond)
-		br := c.emit(instr{op: opBrFalse, pos: s.Cond.exprPos()}, -1)
+		br := c.emit(instr{op: opBrFalse, pos: at(s.Cond.exprPos())}, -1)
 		c.block(s.Then)
 		if s.Else == nil {
 			c.patch(br)
@@ -203,10 +253,10 @@ func (c *fnCompiler) stmt(s Stmt) {
 	case *WhileStmt:
 		top := len(c.code)
 		c.expr(s.Cond)
-		br := c.emit(instr{op: opBrFalse, pos: s.Cond.exprPos()}, -1)
+		br := c.emit(instr{op: opBrFalse, pos: at(s.Cond.exprPos())}, -1)
 		c.block(s.Body)
 		// The back edge is a scheduling point, exactly as in the walker.
-		c.emit(instr{op: opStep, loc: loc(s.Pos)}, 0)
+		c.emit(instr{op: opStep, k: c.label(s.Pos)}, 0)
 		c.emit(instr{op: opJump, a: int32(top)}, 0)
 		c.patch(br)
 
@@ -214,24 +264,24 @@ func (c *fnCompiler) stmt(s Stmt) {
 		c.expr(s.N)
 		// evalInt errors at the operand's position; the negative-amount
 		// error at the statement's.
-		c.emit(instr{op: opIntChk, pos: s.N.exprPos()}, 0)
-		c.emit(instr{op: opWork, pos: s.Pos, loc: loc(s.Pos)}, -1)
+		c.emit(instr{op: opIntChk, pos: at(s.N.exprPos())}, 0)
+		c.emit(instr{op: opWork, pos: at(s.Pos), k: c.label(s.Pos)}, -1)
 
 	case *JoinStmt:
 		c.expr(s.Thread)
-		c.emit(instr{op: opJoin, pos: s.Pos, loc: loc(s.Pos)}, -1)
+		c.emit(instr{op: opJoin, pos: at(s.Pos), k: c.label(s.Pos)}, -1)
 
 	case *AwaitStmt:
 		c.expr(s.Latch)
-		c.emit(instr{op: opAwait, pos: s.Pos, loc: loc(s.Pos)}, -1)
+		c.emit(instr{op: opAwait, pos: at(s.Pos), k: c.label(s.Pos)}, -1)
 
 	case *SignalStmt:
 		c.expr(s.Latch)
-		c.emit(instr{op: opSignal, pos: s.Pos, loc: loc(s.Pos)}, -1)
+		c.emit(instr{op: opSignal, pos: at(s.Pos), k: c.label(s.Pos)}, -1)
 
 	case *WaitStmt:
 		c.expr(s.Obj)
-		c.emit(instr{op: opWaitOn, pos: s.Obj.exprPos(), loc: loc(s.Pos)}, -1)
+		c.emit(instr{op: opWaitOn, pos: at(s.Obj.exprPos()), k: c.label(s.Pos)}, -1)
 
 	case *NotifyStmt:
 		c.expr(s.Obj)
@@ -239,44 +289,44 @@ func (c *fnCompiler) stmt(s Stmt) {
 		if s.All {
 			all = 1
 		}
-		c.emit(instr{op: opNotify, a: all, pos: s.Obj.exprPos(), loc: loc(s.Pos)}, -1)
+		c.emit(instr{op: opNotify, a: all, pos: at(s.Obj.exprPos()), k: c.label(s.Pos)}, -1)
 
 	case *SendStmt:
 		// The walker checks the channel (at the statement position)
 		// before evaluating the value.
 		c.expr(s.Ch)
-		c.emit(instr{op: opChanChk, pos: s.Pos}, 0)
+		c.emit(instr{op: opChanChk, pos: at(s.Pos)}, 0)
 		hasVal := int32(0)
 		if s.Val != nil {
 			c.expr(s.Val)
 			hasVal = 1
 		}
-		c.emit(instr{op: opSend, a: hasVal, loc: loc(s.Pos)}, -1-int(hasVal))
+		c.emit(instr{op: opSend, a: hasVal, k: c.label(s.Pos)}, -1-int(hasVal))
 
 	case *CloseStmt:
 		c.expr(s.Ch)
-		c.emit(instr{op: opClose, pos: s.Pos, loc: loc(s.Pos)}, -1)
+		c.emit(instr{op: opClose, pos: at(s.Pos), k: c.label(s.Pos)}, -1)
 
 	case *WGAddStmt:
 		c.expr(s.WG)
-		c.emit(instr{op: opWGChk, pos: s.Pos}, 0)
+		c.emit(instr{op: opWGChk, pos: at(s.Pos)}, 0)
 		c.expr(s.N)
-		c.emit(instr{op: opIntChk, pos: s.N.exprPos()}, 0)
-		c.emit(instr{op: opWGAdd, loc: loc(s.Pos)}, -2)
+		c.emit(instr{op: opIntChk, pos: at(s.N.exprPos())}, 0)
+		c.emit(instr{op: opWGAdd, k: c.label(s.Pos)}, -2)
 
 	case *WGDoneStmt:
 		c.expr(s.WG)
-		c.emit(instr{op: opWGDone, pos: s.Pos, loc: loc(s.Pos)}, -1)
+		c.emit(instr{op: opWGDone, pos: at(s.Pos), k: c.label(s.Pos)}, -1)
 
 	case *WGWaitStmt:
 		c.expr(s.WG)
-		c.emit(instr{op: opWGWait, pos: s.Pos, loc: loc(s.Pos)}, -1)
+		c.emit(instr{op: opWGWait, pos: at(s.Pos), k: c.label(s.Pos)}, -1)
 
 	case *FieldAssignStmt:
 		// evalFieldOwner (error at the statement position) runs before
 		// the value is evaluated.
 		c.expr(s.Obj)
-		c.emit(instr{op: opFieldOwner, pos: s.Pos}, 0)
+		c.emit(instr{op: opFieldOwner, pos: at(s.Pos)}, 0)
 		c.expr(s.Val)
 		c.emit(instr{op: opFieldSet, a: int32(s.fieldID)}, -2)
 
@@ -313,60 +363,60 @@ func (c *fnCompiler) stmt(s Stmt) {
 func (c *fnCompiler) expr(e Expr) {
 	switch e := e.(type) {
 	case *IntLit:
-		c.emit(instr{op: opConst, val: vval{kind: vInt, i: e.Val}}, 1)
+		c.emit(instr{op: opConst, k: c.konst(vval{kind: vInt, i: e.Val})}, 1)
 	case *BoolLit:
 		v := vval{kind: vBool}
 		if e.Val {
 			v.i = 1
 		}
-		c.emit(instr{op: opConst, val: v}, 1)
+		c.emit(instr{op: opConst, k: c.konst(v)}, 1)
 	case *StrLit:
-		c.emit(instr{op: opConst, val: vval{kind: vStr, s: e.Val}}, 1)
+		c.emit(instr{op: opConst, k: c.konst(vval{kind: vStr, i: int64(c.str(e.Val))})}, 1)
 	case *NilLit:
-		c.emit(instr{op: opConst, val: vval{kind: vNil}}, 1)
+		c.emit(instr{op: opConst, k: c.konst(vval{kind: vNil})}, 1)
 	case *Ident:
 		c.emit(instr{op: opLoad, a: int32(e.slot)}, 1)
 	case *NewExpr:
-		c.emit(instr{op: opNewObj, val: vval{s: e.Type}, loc: loc(e.Pos)}, 1)
+		c.emit(instr{op: opNewObj, a: c.str(e.Type), k: c.label(e.Pos)}, 1)
 	case *NewLatchExpr:
-		c.emit(instr{op: opNewLatch, loc: loc(e.Pos)}, 1)
+		c.emit(instr{op: opNewLatch, k: c.label(e.Pos)}, 1)
 	case *NewWGExpr:
-		c.emit(instr{op: opNewWG, loc: loc(e.Pos)}, 1)
+		c.emit(instr{op: opNewWG, k: c.label(e.Pos)}, 1)
 	case *NewChanExpr:
 		if e.Cap == nil {
-			c.emit(instr{op: opNewChan, pos: e.Pos, loc: loc(e.Pos)}, 1)
+			c.emit(instr{op: opNewChan, pos: at(e.Pos), k: c.label(e.Pos)}, 1)
 			return
 		}
 		c.expr(e.Cap)
 		// evalInt errors at the capacity expression; the negative-capacity
 		// error at the newchan expression.
-		c.emit(instr{op: opIntChk, pos: e.Cap.exprPos()}, 0)
-		c.emit(instr{op: opNewChan, a: 1, pos: e.Pos, loc: loc(e.Pos)}, 0)
+		c.emit(instr{op: opIntChk, pos: at(e.Cap.exprPos())}, 0)
+		c.emit(instr{op: opNewChan, a: 1, pos: at(e.Pos), k: c.label(e.Pos)}, 0)
 	case *RecvExpr:
 		c.expr(e.Ch)
-		c.emit(instr{op: opRecv, pos: e.Pos, loc: loc(e.Pos)}, 0)
+		c.emit(instr{op: opRecv, pos: at(e.Pos), k: c.label(e.Pos)}, 0)
 	case *CallExpr:
 		for _, a := range e.Args {
 			c.expr(a)
 		}
-		c.emit(instr{op: opCall, a: int32(e.funcIdx), b: int32(len(e.Args)), pos: e.Pos, loc: loc(e.Pos)},
+		c.emit(instr{op: opCall, a: int32(e.funcIdx), b: int32(len(e.Args)), pos: at(e.Pos), k: c.label(e.Pos)},
 			1-len(e.Args))
 	case *SpawnExpr:
 		for _, a := range e.Call.Args {
 			c.expr(a)
 		}
-		c.emit(instr{op: opSpawn, a: int32(e.Call.funcIdx), b: int32(len(e.Call.Args)), pos: e.Pos, loc: loc(e.Pos)},
+		c.emit(instr{op: opSpawn, a: int32(e.Call.funcIdx), b: int32(len(e.Call.Args)), pos: at(e.Pos), k: c.label(e.Pos)},
 			1-len(e.Call.Args))
 	case *FieldExpr:
 		c.expr(e.Obj)
-		c.emit(instr{op: opFieldGet, a: int32(e.fieldID), pos: e.Pos}, 0)
+		c.emit(instr{op: opFieldGet, a: int32(e.fieldID), pos: at(e.Pos)}, 0)
 	case *UnaryExpr:
 		c.expr(e.X)
 		switch e.Op {
 		case TokBang:
-			c.emit(instr{op: opNot, pos: e.X.exprPos()}, 0)
+			c.emit(instr{op: opNot, pos: at(e.X.exprPos())}, 0)
 		case TokMinus:
-			c.emit(instr{op: opNeg, pos: e.X.exprPos()}, 0)
+			c.emit(instr{op: opNeg, pos: at(e.X.exprPos())}, 0)
 		default:
 			panic(fmt.Sprintf("lang: unknown unary op %v", e.Op))
 		}
@@ -384,24 +434,24 @@ func (c *fnCompiler) binary(e *BinaryExpr) {
 	switch e.Op {
 	case TokAndAnd:
 		c.expr(e.L)
-		br := c.emit(instr{op: opBrFalse, pos: e.L.exprPos()}, -1)
+		br := c.emit(instr{op: opBrFalse, pos: at(e.L.exprPos())}, -1)
 		c.expr(e.R)
-		c.emit(instr{op: opBoolChk, pos: e.R.exprPos()}, 0)
+		c.emit(instr{op: opBoolChk, pos: at(e.R.exprPos())}, 0)
 		end := c.emit(instr{op: opJump}, 0)
 		c.patch(br)
-		c.emit(instr{op: opConst, val: vval{kind: vBool}}, 1)
+		c.emit(instr{op: opConst, k: c.konst(vval{kind: vBool})}, 1)
 		c.patch(end)
 		// Both arms push one value; the linear count above over-reports
 		// by one, which only pads the frame.
 		c.depth--
 	case TokOrOr:
 		c.expr(e.L)
-		br := c.emit(instr{op: opBrTrue, pos: e.L.exprPos()}, -1)
+		br := c.emit(instr{op: opBrTrue, pos: at(e.L.exprPos())}, -1)
 		c.expr(e.R)
-		c.emit(instr{op: opBoolChk, pos: e.R.exprPos()}, 0)
+		c.emit(instr{op: opBoolChk, pos: at(e.R.exprPos())}, 0)
 		end := c.emit(instr{op: opJump}, 0)
 		c.patch(br)
-		c.emit(instr{op: opConst, val: vval{kind: vBool, i: 1}}, 1)
+		c.emit(instr{op: opConst, k: c.konst(vval{kind: vBool, i: 1})}, 1)
 		c.patch(end)
 		c.depth--
 	case TokEq:
@@ -434,16 +484,16 @@ func (c *fnCompiler) fuseBinop(op TokKind, pos Pos) {
 	if n := len(c.code); n > c.fence {
 		switch last := &c.code[n-1]; last.op {
 		case opConst:
-			*last = instr{op: opBinopK, a: int32(op), val: last.val, pos: pos}
+			*last = instr{op: opBinopK, a: int32(op), k: last.k, pos: at(pos)}
 			c.depth--
 			return
 		case opLoad:
-			*last = instr{op: opBinopS, a: int32(op), b: last.a, pos: pos}
+			*last = instr{op: opBinopS, a: int32(op), k: last.a, pos: at(pos)}
 			c.depth--
 			return
 		}
 	}
-	c.emit(instr{op: opBinop, a: int32(op), pos: pos}, -1)
+	c.emit(instr{op: opBinop, a: int32(op), pos: at(pos)}, -1)
 }
 
 // emitStore emits the store for a var or assignment statement, folding
@@ -464,7 +514,6 @@ func (c *fnCompiler) emitStore(slot int) {
 			return
 		case opBinopS:
 			last.op = opBinopSS
-			last.val = vval{kind: vInt, i: int64(last.b)}
 			last.b = int32(slot)
 			c.depth--
 			return

@@ -4,15 +4,20 @@ package lang
 // program under testdata/. The invariants the targets lock in:
 //
 //   - neither the lexer nor the parser panics on any input;
-//   - every token carries a valid, non-decreasing source position
-//     inside the input (positions become statement labels, so a bogus
-//     one would corrupt cycle identification downstream);
+//   - every token the streaming lexer yields carries a valid,
+//     non-decreasing source position inside the input (positions
+//     become statement labels, so a bogus one would corrupt cycle
+//     identification downstream);
 //   - Parse either succeeds with a resolvable program that has a main
-//     function, or fails with a positioned *Error naming the file.
+//     function, or fails with a positioned *Error naming the file;
+//   - whenever lexing the whole input fails, Parse returns exactly that
+//     error: the parser pulls tokens one at a time, but a lexing error
+//     anywhere in the file still wins over any parse or resolve error.
 //
-// scripts/ci.sh runs FuzzParser for a short smoke window on every CI
-// pass; longer runs (`go test -fuzz=FuzzParser ./internal/lang/`)
-// explore further from the same corpus.
+// scripts/ci.sh runs FuzzParser (and FuzzInterp, fuzz_interp_test.go)
+// for a short smoke window on every CI pass; longer runs
+// (`go test -fuzz=FuzzParser ./internal/lang/`) explore further from
+// the same corpus.
 
 import (
 	"os"
@@ -60,6 +65,9 @@ func seedCorpus(f *testing.F) {
 	f.Add("fn main() { var x = recv recv nil; }")
 	f.Add("fn main() { send; }")
 	f.Add("fn main() { var c = newchan(; }")
+	// A parse error followed by a lexing error: the lexing error wins.
+	f.Add("fn main() { var = 1; } /* unterminated")
+	f.Add("fn main( { } var s = \"open")
 }
 
 // checkError asserts a front-end failure is well-formed: a positioned
@@ -84,17 +92,15 @@ func checkError(t *testing.T, err error, file string) {
 func FuzzLexer(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, src string) {
-		toks, err := Lex("fuzz.clf", src)
-		if err != nil {
-			checkError(t, err, "fuzz.clf")
-			return
-		}
-		if len(toks) == 0 || toks[len(toks)-1].Kind != TokEOF {
-			t.Fatalf("token stream does not end in EOF (%d tokens)", len(toks))
-		}
+		lx := NewLexer("fuzz.clf", src)
 		lines := strings.Count(src, "\n") + 1
 		prev := Pos{Line: 1, Col: 1}
-		for i, tok := range toks {
+		for i := 0; ; i++ {
+			tok, err := lx.Next()
+			if err != nil {
+				checkError(t, err, "fuzz.clf")
+				return
+			}
 			p := tok.Pos
 			if p.File != "fuzz.clf" || p.Line < 1 || p.Col < 1 {
 				t.Fatalf("token %d has invalid position %v", i, p)
@@ -106,6 +112,12 @@ func FuzzLexer(f *testing.F) {
 				t.Fatalf("token %d position %v went backwards from %v", i, p, prev)
 			}
 			prev = p
+			if tok.Kind == TokEOF {
+				return
+			}
+			if i > len(src) {
+				t.Fatalf("%d tokens from a %d-byte input without EOF", i, len(src))
+			}
 		}
 	})
 }
@@ -114,6 +126,11 @@ func FuzzParser(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Parse("fuzz.clf", src)
+		if _, lexErr := Lex("fuzz.clf", src); lexErr != nil {
+			if err == nil || err.Error() != lexErr.Error() {
+				t.Fatalf("Parse returned %v, want the lexing error %v", err, lexErr)
+			}
+		}
 		if err != nil {
 			if prog != nil {
 				t.Fatal("Parse returned both a program and an error")

@@ -11,9 +11,11 @@ import (
 	"dlfuzz/internal/sched"
 )
 
-// Value is a CLF runtime value: int64, bool, string, *object.Obj (an
-// object whose monitor sync can lock), *sched.Latch, *sched.Thread, or
-// nil.
+// Value is a CLF runtime value in boxed form: int64, bool, string,
+// *object.Obj (an object whose monitor sync can lock), *sched.Latch,
+// *sched.Thread, *sched.Chan, *sched.WaitGroup, or nil. The VM keeps
+// values unboxed (vval) and boxes them only to send them on a channel
+// or to print them.
 type Value any
 
 // typeName names a value's type for error messages.
@@ -85,8 +87,9 @@ func rtErrf(pos Pos, format string, args ...any) *RuntimeError {
 }
 
 // maxCallDepth bounds CLF recursion. Each frame carries Call/Return
-// scheduling points plus a recover handler, so unwinding is costly;
-// 1000 frames is far beyond any realistic test program.
+// scheduling points, and a runaway recursion unwinds every frame's
+// deferred releases; 1000 frames is far beyond any realistic test
+// program.
 const maxCallDepth = 1000
 
 // Interp executes a resolved CLF program on the deterministic scheduler.
@@ -94,7 +97,14 @@ const maxCallDepth = 1000
 // slot-indexed VM (vm.go). The tree-walking reference back end the
 // differential tests pin the VM against lives in treewalk_test.go.
 type Interp struct {
-	prog  *Program
+	prog *Program
+	m    *machine
+}
+
+// machine is what every program body of one Interp shares: the print()
+// sink and the pool of per-execution VM state. It holds nothing of the
+// Program, so a body keeps only the compiled program reachable.
+type machine struct {
 	out   io.Writer
 	outMu sync.Mutex // serializes print() across concurrent executions
 	pool  sync.Pool  // *vmRun, recycled across executions
@@ -106,28 +116,29 @@ func NewInterp(prog *Program, out io.Writer) *Interp {
 	if out == nil {
 		out = io.Discard
 	}
-	return &Interp{prog: prog, out: out}
+	return &Interp{prog: prog, m: &machine{out: out}}
 }
 
 // print writes one print() line. Executions of one Interp may run
 // concurrently (parallel campaign workers), so writes are serialized
 // and each line arrives whole.
-func (in *Interp) print(parts []string) {
-	in.outMu.Lock()
-	defer in.outMu.Unlock()
-	fmt.Fprintln(in.out, strings.Join(parts, " "))
+func (m *machine) print(parts []string) {
+	m.outMu.Lock()
+	defer m.outMu.Unlock()
+	fmt.Fprintln(m.out, strings.Join(parts, " "))
 }
 
 // Main returns the program body in the scheduler's form: running it
 // executes main() on the calling simulated thread. Each invocation gets
-// a fresh heap, so one Interp can safely drive many executions.
+// a fresh heap, so one Interp can safely drive many executions. The
+// body holds the compiled program, not the Program and its AST.
 func (in *Interp) Main() func(*sched.Ctx) {
-	cp := in.prog.compile()
+	cp, m := in.prog.compile(), in.m
 	return func(c *sched.Ctx) {
-		run := in.getRun(len(cp.fields))
+		run := m.getRun(cp)
 		defer run.release()
-		t := &vmThread{c: c, cp: cp, run: run, in: in}
-		t.call(cp.main, nil, cp.main.declPos, cp.main.declLoc)
+		main := cp.main
+		run.thread(c).call(main, nil, main.declPos, cp.labels[main.declLbl])
 	}
 }
 
@@ -141,21 +152,30 @@ func (in *Interp) Run(opts sched.Options) (*sched.Result, error) {
 func runMain(opts sched.Options, main func(*sched.Ctx)) (res *sched.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if rt, ok := r.(*RuntimeError); ok {
-				err = rt
-				return
+			rt, ok := AsRuntimeError(r)
+			if !ok {
+				panic(r)
 			}
-			if me, ok := r.(*sched.MisuseError); ok {
-				// A blocking-primitive misuse (send on closed channel,
-				// double close, negative WaitGroup counter) surfaces as a
-				// scheduler abort; re-position it as a CLF runtime error.
-				err = &RuntimeError{Pos: locPos(me.Loc), Msg: me.Msg}
-				return
-			}
-			panic(r)
+			err = rt
 		}
 	}()
 	return sched.New(opts).Run(main), nil
+}
+
+// AsRuntimeError converts a value recovered from a scheduler run of a
+// CLF body into the positioned error it stands for: a *RuntimeError as
+// is, and a blocking-primitive misuse (send on closed channel, double
+// close, negative WaitGroup counter), which surfaces as a scheduler
+// abort, re-positioned as a CLF runtime error at its statement. It
+// reports false for any other value.
+func AsRuntimeError(r any) (*RuntimeError, bool) {
+	switch r := r.(type) {
+	case *RuntimeError:
+		return r, true
+	case *sched.MisuseError:
+		return &RuntimeError{Pos: locPos(r.Loc), Msg: r.Msg}, true
+	}
+	return nil, false
 }
 
 // locPos parses a statement label ("file:line") back into a Pos for

@@ -109,6 +109,31 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestLexErrorWins pins the front end's error precedence: the parser
+// pulls tokens one at a time, yet a lexing error later in the file is
+// still the one reported over a parse or resolve error before it, as
+// when the whole file was lexed first.
+func TestLexErrorWins(t *testing.T) {
+	cases := []struct {
+		src, want string
+	}{
+		{"fn main() { var = 3; }\n/* open", "e.clf:2:1: unterminated block comment"},
+		{"fn main( {\n} var s = \"open", `e.clf:2:11: unterminated string literal`},
+		{"fn main() { x = ; } &", "e.clf:1:21: unexpected '&' (did you mean '&&'?)"},
+		{"fn f() { } |", "e.clf:1:12: unexpected '|' (did you mean '||'?)"},
+		{"fn main() { undefined(); } \"\\q\"", `e.clf:1:28: unknown escape \q`},
+	}
+	for _, c := range cases {
+		_, err := Parse("e.clf", c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q): err = %v, want %s", c.src, err, c.want)
+		}
+		if _, lexErr := Lex("e.clf", c.src); lexErr == nil || lexErr.Error() != c.want {
+			t.Errorf("Lex(%q): err = %v, want %s", c.src, lexErr, c.want)
+		}
+	}
+}
+
 func TestResolveErrors(t *testing.T) {
 	cases := []struct {
 		src, want string

@@ -1,0 +1,86 @@
+package lang
+
+import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"dlfuzz/internal/sched"
+)
+
+// pointerFree reports the first field path of typ that holds a pointer
+// the garbage collector would scan, or "" when there is none.
+func pointerFree(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	case reflect.Array:
+		return pointerFree(typ.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p := pointerFree(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	default:
+		return path + " (" + typ.String() + ")"
+	}
+}
+
+// TestLayout pins the VM's data layout: an instruction and a value hold
+// no pointer, so code, frames, the constant pools and the field heap
+// are memory the garbage collector does not scan and slot stores need
+// no write barrier, and their sizes stay where the allocation profile
+// put them.
+func TestLayout(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		size uintptr
+	}{
+		{instr{}, 24},
+		{vval{}, 16},
+	} {
+		typ := reflect.TypeOf(c.v)
+		if p := pointerFree(typ, typ.Name()); p != "" {
+			t.Errorf("%s holds a pointer at %s", typ, p)
+		}
+		if got := typ.Size(); got != c.size {
+			t.Errorf("sizeof(%s) = %d, want %d", typ, got, c.size)
+		}
+	}
+}
+
+// TestWarmSpawnAllocs pins the allocations of one warm execution of a
+// spawning program. Frames, thread records (each with its spawn
+// arguments and its body, bound once) and the per-run state are pooled,
+// so the VM allocates nothing per call or per spawn; the count is the
+// scheduler's own: each object with its execution index, the result.
+// Before thread records were pooled, each of philosophers' three spawns
+// also allocated a closure and a record, and main a record: 22.
+func TestWarmSpawnAllocs(t *testing.T) {
+	if raceEnabled || testing.CoverMode() != "" {
+		t.Skip("race and coverage instrumentation allocate")
+	}
+	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "philosophers.clf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Parse("philosophers.clf", string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := NewInterp(prog, nil).Main()
+	run := func() { sched.New(sched.Options{Seed: 3}).Run(body) }
+	run()
+	got := testing.AllocsPerRun(50, run)
+	t.Logf("%.0f allocations per warm execution", got)
+	const want = 15
+	if got > want {
+		t.Errorf("%.0f allocations per warm execution, want at most %d", got, want)
+	}
+}

@@ -23,22 +23,6 @@ func NewLexer(file, src string) *Lexer {
 	return &Lexer{file: file, src: src, line: 1, col: 1}
 }
 
-// Lex tokenizes the whole input, ending with a TokEOF token.
-func Lex(file, src string) ([]Token, error) {
-	lx := NewLexer(file, src)
-	var out []Token
-	for {
-		t, err := lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.Kind == TokEOF {
-			return out, nil
-		}
-	}
-}
-
 // pos returns the current position.
 func (l *Lexer) pos() Pos {
 	return Pos{File: l.file, Line: l.line, Col: l.col}

@@ -2,26 +2,39 @@ package lang
 
 import "strconv"
 
-// Parser is a recursive-descent parser for CLF.
+// Parser is a recursive-descent parser for CLF. It pulls tokens from
+// the lexer one at a time: the grammar needs one token of lookahead.
 type Parser struct {
-	toks []Token
-	pos  int
+	lx  *Lexer
+	tok Token // the current token
+	// err is the first lexing error. From then on the current token is
+	// EOF, and Parse reports err whatever the parser made of the rest.
+	err error
 }
 
-// Parse lexes and parses one CLF source file.
+// Parse lexes and parses one CLF source file. A lexing error anywhere
+// in the file wins over any parse or resolve error, as if the whole
+// file were lexed first: after a parse error the lexer runs on to the
+// end of the file before the error is reported.
 func Parse(file, src string) (*Program, error) {
-	toks, err := Lex(file, src)
+	p := &Parser{lx: NewLexer(file, src)}
+	p.advance()
+	prog := &Program{File: file}
+	var err error
+	for err == nil && !p.at(TokEOF) {
+		var fn *FuncDecl
+		if fn, err = p.funcDecl(); err == nil {
+			prog.Funcs = append(prog.Funcs, fn)
+		}
+	}
+	for !p.at(TokEOF) {
+		p.advance()
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
 	if err != nil {
 		return nil, err
-	}
-	p := &Parser{toks: toks}
-	prog := &Program{File: file}
-	for !p.at(TokEOF) {
-		fn, err := p.funcDecl()
-		if err != nil {
-			return nil, err
-		}
-		prog.Funcs = append(prog.Funcs, fn)
 	}
 	if err := Resolve(prog); err != nil {
 		return nil, err
@@ -29,15 +42,29 @@ func Parse(file, src string) (*Program, error) {
 	return prog, nil
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// advance reads the next token into p.tok, turning a lexing error into
+// EOF.
+func (p *Parser) advance() {
+	if p.err != nil {
+		return
+	}
+	t, err := p.lx.Next()
+	if err != nil {
+		p.err = err
+		t = Token{Kind: TokEOF}
+	}
+	p.tok = t
+}
+
+func (p *Parser) cur() Token  { return p.tok }
+func (p *Parser) next() Token { t := p.tok; p.advance(); return t }
 
 func (p *Parser) at(k TokKind) bool { return p.cur().Kind == k }
 
 // accept consumes the current token if it has kind k.
 func (p *Parser) accept(k TokKind) bool {
 	if p.at(k) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false

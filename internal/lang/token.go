@@ -6,7 +6,8 @@
 // (from sync blocks), Call/Return (from function calls), New (from
 // allocations), plus spawn/join/work.
 //
-// The pipeline is conventional: Lex -> Parse -> Resolve -> Interp.
+// The pipeline is conventional: Parse (pulling tokens from the Lexer
+// one at a time) -> Resolve -> compile -> Interp.
 // Programs look like:
 //
 //	fn worker(l1, l2, slow) {
@@ -26,7 +27,10 @@
 //	}
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Pos is a source position.
 type Pos struct {
@@ -43,7 +47,7 @@ func (p Pos) String() string {
 // Loc renders the position as a statement label (file:line), the
 // granularity the analyses use.
 func (p Pos) Loc() string {
-	return fmt.Sprintf("%s:%d", p.File, p.Line)
+	return p.File + ":" + strconv.Itoa(p.Line)
 }
 
 // TokKind enumerates token kinds.

@@ -252,7 +252,7 @@ func (ex *executor) execStmt(s Stmt, env *env) {
 		for i, a := range s.Args {
 			parts[i] = format(ex.eval(a, env))
 		}
-		ex.in.print(parts)
+		ex.in.m.print(parts)
 
 	case *ExprStmt:
 		ex.eval(s.X, env)

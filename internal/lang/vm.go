@@ -2,9 +2,10 @@ package lang
 
 // The CLF bytecode VM. It executes the instruction streams compile.go
 // produces, driving the same sched.Ctx primitives as the tree-walker but
-// with unboxed values (vval), slot-addressed frames instead of map
+// with pointer-free values (vval), slot-addressed frames instead of map
 // environments, a slice-indexed heap instead of nested maps, and frames
-// pooled across the thousands of executions one Interp drives.
+// and thread records pooled across the thousands of executions one
+// Interp drives.
 //
 // Byte-identity with the tree-walker, the test-only reference back end
 // in treewalk_test.go, is the contract (see vmdiff_test.go):
@@ -31,23 +32,61 @@ const (
 	vNil
 	vInt
 	vBool // i is 0 or 1
-	vStr
-	vRef // ref holds *object.Obj, *sched.Latch/Thread/Chan/WaitGroup
+	vStr  // i is a string index (see vmRun.str)
+	// The reference kinds: i is the ID of the referent's object, the
+	// monitor a sync on it locks, and vmRun.refs maps it to the referent.
+	vObj    // *object.Obj
+	vLatch  // *sched.Latch
+	vThread // *sched.Thread
+	vChan   // *sched.Chan
+	vWG     // *sched.WaitGroup
 )
 
-// vval is an unboxed CLF value: ints and bools live in i with no
-// allocation; only reference kinds carry an interface.
+// vkindNames are the tree-walker's typeName for each kind.
+var vkindNames = [...]string{
+	vUnset: "unset", vNil: "nil", vInt: "int", vBool: "bool", vStr: "string",
+	vObj: "object", vLatch: "latch", vThread: "thread", vChan: "chan", vWG: "waitgroup",
+}
+
+// vval is an unboxed CLF value. It holds no pointer: frames and the
+// field heap are plain memory that slot copies write without a write
+// barrier and the garbage collector does not scan.
 type vval struct {
 	kind vkind
 	i    int64
-	s    string
-	ref  any
+}
+
+func vtype(v vval) string { return vkindNames[v.kind] }
+
+// str returns the string a vStr index names: the program's constant
+// strings at indices from 0, the run's own strings (concatenations and
+// channel receives) at indices from -1 down.
+func (r *vmRun) str(i int64) string {
+	if i >= 0 {
+		return r.cp.strs[i]
+	}
+	return r.strs[-i-1]
+}
+
+// newStr adds s to the run's strings and returns its value.
+func (r *vmRun) newStr(s string) vval {
+	r.strs = append(r.strs, s)
+	return vval{kind: vStr, i: -int64(len(r.strs))}
+}
+
+// ref records a new referent of the given kind under its object's ID.
+func (r *vmRun) ref(kind vkind, o *object.Obj, referent any) vval {
+	for uint64(len(r.refs)) <= o.ID {
+		r.refs = append(r.refs, nil)
+	}
+	r.refs[o.ID] = referent
+	return vval{kind: kind, i: int64(o.ID)}
 }
 
 // toValue converts to the tree-walker's boxed representation. Channels
-// transport boxed values (the scheduler API is `any`), and the format/
-// typeName helpers are shared with the walker so messages stay identical.
-func toValue(v vval) Value {
+// transport boxed values (the scheduler API is `any`), and the format
+// helper is shared with the walker so messages stay identical.
+func (r *vmRun) toValue(v vval) Value {
 	switch v.kind {
 	case vNil:
 		return nil
@@ -56,52 +95,53 @@ func toValue(v vval) Value {
 	case vBool:
 		return v.i != 0
 	case vStr:
-		return v.s
+		return r.str(v.i)
 	default:
-		return v.ref
+		return r.refs[v.i]
 	}
 }
 
 // fromValue converts a boxed value (a channel receive) back to a vval.
-func fromValue(v Value) vval {
+// A received reference was made by this run, so its ID is in refs.
+func (r *vmRun) fromValue(v Value) vval {
 	switch v := v.(type) {
 	case nil:
 		return vval{kind: vNil}
 	case int64:
 		return vval{kind: vInt, i: v}
 	case bool:
-		b := int64(0)
-		if v {
-			b = 1
-		}
-		return vval{kind: vBool, i: b}
+		return vval{kind: vBool, i: b2i(v)}
 	case string:
-		return vval{kind: vStr, s: v}
+		return r.newStr(v)
+	case *object.Obj:
+		return vval{kind: vObj, i: int64(v.ID)}
+	case *sched.Latch:
+		return vval{kind: vLatch, i: int64(v.Obj().ID)}
+	case *sched.Thread:
+		return vval{kind: vThread, i: int64(v.Obj().ID)}
+	case *sched.Chan:
+		return vval{kind: vChan, i: int64(v.Obj().ID)}
+	case *sched.WaitGroup:
+		return vval{kind: vWG, i: int64(v.Obj().ID)}
 	default:
-		return vval{kind: vRef, ref: v}
+		panic(fmt.Sprintf("lang: unknown value %T", v))
 	}
 }
 
-// vvalEq mirrors Go interface equality on the boxed forms: values of
-// different kinds (or different dynamic reference types) are unequal.
-func vvalEq(a, b vval) bool {
+// eq mirrors Go interface equality on the boxed forms: values of
+// different kinds are unequal, strings compare by content and
+// references by identity, which their IDs carry.
+func (r *vmRun) eq(a, b vval) bool {
 	if a.kind != b.kind {
 		return false
 	}
-	switch a.kind {
-	case vNil:
-		return true
-	case vStr:
-		return a.s == b.s
-	case vRef:
-		return a.ref == b.ref
-	default:
-		return a.i == b.i
+	if a.kind == vStr {
+		return r.str(a.i) == r.str(b.i)
 	}
+	return a.i == b.i
 }
 
-func vtype(v vval) string   { return typeName(toValue(v)) }
-func vformat(v vval) string { return format(toValue(v)) }
+func (r *vmRun) format(v vval) string { return format(r.toValue(v)) }
 
 // vmFrame is one pooled call frame: named-variable slots followed by the
 // operand stack, plus the stack of open sync blocks (for panic unwind).
@@ -115,75 +155,80 @@ type syncEnt struct {
 	loc event.Loc
 }
 
-// vmRun is the per-execution state: the field heap and the frame pool.
-// It is shared by every simulated thread of one execution and recycled
-// across executions through the Interp's pool. All access happens while
-// the owning thread holds the scheduling baton (exactly one simulated
-// thread runs at a time), except the refcount, which spawned goroutines
-// release as they unwind during teardown.
+// vmRun is the per-execution state: the field heap, the frame pool and
+// the thread records. It is shared by every simulated thread of one
+// execution and recycled across executions through the machine's pool.
+// All access happens while the owning thread holds the scheduling baton
+// (exactly one simulated thread runs at a time), except the refcount,
+// which spawned goroutines release as they unwind during teardown.
 type vmRun struct {
-	in     *Interp
-	nfield int
-	heap   [][]vval // obj.ID -> fieldID -> value; IDs are dense from 1
-	frames []*vmFrame
-	argBuf []vval // reusable spawn-argument staging buffer
-	refs   atomic.Int32
+	m        *machine
+	cp       *compiledProg
+	heap     [][]vval // obj.ID -> fieldID -> value; IDs are dense from 1
+	refs     []any    // obj.ID -> the referent a reference value names
+	strs     []string // the run's strings, see str
+	frames   []*vmFrame
+	threads  []*vmThread // thread records, kept across executions
+	nthread  int         // records handed out in this execution
+	refcount atomic.Int32
 }
 
-func (in *Interp) getRun(nfield int) *vmRun {
-	r, _ := in.pool.Get().(*vmRun)
+func (m *machine) getRun(cp *compiledProg) *vmRun {
+	r, _ := m.pool.Get().(*vmRun)
 	if r == nil {
-		r = &vmRun{in: in, nfield: nfield}
+		r = &vmRun{m: m, cp: cp}
 	}
-	r.refs.Store(1)
+	r.refcount.Store(1)
 	return r
 }
 
-// addRef is taken before each Spawn so the run outlives every thread.
-func (r *vmRun) addRef() { r.refs.Add(1) }
-
 // release drops one reference; the last holder zeroes the heap (the zero
-// vval is an unset field) and returns the run to the pool. Field slices
-// and frame slots keep their capacity for the next execution.
+// vval is an unset field) and the thread records and returns the run to
+// the pool. Field slices, frame slots and records keep their capacity
+// for the next execution.
 func (r *vmRun) release() {
-	if r.refs.Add(-1) != 0 {
+	if r.refcount.Add(-1) != 0 {
 		return
 	}
 	for _, fs := range r.heap {
-		for j := range fs {
-			fs[j] = vval{}
-		}
+		clear(fs)
 	}
-	for j := range r.argBuf {
-		r.argBuf[j] = vval{}
+	clear(r.refs)
+	clear(r.strs)
+	r.strs = r.strs[:0]
+	for _, t := range r.threads[:r.nthread] {
+		clear(t.args)
+		t.c, t.fn = nil, nil
 	}
-	r.in.pool.Put(r)
+	r.nthread = 0
+	r.m.pool.Put(r)
 }
 
-// spawnArgs returns a reusable n-slot staging buffer for spawn
-// arguments. One buffer per run suffices: the child copies its
-// arguments into a fresh frame before reaching its first scheduling
-// point — that is, before Spawn returns to the parent — so the buffer
-// is dead again before any thread can stage the next spawn.
-func (r *vmRun) spawnArgs(n int) []vval {
-	if cap(r.argBuf) < n {
-		r.argBuf = make([]vval, n)
+// thread hands out the next free thread record, making one (and binding
+// its body once) when the execution has more threads than any before it.
+func (r *vmRun) thread(c *sched.Ctx) *vmThread {
+	if r.nthread == len(r.threads) {
+		t := &vmThread{run: r}
+		t.body = t.spawned
+		r.threads = append(r.threads, t)
 	}
-	r.argBuf = r.argBuf[:n]
-	return r.argBuf
+	t := r.threads[r.nthread]
+	r.nthread++
+	t.c, t.depth = c, 0
+	return t
 }
 
+// getFrame pops a pooled frame sized for one call. Every frame is made
+// as large as the program's largest, so a pooled frame fits any call.
 func (r *vmRun) getFrame(size int) *vmFrame {
-	if n := len(r.frames); n > 0 {
-		f := r.frames[n-1]
-		r.frames = r.frames[:n-1]
-		if cap(f.slots) < size {
-			f.slots = make([]vval, size)
-		}
-		f.slots = f.slots[:size]
-		return f
+	n := len(r.frames)
+	if n == 0 {
+		return &vmFrame{slots: make([]vval, size, r.cp.maxFrame)}
 	}
-	return &vmFrame{slots: make([]vval, size)}
+	f := r.frames[n-1]
+	r.frames = r.frames[:n-1]
+	f.slots = f.slots[:size]
+	return f
 }
 
 // putFrame recycles a frame, on normal return and panic unwinds alike.
@@ -200,8 +245,8 @@ func (r *vmRun) putFrame(f *vmFrame) {
 	r.frames = append(r.frames, f)
 }
 
-func (r *vmRun) getField(o *object.Obj, id int) (vval, bool) {
-	i := int(o.ID)
+func (r *vmRun) getField(obj int64, id int) (vval, bool) {
+	i := int(obj)
 	if i < len(r.heap) && id < len(r.heap[i]) {
 		v := r.heap[i][id]
 		return v, v.kind != vUnset
@@ -209,24 +254,42 @@ func (r *vmRun) getField(o *object.Obj, id int) (vval, bool) {
 	return vval{}, false
 }
 
-func (r *vmRun) setField(o *object.Obj, id int, v vval) {
-	i := int(o.ID)
+func (r *vmRun) setField(obj int64, id int, v vval) {
+	i := int(obj)
 	for len(r.heap) <= i {
 		r.heap = append(r.heap, nil)
 	}
 	if r.heap[i] == nil {
-		r.heap[i] = make([]vval, r.nfield)
+		r.heap[i] = make([]vval, len(r.cp.fields))
 	}
 	r.heap[i][id] = v
 }
 
-// vmThread executes bytecode for one simulated thread.
+// vmThread executes bytecode for one simulated thread. A spawned
+// thread's entry function, arguments and spawn site wait in its record
+// until its body, bound once per record, starts running.
 type vmThread struct {
 	c     *sched.Ctx
-	cp    *compiledProg
 	run   *vmRun
-	in    *Interp
 	depth int
+	fn    *compiledFunc
+	args  []vval
+	pos   srcPos
+	site  event.Loc
+	body  func(*sched.Ctx) // t.spawned
+}
+
+// spawned is a spawned thread's body: it calls the entry function the
+// record holds. The thread takes its reference on the run when its body
+// starts, not when its parent posts the Spawn: teardown can abort the
+// parent inside Spawn, and then no body starts to drop that reference.
+// The parent holds its own reference until the child's first scheduling
+// point, so the count cannot reach zero in between.
+func (t *vmThread) spawned(c *sched.Ctx) {
+	t.run.refcount.Add(1)
+	defer t.run.release()
+	t.c = c
+	t.call(t.fn, t.args, t.pos, t.site)
 }
 
 // call invokes fn with args at call site pos/site, bracketing the body in
@@ -236,9 +299,9 @@ type vmThread struct {
 // walker's per-block `defer Release` plus per-call `defer Return` yield.
 // A scheduler abort posts nothing on the way out, so one abort unwinds
 // the whole VM stack.
-func (t *vmThread) call(fn *compiledFunc, args []vval, pos Pos, site event.Loc) vval {
+func (t *vmThread) call(fn *compiledFunc, args []vval, pos srcPos, site event.Loc) vval {
 	if t.depth >= maxCallDepth {
-		panic(rtErrf(pos, "call depth exceeds %d (runaway recursion?)", maxCallDepth))
+		panic(t.run.cp.errAt(pos, "call depth exceeds %d (runaway recursion?)", maxCallDepth))
 	}
 	f := t.run.getFrame(fn.frame)
 	copy(f.slots, args)
@@ -268,14 +331,16 @@ func (t *vmThread) call(fn *compiledFunc, args []vval, pos Pos, site event.Loc) 
 // exec is the dispatch loop. st is the frame's slot array: named
 // variables in [0, nslots), the operand stack above them.
 func (t *vmThread) exec(fn *compiledFunc, f *vmFrame) vval {
-	code := fn.code
+	run := t.run
+	cp := run.cp
+	code, consts, labels := fn.code, fn.consts, cp.labels
 	st := f.slots
 	sp := fn.nslots
 	for pc := 0; ; pc++ {
 		in := &code[pc]
 		switch in.op {
 		case opConst:
-			st[sp] = in.val
+			st[sp] = consts[in.k]
 			sp++
 		case opLoad:
 			st[sp] = st[in.a]
@@ -289,7 +354,7 @@ func (t *vmThread) exec(fn *compiledFunc, f *vmFrame) vval {
 			sp--
 			v := st[sp]
 			if v.kind != vBool {
-				panic(rtErrf(in.pos, "expected bool, got %s", vtype(v)))
+				panic(cp.errAt(in.pos, "expected bool, got %s", vtype(v)))
 			}
 			if v.i == 0 {
 				pc = int(in.a) - 1
@@ -298,7 +363,7 @@ func (t *vmThread) exec(fn *compiledFunc, f *vmFrame) vval {
 			sp--
 			v := st[sp]
 			if v.kind != vBool {
-				panic(rtErrf(in.pos, "expected bool, got %s", vtype(v)))
+				panic(cp.errAt(in.pos, "expected bool, got %s", vtype(v)))
 			}
 			if v.i != 0 {
 				pc = int(in.a) - 1
@@ -306,13 +371,13 @@ func (t *vmThread) exec(fn *compiledFunc, f *vmFrame) vval {
 		case opNot:
 			v := &st[sp-1]
 			if v.kind != vBool {
-				panic(rtErrf(in.pos, "expected bool, got %s", vtype(*v)))
+				panic(cp.errAt(in.pos, "expected bool, got %s", vtype(*v)))
 			}
 			v.i = 1 - v.i
 		case opNeg:
 			v := &st[sp-1]
 			if v.kind != vInt {
-				panic(rtErrf(in.pos, "expected int, got %s", vtype(*v)))
+				panic(cp.errAt(in.pos, "expected int, got %s", vtype(*v)))
 			}
 			v.i = -v.i
 		case opBinop:
@@ -323,31 +388,31 @@ func (t *vmThread) exec(fn *compiledFunc, f *vmFrame) vval {
 			}
 			*l = t.binop(TokKind(in.a), *l, st[sp], in.pos)
 		case opBinopK:
-			l := &st[sp-1]
-			if l.kind == vInt && in.val.kind == vInt && intBinop(TokKind(in.a), l, in.val.i) {
+			l, k := &st[sp-1], &consts[in.k]
+			if l.kind == vInt && k.kind == vInt && intBinop(TokKind(in.a), l, k.i) {
 				continue
 			}
-			*l = t.binop(TokKind(in.a), *l, in.val, in.pos)
+			*l = t.binop(TokKind(in.a), *l, *k, in.pos)
 		case opBinopS:
 			l := &st[sp-1]
-			r := &st[in.b]
+			r := &st[in.k]
 			if l.kind == vInt && r.kind == vInt && intBinop(TokKind(in.a), l, r.i) {
 				continue
 			}
 			*l = t.binop(TokKind(in.a), *l, *r, in.pos)
 		case opBinopKS:
 			sp--
-			d := &st[in.b]
+			d, k := &st[in.b], &consts[in.k]
 			*d = st[sp]
-			if d.kind == vInt && in.val.kind == vInt && intBinop(TokKind(in.a), d, in.val.i) {
+			if d.kind == vInt && k.kind == vInt && intBinop(TokKind(in.a), d, k.i) {
 				continue
 			}
-			*d = t.binop(TokKind(in.a), *d, in.val, in.pos)
+			*d = t.binop(TokKind(in.a), *d, *k, in.pos)
 		case opBinopSS:
 			sp--
 			// Copy the right operand before writing the destination: the
 			// two slots may alias (`h = i * h`).
-			r := st[in.val.i]
+			r := st[in.k]
 			d := &st[in.b]
 			*d = st[sp]
 			if d.kind == vInt && r.kind == vInt && intBinop(TokKind(in.a), d, r.i) {
@@ -356,7 +421,7 @@ func (t *vmThread) exec(fn *compiledFunc, f *vmFrame) vval {
 			*d = t.binop(TokKind(in.a), *d, r, in.pos)
 		case opEq:
 			sp--
-			eq := vvalEq(st[sp-1], st[sp])
+			eq := run.eq(st[sp-1], st[sp])
 			if in.a != 0 {
 				eq = !eq
 			}
@@ -368,37 +433,36 @@ func (t *vmThread) exec(fn *compiledFunc, f *vmFrame) vval {
 			sp -= n
 			parts := make([]string, n)
 			for i := 0; i < n; i++ {
-				parts[i] = vformat(st[sp+i])
+				parts[i] = run.format(st[sp+i])
 			}
-			t.in.print(parts)
+			run.m.print(parts)
 		case opBoolChk:
 			if v := st[sp-1]; v.kind != vBool {
-				panic(rtErrf(in.pos, "expected bool, got %s", vtype(v)))
+				panic(cp.errAt(in.pos, "expected bool, got %s", vtype(v)))
 			}
 		case opIntChk:
 			if v := st[sp-1]; v.kind != vInt {
-				panic(rtErrf(in.pos, "expected int, got %s", vtype(v)))
+				panic(cp.errAt(in.pos, "expected int, got %s", vtype(v)))
 			}
 		case opChanChk:
-			if v := st[sp-1]; v.kind != vRef {
-				panic(rtErrf(in.pos, "expected chan, got %s", vtype(v)))
-			} else if _, ok := v.ref.(*sched.Chan); !ok {
-				panic(rtErrf(in.pos, "expected chan, got %s", vtype(v)))
+			if v := st[sp-1]; v.kind != vChan {
+				panic(cp.errAt(in.pos, "expected chan, got %s", vtype(v)))
 			}
 		case opWGChk:
-			if v := st[sp-1]; v.kind != vRef {
-				panic(rtErrf(in.pos, "expected waitgroup, got %s", vtype(v)))
-			} else if _, ok := v.ref.(*sched.WaitGroup); !ok {
-				panic(rtErrf(in.pos, "expected waitgroup, got %s", vtype(v)))
+			if v := st[sp-1]; v.kind != vWG {
+				panic(cp.errAt(in.pos, "expected waitgroup, got %s", vtype(v)))
 			}
 		case opNewObj:
-			st[sp] = vval{kind: vRef, ref: t.c.New(in.val.s, in.loc)}
+			o := t.c.New(cp.strs[in.a], labels[in.k])
+			st[sp] = run.ref(vObj, o, o)
 			sp++
 		case opNewLatch:
-			st[sp] = vval{kind: vRef, ref: t.c.NewLatch(in.loc)}
+			l := t.c.NewLatch(labels[in.k])
+			st[sp] = run.ref(vLatch, l.Obj(), l)
 			sp++
 		case opNewWG:
-			st[sp] = vval{kind: vRef, ref: t.c.NewWaitGroup(in.loc)}
+			wg := t.c.NewWaitGroup(labels[in.k])
+			st[sp] = run.ref(vWG, wg.Obj(), wg)
 			sp++
 		case opNewChan:
 			capacity := int64(0)
@@ -406,14 +470,15 @@ func (t *vmThread) exec(fn *compiledFunc, f *vmFrame) vval {
 				sp--
 				capacity = st[sp].i // pre-checked by opIntChk
 				if capacity < 0 {
-					panic(rtErrf(in.pos, "newchan(%d): negative capacity", capacity))
+					panic(cp.errAt(in.pos, "newchan(%d): negative capacity", capacity))
 				}
 			}
-			st[sp] = vval{kind: vRef, ref: t.c.NewChan(int(capacity), in.loc)}
+			ch := t.c.NewChan(int(capacity), labels[in.k])
+			st[sp] = run.ref(vChan, ch.Obj(), ch)
 			sp++
 		case opRecv:
 			ch := t.asChan(st[sp-1], in.pos)
-			st[sp-1] = fromValue(t.c.Recv(ch, in.loc))
+			st[sp-1] = run.fromValue(t.c.Recv(ch, labels[in.k]))
 		case opSend:
 			var v vval
 			if in.a != 0 {
@@ -423,26 +488,26 @@ func (t *vmThread) exec(fn *compiledFunc, f *vmFrame) vval {
 				v = vval{kind: vNil}
 			}
 			sp--
-			ch := st[sp].ref.(*sched.Chan) // pre-checked by opChanChk
-			t.c.Send(ch, toValue(v), in.loc)
+			ch := run.refs[st[sp].i].(*sched.Chan) // pre-checked by opChanChk
+			t.c.Send(ch, run.toValue(v), labels[in.k])
 		case opClose:
 			sp--
-			t.c.Close(t.asChan(st[sp], in.pos), in.loc)
+			t.c.Close(t.asChan(st[sp], in.pos), labels[in.k])
 		case opWGAdd:
 			sp -= 2
-			wg := st[sp].ref.(*sched.WaitGroup) // pre-checked by opWGChk
-			t.c.WGAdd(wg, int(st[sp+1].i), in.loc)
+			wg := run.refs[st[sp].i].(*sched.WaitGroup) // pre-checked by opWGChk
+			t.c.WGAdd(wg, int(st[sp+1].i), labels[in.k])
 		case opWGDone:
 			sp--
-			t.c.WGDone(t.asWG(st[sp], in.pos), in.loc)
+			t.c.WGDone(t.asWG(st[sp], in.pos), labels[in.k])
 		case opWGWait:
 			sp--
-			t.c.WGWait(t.asWG(st[sp], in.pos), in.loc)
+			t.c.WGWait(t.asWG(st[sp], in.pos), labels[in.k])
 		case opSyncEnter:
 			sp--
 			o := t.asObject(st[sp], in.pos)
-			t.c.Acquire(o, in.loc)
-			f.syncs = append(f.syncs, syncEnt{obj: o, loc: in.loc})
+			t.c.Acquire(o, labels[in.k])
+			f.syncs = append(f.syncs, syncEnt{obj: o, loc: labels[in.k]})
 		case opSyncExit:
 			s := f.syncs[len(f.syncs)-1]
 			f.syncs = f.syncs[:len(f.syncs)-1]
@@ -451,67 +516,61 @@ func (t *vmThread) exec(fn *compiledFunc, f *vmFrame) vval {
 			sp--
 			n := st[sp].i // pre-checked by opIntChk
 			if n < 0 {
-				panic(rtErrf(in.pos, "work(%d): negative amount", n))
+				panic(cp.errAt(in.pos, "work(%d): negative amount", n))
 			}
-			t.c.Work(int(n), in.loc)
+			t.c.Work(int(n), labels[in.k])
 		case opStep:
-			t.c.Step(in.loc)
+			t.c.Step(labels[in.k])
 		case opJoin:
 			sp--
 			v := st[sp]
-			th, ok := v.ref.(*sched.Thread)
-			if v.kind != vRef || !ok {
-				panic(rtErrf(in.pos, "join requires a thread, got %s", vtype(v)))
+			if v.kind != vThread {
+				panic(cp.errAt(in.pos, "join requires a thread, got %s", vtype(v)))
 			}
-			t.c.Join(th, in.loc)
+			t.c.Join(run.refs[v.i].(*sched.Thread), labels[in.k])
 		case opAwait:
 			sp--
-			t.c.Await(t.asLatch(st[sp], in.pos), in.loc)
+			t.c.Await(t.asLatch(st[sp], in.pos), labels[in.k])
 		case opSignal:
 			sp--
-			t.c.Signal(t.asLatch(st[sp], in.pos), in.loc)
+			t.c.Signal(t.asLatch(st[sp], in.pos), labels[in.k])
 		case opWaitOn:
 			sp--
-			t.c.Wait(t.asObject(st[sp], in.pos), in.loc)
+			t.c.Wait(t.asObject(st[sp], in.pos), labels[in.k])
 		case opNotify:
 			sp--
 			o := t.asObject(st[sp], in.pos)
 			if in.a != 0 {
-				t.c.NotifyAll(o, in.loc)
+				t.c.NotifyAll(o, labels[in.k])
 			} else {
-				t.c.Notify(o, in.loc)
+				t.c.Notify(o, labels[in.k])
 			}
 		case opFieldGet:
-			o := t.asFieldOwner(st[sp-1], in.pos)
-			v, ok := t.run.getField(o, int(in.a))
+			obj := t.asFieldOwner(st[sp-1], in.pos)
+			v, ok := run.getField(obj, int(in.a))
 			if !ok {
-				panic(rtErrf(in.pos, "read of unset field %s.%s", o.Type, t.cp.fields[in.a]))
+				typ := run.refs[obj].(*object.Obj).Type
+				panic(cp.errAt(in.pos, "read of unset field %s.%s", typ, cp.fields[in.a]))
 			}
 			st[sp-1] = v
 		case opFieldOwner:
 			t.asFieldOwner(st[sp-1], in.pos)
 		case opFieldSet:
 			sp -= 2
-			o := st[sp].ref.(*object.Obj) // pre-checked by opFieldOwner
-			t.run.setField(o, int(in.a), st[sp+1])
+			run.setField(st[sp].i, int(in.a), st[sp+1]) // object pre-checked by opFieldOwner
 		case opCall:
 			n := int(in.b)
 			sp -= n
-			st[sp] = t.call(t.cp.funcs[in.a], st[sp:sp+n], in.pos, in.loc)
+			st[sp] = t.call(cp.funcs[in.a], st[sp:sp+n], in.pos, labels[in.k])
 			sp++
 		case opSpawn:
 			n := int(in.b)
 			sp -= n
-			args := t.run.spawnArgs(n)
-			copy(args, st[sp:sp+n])
-			fn := t.cp.funcs[in.a]
-			t.run.addRef()
-			th := t.c.Spawn(fn.name, nil, in.loc, func(c *sched.Ctx) {
-				defer t.run.release()
-				child := &vmThread{c: c, cp: t.cp, run: t.run, in: t.in}
-				child.call(fn, args, in.pos, in.loc)
-			})
-			st[sp] = vval{kind: vRef, ref: th}
+			child := run.thread(nil)
+			child.fn, child.pos, child.site = cp.funcs[in.a], in.pos, labels[in.k]
+			child.args = append(child.args[:0], st[sp:sp+n]...)
+			th := t.c.Spawn(child.fn.name, nil, child.site, child.body)
+			st[sp] = run.ref(vThread, th.Obj(), th)
 			sp++
 		case opReturn:
 			if in.a != 0 {
@@ -531,13 +590,9 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// binop applies a non-shortcut binary operator with the walker's typing
-// rules: string concatenation when the left operand of + is a string,
-// otherwise integer arithmetic and ordering.
 // intBinop applies op in place on all-int operands, the dispatch loop's
-// fast path: arithmetic mutates l.i directly (an int vval's other
-// fields are zero by construction, so the result is identical to a
-// fresh vval), comparisons overwrite l whole. It declines — returning
+// fast path: arithmetic mutates l.i directly, comparisons overwrite l
+// whole. It declines — returning
 // false with l untouched — for the cases that need binop's error
 // handling (division by zero) or are not pure int ops at all.
 func intBinop(op TokKind, l *vval, r int64) bool {
@@ -572,12 +627,15 @@ func intBinop(op TokKind, l *vval, r int64) bool {
 	return true
 }
 
-func (t *vmThread) binop(op TokKind, l, r vval, pos Pos) vval {
+// binop applies a non-shortcut binary operator with the walker's typing
+// rules: string concatenation when the left operand of + is a string,
+// otherwise integer arithmetic and ordering.
+func (t *vmThread) binop(op TokKind, l, r vval, pos srcPos) vval {
 	if op == TokPlus && l.kind == vStr {
-		return vval{kind: vStr, s: l.s + vformat(r)}
+		return t.run.newStr(t.run.str(l.i) + t.run.format(r))
 	}
 	if l.kind != vInt || r.kind != vInt {
-		panic(rtErrf(pos, "operator %s requires ints, got %s and %s", op, vtype(l), vtype(r)))
+		panic(t.run.cp.errAt(pos, "operator %s requires ints, got %s and %s", op, vtype(l), vtype(r)))
 	}
 	switch op {
 	case TokPlus:
@@ -588,12 +646,12 @@ func (t *vmThread) binop(op TokKind, l, r vval, pos Pos) vval {
 		return vval{kind: vInt, i: l.i * r.i}
 	case TokSlash:
 		if r.i == 0 {
-			panic(rtErrf(pos, "division by zero"))
+			panic(t.run.cp.errAt(pos, "division by zero"))
 		}
 		return vval{kind: vInt, i: l.i / r.i}
 	case TokPercent:
 		if r.i == 0 {
-			panic(rtErrf(pos, "division by zero"))
+			panic(t.run.cp.errAt(pos, "division by zero"))
 		}
 		return vval{kind: vInt, i: l.i % r.i}
 	case TokLt:
@@ -611,57 +669,48 @@ func (t *vmThread) binop(op TokKind, l, r vval, pos Pos) vval {
 
 // asObject mirrors evalObject: any lockable value yields its monitor
 // object.
-func (t *vmThread) asObject(v vval, pos Pos) *object.Obj {
-	if v.kind == vRef {
-		switch r := v.ref.(type) {
-		case *object.Obj:
-			return r
-		case *sched.Latch:
-			return r.Obj()
-		case *sched.Thread:
-			return r.Obj()
-		case *sched.Chan:
-			return r.Obj()
-		case *sched.WaitGroup:
-			return r.Obj()
-		}
+func (t *vmThread) asObject(v vval, pos srcPos) *object.Obj {
+	switch v.kind {
+	case vObj:
+		return t.run.refs[v.i].(*object.Obj)
+	case vLatch:
+		return t.run.refs[v.i].(*sched.Latch).Obj()
+	case vThread:
+		return t.run.refs[v.i].(*sched.Thread).Obj()
+	case vChan:
+		return t.run.refs[v.i].(*sched.Chan).Obj()
+	case vWG:
+		return t.run.refs[v.i].(*sched.WaitGroup).Obj()
 	}
-	panic(rtErrf(pos, "sync requires an object, got %s", vtype(v)))
+	panic(t.run.cp.errAt(pos, "sync requires an object, got %s", vtype(v)))
 }
 
 // asFieldOwner mirrors evalFieldOwner: only plain objects carry fields.
-func (t *vmThread) asFieldOwner(v vval, pos Pos) *object.Obj {
-	if v.kind == vRef {
-		if o, ok := v.ref.(*object.Obj); ok {
-			return o
-		}
+// It returns the object's ID, which keys the field heap.
+func (t *vmThread) asFieldOwner(v vval, pos srcPos) int64 {
+	if v.kind != vObj {
+		panic(t.run.cp.errAt(pos, "field access requires an object, got %s", vtype(v)))
 	}
-	panic(rtErrf(pos, "field access requires an object, got %s", vtype(v)))
+	return v.i
 }
 
-func (t *vmThread) asChan(v vval, pos Pos) *sched.Chan {
-	if v.kind == vRef {
-		if ch, ok := v.ref.(*sched.Chan); ok {
-			return ch
-		}
+func (t *vmThread) asChan(v vval, pos srcPos) *sched.Chan {
+	if v.kind != vChan {
+		panic(t.run.cp.errAt(pos, "expected chan, got %s", vtype(v)))
 	}
-	panic(rtErrf(pos, "expected chan, got %s", vtype(v)))
+	return t.run.refs[v.i].(*sched.Chan)
 }
 
-func (t *vmThread) asWG(v vval, pos Pos) *sched.WaitGroup {
-	if v.kind == vRef {
-		if wg, ok := v.ref.(*sched.WaitGroup); ok {
-			return wg
-		}
+func (t *vmThread) asWG(v vval, pos srcPos) *sched.WaitGroup {
+	if v.kind != vWG {
+		panic(t.run.cp.errAt(pos, "expected waitgroup, got %s", vtype(v)))
 	}
-	panic(rtErrf(pos, "expected waitgroup, got %s", vtype(v)))
+	return t.run.refs[v.i].(*sched.WaitGroup)
 }
 
-func (t *vmThread) asLatch(v vval, pos Pos) *sched.Latch {
-	if v.kind == vRef {
-		if l, ok := v.ref.(*sched.Latch); ok {
-			return l
-		}
+func (t *vmThread) asLatch(v vval, pos srcPos) *sched.Latch {
+	if v.kind != vLatch {
+		panic(t.run.cp.errAt(pos, "expected latch, got %s", vtype(v)))
 	}
-	panic(rtErrf(pos, "expected latch, got %s", vtype(v)))
+	return t.run.refs[v.i].(*sched.Latch)
 }

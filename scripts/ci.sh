@@ -24,7 +24,11 @@
 #   5. fuzz smoke        — FuzzParser, FuzzReadWitness, FuzzReadJournal
 #                          and FuzzDecodeManifest each
 #                          explore for a few seconds from their seeded
-#                          corpora, FuzzWitnessEncode holds the witness
+#                          corpora (FuzzParser also holds Parse to the
+#                          first lexing error of its input), FuzzInterp
+#                          holds the bytecode VM to the test-only
+#                          tree-walker on every program the parser
+#                          accepts, FuzzWitnessEncode holds the witness
 #                          encoder to encoding/json's bytes,
 #                          FuzzActivePolicy holds the incremental Phase II
 #                          policy to the full-rescan reference on
@@ -97,7 +101,7 @@ make race
 echo "== bench module: traced ≡ untraced fidelity and every-workload smoke =="
 (cd bench && go test ./...)
 
-echo "== fuzz smoke: every decoder target, the witness encoder, the active policy, forced runs and the kept enabled set for ${FUZZTIME:-10s} each =="
+echo "== fuzz smoke: every decoder target, the VM differential, the witness encoder, the active policy, forced runs and the kept enabled set for ${FUZZTIME:-10s} each =="
 make fuzz-smoke
 
 echo "== vm diff: bytecode VM vs test-only tree-walker byte identity =="
