@@ -87,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzActivePolicy -fuzztime=$(FUZZTIME) ./internal/fuzzer/
 	$(GO) test -run=Fuzz -fuzz=FuzzSoloGrant -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=Fuzz -fuzz=FuzzEnabledMatchesRescan -fuzztime=$(FUZZTIME) ./internal/sched/
+	$(GO) test -run=Fuzz -fuzz=FuzzWarmShell -fuzztime=$(FUZZTIME) ./internal/sched/
 
 # Byte-identity differential between the bytecode VM and the test-only
 # tree-walking reference interpreter: scheduled runs, confirm campaigns

@@ -258,7 +258,10 @@ func BenchmarkCheck(b *testing.B) {
 // a one-step Solo call. solo-work prices forced runs: one thread
 // looping Work(8) under the blocking campaign's policy, where every
 // batch after the first is taken whole in one Solo call, since the
-// thread's previous grant was its own Step.
+// thread's previous grant was its own Step. new prices allocation: 991
+// objects allocated three calls deep, each call's receiver allocated by
+// its caller, so every object carries a four-entry execution index; a
+// warm shell takes them all from its object arena.
 func BenchmarkSchedulerSteps(b *testing.B) {
 	run := func(b *testing.B, pol sched.Policy, prog func(*sched.Ctx)) {
 		b.ReportAllocs()
@@ -280,6 +283,21 @@ func BenchmarkSchedulerSteps(b *testing.B) {
 				c.Work(8, "bench:1")
 			}
 		})
+	})
+	b.Run("new", func(b *testing.B) {
+		var nest func(c *sched.Ctx, recv *dlfuzz.Obj, depth int)
+		nest = func(c *sched.Ctx, recv *dlfuzz.Obj, depth int) {
+			if depth == 0 {
+				for i := 0; i < 1000-9; i++ {
+					c.New("Object", "bench:new")
+				}
+				return
+			}
+			c.Call("nest", recv, "bench:call", func() {
+				nest(c, c.New("Recv", "bench:recv"), depth-1)
+			})
+		}
+		run(b, nil, func(c *sched.Ctx) { nest(c, nil, 3) })
 	})
 }
 

@@ -27,7 +27,10 @@ type (
 	Thread = sched.Thread
 	// Latch is a one-shot broadcast synchronization object.
 	Latch = sched.Latch
-	// Obj is a dynamic object (anything with a lockable monitor).
+	// Obj is a dynamic object (anything with a lockable monitor). Like
+	// a *Thread, an *Obj lives as long as the run that allocated it:
+	// the scheduler reuses its memory in later runs, unless the object
+	// reached an observer or the run's Result, which hold it for good.
 	Obj = object.Obj
 	// Loc is a statement label identifying a program location.
 	Loc = event.Loc

@@ -59,6 +59,9 @@ type BlockingSummary struct {
 func Blocking(prog func(*sched.Ctx), runs, maxSteps int, bias float64, opts Options) *BlockingSummary {
 	sum := &BlockingSummary{}
 	byKey := map[string]*BlockingVerdict{}
+	// keys renders each verdict's key into reused buffers, so only a
+	// first-seen key allocates its string.
+	var keys sched.BlockedKeyBuilder
 	var pol sched.Policy
 	if bias > 0 {
 		pol = fuzzer.BlockingPolicy{P: bias}
@@ -87,16 +90,16 @@ func Blocking(prog func(*sched.Ctx), runs, maxSteps int, bias float64, opts Opti
 			} else {
 				sum.TotalRuns++
 			}
-			key := r.Blocked.Key()
-			v := byKey[key]
+			key := keys.Key(r.Blocked)
+			v := byKey[string(key)]
 			if v == nil {
 				v = &BlockingVerdict{
-					Key:       key,
+					Key:       string(key),
 					Partial:   r.Blocked.Partial,
 					FirstSeed: int64(seed),
 					Example:   r.Blocked,
 				}
-				byKey[key] = v
+				byKey[v.Key] = v
 				sum.Verdicts = append(sum.Verdicts, v)
 			}
 			v.Runs++

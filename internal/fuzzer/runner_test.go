@@ -34,10 +34,10 @@ func TestRunnerMatchesRun(t *testing.T) {
 // TestRunnerDisabledHooksAllocs guards the observability layer's
 // zero-cost-when-off contract at the fuzzer level: a pooled checker run
 // with no hooks installed (the default after Reset) must stay at its
-// allocation count. A warm fig1 run makes 20 allocations (the results
-// and the deadlock report with its copied stacks); the bound fails
-// loudly if the nil-hook paths or the policy's per-run state start
-// allocating. Under the race detector sync.Pool drops puts at random,
+// allocation count. A warm fig1 run makes 10 allocations (the results
+// and the deadlock report with its copied stacks and objects); the
+// bound fails loudly if the nil-hook paths or the policy's per-run
+// state start allocating. Under the race detector sync.Pool drops puts at random,
 // so warm shells are rebuilt at random and only a loose bound holds.
 func TestRunnerDisabledHooksAllocs(t *testing.T) {
 	cycles := phase1(t, fig1, igoodlock.DefaultConfig())
@@ -50,7 +50,8 @@ func TestRunnerDisabledHooksAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(10, func() {
 		r.Run(fig1, cycles[0], cfg, 1, 0)
 	})
-	bound := 24.0
+	t.Logf("%.0f allocations per hook-free pooled run", avg)
+	bound := 10.0
 	if raceEnabled {
 		bound = 600
 	}

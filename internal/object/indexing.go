@@ -54,17 +54,18 @@ func (x *Indexer) Return() {
 
 // Snapshot records `c: o = new(...)` and returns the execution index of
 // the created object: the allocation entry followed by the enclosing call
-// frames, innermost first. The returned slice is freshly allocated.
+// frames, innermost first. The index is carved out of a's index chunks,
+// capacity-capped, so it lives as long as the objects a mints.
 //
 // This matches the paper's formulation (push site and count, take the top
 // 2k elements, pop) except that we return the full index and let the
 // abstraction truncate to k pairs, so one snapshot serves any k.
-func (x *Indexer) Snapshot(c event.Loc) []IndexEntry {
+func (x *Indexer) Snapshot(c event.Loc, a *Allocator) []IndexEntry {
 	q := x.bump(c)
-	out := make([]IndexEntry, 0, len(x.stack)+1)
-	out = append(out, IndexEntry{Loc: c, Count: q})
-	for i := len(x.stack) - 1; i >= 0; i-- {
-		out = append(out, x.stack[i])
+	out := a.entries(len(x.stack) + 1)
+	out[0] = IndexEntry{Loc: c, Count: q}
+	for i, e := range x.stack {
+		out[len(x.stack)-i] = e
 	}
 	return out
 }

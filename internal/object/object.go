@@ -14,6 +14,11 @@
 //
 // Both non-trivial abstractions are captured eagerly when the object is
 // created, so they cost O(k) per allocation and are immutable afterwards.
+//
+// Objects and their execution indexes live in an Allocator's arena,
+// which the scheduler's warm shells reuse from one execution to the
+// next: an object is valid for as long as its execution runs, and past
+// it only when the execution published it (see Allocator.Reset).
 package object
 
 import (
@@ -208,31 +213,66 @@ func digits(n int) int {
 	return d
 }
 
-// Allocator mints objects with fresh unique ids for one execution and
-// maintains the CreationMap implicitly via Obj.Creator links.
+// Allocator mints the objects of one execution, with ids in allocation
+// order, and maintains the CreationMap implicitly via Obj.Creator links.
+// It is an arena: objects and their execution indexes are carved out of
+// chunks the Allocator keeps from one execution to the next, so a warm
+// allocator allocates nothing per object. An *Obj it returns is valid
+// until the next Reset that does not publish it (see Reset).
 type Allocator struct {
 	next uint64
+	objs chunks[Obj]
+	ents chunks[IndexEntry]
 }
 
 // New allocates an object of the given type at site, created by a method
 // of creator (nil for static/toplevel allocation), with the given
-// execution-index snapshot. The snapshot is retained, not copied; callers
-// must pass a fresh slice.
+// execution-index snapshot, which is retained, not copied: pass one from
+// Snapshot or Index, or a slice of the caller's own.
 func (a *Allocator) New(typ string, site event.Loc, creator *Obj, index []IndexEntry) *Obj {
 	a.next++
-	return &Obj{
+	o := &a.objs.take(1, objChunkFirst, objChunkLast)[0]
+	*o = Obj{
 		ID:      a.next,
 		Type:    typ,
 		Site:    site,
 		Creator: creator,
 		Index:   index,
 	}
+	return o
+}
+
+// Index copies entries into the allocator's index chunks and returns
+// the copy, for an execution index that no Indexer computed.
+func (a *Allocator) Index(entries ...IndexEntry) []IndexEntry {
+	out := a.entries(len(entries))
+	copy(out, entries)
+	return out
+}
+
+// entries returns n index slots, capacity-capped.
+func (a *Allocator) entries(n int) []IndexEntry {
+	return a.ents.take(n, entChunkFirst, entChunkLast)
 }
 
 // Count returns how many objects have been allocated.
 func (a *Allocator) Count() uint64 { return a.next }
 
 // Reset restarts the id sequence, so a recycled allocator mints exactly
-// the ids a fresh one would. Previously minted Objs stay valid: they are
-// never pooled, precisely because their identity outlives the execution.
-func (a *Allocator) Reset() { a.next = 0 }
+// the ids a fresh one would. What happens to the objects minted so far
+// depends on whether they were published — reachable by someone who may
+// keep them after the execution, such as an observer of its events. A
+// published execution's chunks are handed off to those holders, and the
+// allocator starts new ones. An unpublished execution's objects and
+// indexes are zeroed, so a stale pointer reads o0 with an empty index
+// rather than another object, and their chunks are reused.
+func (a *Allocator) Reset(published bool) {
+	a.next = 0
+	if published {
+		a.objs.release()
+		a.ents.release()
+	} else {
+		a.objs.rewind()
+		a.ents.rewind()
+	}
+}

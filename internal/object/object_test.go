@@ -78,13 +78,14 @@ func TestIndexerPaperExample(t *testing.T) {
 	//   3-iteration loop. The first object of the run has index
 	//   [11,1, 6,1, 3,1]; the last has [11,3, 7,1, 3,5].
 	x := NewIndexer()
+	var a Allocator
 	var first, last []IndexEntry
 	for i := 0; i < 5; i++ {
 		x.Call("3") // main calls foo at line 3
 		for _, callSite := range []event.Loc{"6", "7"} {
 			x.Call(callSite)
 			for j := 0; j < 3; j++ {
-				snap := x.Snapshot("11")
+				snap := x.Snapshot("11", &a)
 				if first == nil {
 					first = snap
 				}
@@ -114,11 +115,12 @@ func TestIndexerFreshFrameCounters(t *testing.T) {
 	// Counters are per calling context: a callee's counters reset on
 	// every call, so the same inner allocation site restarts at 1.
 	x := NewIndexer()
+	var a Allocator
 	x.Call("call:1")
-	s1 := x.Snapshot("alloc:9")
+	s1 := x.Snapshot("alloc:9", &a)
 	x.Return()
 	x.Call("call:1")
-	s2 := x.Snapshot("alloc:9")
+	s2 := x.Snapshot("alloc:9", &a)
 	x.Return()
 	if s1[0].Count != 1 || s2[0].Count != 1 {
 		t.Errorf("inner counters should reset per frame: %v vs %v", s1, s2)
@@ -139,11 +141,15 @@ func TestIndexerReturnAtDepthZero(t *testing.T) {
 
 func TestIndexerSnapshotIsFresh(t *testing.T) {
 	x := NewIndexer()
+	var a Allocator
 	x.Call("c:1")
-	s1 := x.Snapshot("a:2")
-	s2 := x.Snapshot("a:2")
+	s1 := x.Snapshot("a:2", &a)
+	s2 := x.Snapshot("a:2", &a)
 	if &s1[0] == &s2[0] {
-		t.Error("snapshots must not share backing arrays")
+		t.Error("snapshots must not share slots")
+	}
+	if cap(s1) != len(s1) {
+		t.Errorf("snapshot capacity %d, want its length %d: an append would reach the next snapshot", cap(s1), len(s1))
 	}
 	if s1[0].Count == s2[0].Count {
 		t.Errorf("repeated allocations at one site must differ: %v vs %v", s1, s2)
@@ -210,5 +216,89 @@ func TestObjStringMatchesSprintf(t *testing.T) {
 	}
 	if got := (*Obj)(nil).String(); got != "o?" {
 		t.Errorf("nil String() = %q, want o?", got)
+	}
+}
+
+// mint allocates n objects at nesting depth d, each created by the
+// previous one, with a d+1-entry index, and returns them.
+func mint(a *Allocator, n, d int) []*Obj {
+	x := NewIndexer()
+	for i := range d {
+		x.Call(event.Loc(fmt.Sprintf("call:%d", i)))
+	}
+	var out []*Obj
+	var creator *Obj
+	for range n {
+		creator = a.New("T", "new:1", creator, x.Snapshot("new:1", a))
+		out = append(out, creator)
+	}
+	return out
+}
+
+// TestAllocatorRewindZeroes: an unpublished Reset zeroes every object
+// and index slot it handed out, so a stale pointer reads o0, and the
+// next execution mints the same ids into the same slots.
+func TestAllocatorRewindZeroes(t *testing.T) {
+	var a Allocator
+	first := mint(&a, 600, 3)
+	idx := first[599].Index
+	a.Reset(false)
+	for i, o := range first {
+		if o.ID != 0 || o.Type != "" || o.Site != "" || o.Creator != nil || o.Index != nil {
+			t.Fatalf("object %d after rewind: %+v, want the zero Obj", i, *o)
+		}
+	}
+	if idx[:cap(idx)][0] != (IndexEntry{}) {
+		t.Fatalf("index slot after rewind: %+v, want zero", idx[0])
+	}
+	second := mint(&a, 600, 3)
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("object %d moved to a new slot after rewind", i)
+		}
+		if second[i].ID != uint64(i+1) {
+			t.Fatalf("object %d has id %d after rewind", i, second[i].ID)
+		}
+	}
+}
+
+// TestAllocatorReleaseKeepsObjects: a published Reset leaves every
+// object and index as it was, and the next execution's objects take
+// other slots.
+func TestAllocatorReleaseKeepsObjects(t *testing.T) {
+	var a Allocator
+	first := mint(&a, 300, 2)
+	want := make([]string, len(first))
+	for i, o := range first {
+		want[i] = o.String() + " " + string(ExecIndex.Of(o, 10)) + " " + string(KObject.Of(o, 10))
+	}
+	a.Reset(true)
+	second := mint(&a, 300, 4)
+	for i, o := range first {
+		if got := o.String() + " " + string(ExecIndex.Of(o, 10)) + " " + string(KObject.Of(o, 10)); got != want[i] {
+			t.Fatalf("published object %d now reads %q, want %q", i, got, want[i])
+		}
+		if o == second[i] {
+			t.Fatalf("object %d's slot was reused after a publishing reset", i)
+		}
+	}
+}
+
+// TestAllocatorKeepsBoundedChunks: an execution needing more than
+// keptChunks chunks drops the excess at rewind, and a snapshot deeper
+// than a chunk gets its own exact-size slice.
+func TestAllocatorKeepsBoundedChunks(t *testing.T) {
+	var a Allocator
+	mint(&a, keptChunks*objChunkLast+1, 0)
+	a.Reset(false)
+	if n := len(a.objs.list); n != keptChunks {
+		t.Fatalf("allocator keeps %d object chunks, want %d", n, keptChunks)
+	}
+	deep := mint(&a, 1, entChunkLast+5)[0]
+	if len(deep.Index) != entChunkLast+6 || cap(deep.Index) != len(deep.Index) {
+		t.Fatalf("deep snapshot has len %d cap %d, want both %d", len(deep.Index), cap(deep.Index), entChunkLast+6)
+	}
+	if got := a.Index(IndexEntry{"main", 1}); len(got) != 1 || cap(got) != 1 || got[0] != (IndexEntry{"main", 1}) {
+		t.Fatalf("Index = %v (cap %d)", got, cap(got))
 	}
 }

@@ -1,8 +1,9 @@
 package sched
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"dlfuzz/internal/event"
@@ -186,22 +187,64 @@ func (b *BlockedInfo) String() string {
 // prefixed by the partial/total class. Thread ids and object ids are
 // deliberately excluded — they are not stable across seeds — so equal
 // keys across runs mean the same deadlock, which is what lets campaign
-// aggregation count distinct verdicts.
+// aggregation count distinct verdicts. A BlockedKeyBuilder renders the
+// same bytes without allocating.
 func (b *BlockedInfo) Key() string {
-	parts := make([]string, len(b.Threads))
-	for i, t := range b.Threads {
-		objKey := "?"
+	var kb BlockedKeyBuilder
+	return string(kb.Key(b))
+}
+
+// BlockedKeyBuilder renders BlockedInfo keys into reusable buffers:
+// every thread's wait is appended to buf back to back (ends holds the
+// boundaries), parts holds the per-wait views for sorting, and key the
+// joined result. A campaign that looks a key up with a map[string]
+// no-copy conversion allocates only for a key it has not seen. A zero
+// BlockedKeyBuilder is ready to use.
+type BlockedKeyBuilder struct {
+	buf   []byte
+	ends  []int
+	parts [][]byte
+	key   []byte
+}
+
+// Key renders b.Key() and returns its bytes, valid until the next call.
+func (kb *BlockedKeyBuilder) Key(b *BlockedInfo) []byte {
+	kb.buf, kb.ends = kb.buf[:0], kb.ends[:0]
+	for _, t := range b.Threads {
+		kb.buf = append(kb.buf, t.Name...)
+		kb.buf = append(kb.buf, ' ')
+		kb.buf = append(kb.buf, t.Kind.String()...)
+		kb.buf = append(kb.buf, '(')
 		if t.Obj != nil {
-			objKey = fmt.Sprintf("%s@%s", t.Obj.Type, t.Obj.Site)
+			kb.buf = append(kb.buf, t.Obj.Type...)
+			kb.buf = append(kb.buf, '@')
+			kb.buf = append(kb.buf, t.Obj.Site...)
+		} else {
+			kb.buf = append(kb.buf, '?')
 		}
-		parts[i] = fmt.Sprintf("%s %s(%s)@%s", t.Name, t.Kind, objKey, t.Loc)
+		kb.buf = append(kb.buf, ")@"...)
+		kb.buf = append(kb.buf, t.Loc...)
+		kb.ends = append(kb.ends, len(kb.buf))
 	}
-	sort.Strings(parts)
-	prefix := "total:"
+	kb.parts = kb.parts[:0]
+	start := 0
+	for _, end := range kb.ends {
+		kb.parts = append(kb.parts, kb.buf[start:end])
+		start = end
+	}
+	slices.SortFunc(kb.parts, bytes.Compare)
 	if b.Partial {
-		prefix = "partial:"
+		kb.key = append(kb.key[:0], "partial:"...)
+	} else {
+		kb.key = append(kb.key[:0], "total:"...)
 	}
-	return prefix + strings.Join(parts, "+")
+	for i, p := range kb.parts {
+		if i > 0 {
+			kb.key = append(kb.key, '+')
+		}
+		kb.key = append(kb.key, p...)
+	}
+	return kb.key
 }
 
 // waiter is one candidate of the partial-deadlock analysis: a blocked
@@ -256,7 +299,7 @@ func (s *Scheduler) blockedOn(t *Thread) (w waiter, ok bool) {
 // particular for every mutex-only program, whose lock cycles are caught
 // earlier by the wait-for chain walk.
 func (s *Scheduler) classifyBlocked(runners int) *BlockedInfo {
-	var ws []waiter
+	ws := s.waiters[:0]
 	for _, t := range s.alive {
 		if s.executable(t) {
 			continue
@@ -265,17 +308,32 @@ func (s *Scheduler) classifyBlocked(runners int) *BlockedInfo {
 			ws = append(ws, w)
 		}
 	}
-	stuck := forever(ws, runners)
-	if len(stuck) == 0 {
-		return nil
+	var info *BlockedInfo
+	if stuck := forever(ws, runners); len(stuck) > 0 {
+		info = s.blockedInfo(stuck)
 	}
+	clear(ws)
+	s.waiters = ws[:0]
+	return info
+}
+
+// blockedInfo builds the verdict on the stuck candidates. The verdict
+// outlives the run, so it names copies of the objects (see detacher).
+func (s *Scheduler) blockedInfo(stuck []waiter) *BlockedInfo {
+	d := &s.detach
+	for _, w := range stuck {
+		d.add(w.t.obj)
+		d.add(w.obj)
+	}
+	d.copy()
 	info := &BlockedInfo{Step: s.steps, Threads: make([]BlockedThread, len(stuck))}
 	for i, w := range stuck {
 		info.Threads[i] = BlockedThread{
-			Thread: w.t.id, ThreadObj: w.t.obj, Name: w.t.name,
-			Kind: w.kind, Obj: w.obj, Loc: w.t.pending.Loc,
+			Thread: w.t.id, ThreadObj: d.of(w.t.obj), Name: w.t.name,
+			Kind: w.kind, Obj: d.of(w.obj), Loc: w.t.pending.Loc,
 		}
 	}
+	d.done()
 	// Partial iff some thread escaped: it already exited, it is still
 	// runnable (step limit), or it is blocked but not provably stuck.
 	info.Partial = len(info.Threads) < len(s.threads)

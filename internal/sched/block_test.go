@@ -1,11 +1,14 @@
 package sched
 
 import (
+	"fmt"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"dlfuzz/internal/event"
+	"dlfuzz/internal/object"
 )
 
 // TestChanUnbufferedRendezvous: a plain producer/consumer handshake on
@@ -535,5 +538,60 @@ func TestBlockKindStrings(t *testing.T) {
 		if k.SoleUnblocker() {
 			t.Errorf("%v must be multi-satisfier", k)
 		}
+	}
+}
+
+// sprintfKey is BlockedInfo.Key as it was first written, with Sprintf,
+// sort.Strings and strings.Join: the reference for its bytes.
+func sprintfKey(b *BlockedInfo) string {
+	parts := make([]string, len(b.Threads))
+	for i, t := range b.Threads {
+		objKey := "?"
+		if t.Obj != nil {
+			objKey = fmt.Sprintf("%s@%s", t.Obj.Type, t.Obj.Site)
+		}
+		parts[i] = fmt.Sprintf("%s %s(%s)@%s", t.Name, t.Kind, objKey, t.Loc)
+	}
+	sort.Strings(parts)
+	prefix := "total:"
+	if b.Partial {
+		prefix = "partial:"
+	}
+	return prefix + strings.Join(parts, "+")
+}
+
+// TestBlockedKeyBytes holds Key and a reused BlockedKeyBuilder to the
+// Sprintf rendering, over verdicts with nil objects, out-of-range
+// kinds, names that sort on their first byte or only past a shared
+// prefix, and an empty verdict; a warm builder allocates nothing on a
+// verdict of real kinds.
+func TestBlockedKeyBytes(t *testing.T) {
+	ch := &object.Obj{ID: 4, Type: "Chan", Site: "x.clf:3"}
+	wg := &object.Obj{ID: 9, Type: "WaitGroup", Site: "héllo:\"7\""}
+	infos := []*BlockedInfo{
+		{},
+		{Partial: true},
+		{Threads: []BlockedThread{{Name: "b", Kind: BlockChanRecv, Obj: ch, Loc: "x.clf:9"}}},
+		{Partial: true, Threads: []BlockedThread{
+			{Name: "worker-2", Kind: BlockWGWait, Obj: wg, Loc: "w:1"},
+			{Name: "worker", Kind: BlockChanSend, Obj: ch, Loc: "w:2"},
+			{Name: "worker", Kind: BlockChanSend, Obj: ch, Loc: "w:10"},
+			{Name: "", Kind: BlockJoin, Loc: "w:3"},
+			{Name: "a+b", Kind: BlockKind(42), Obj: &object.Obj{}, Loc: ""},
+		}},
+	}
+	var kb BlockedKeyBuilder
+	for i, b := range infos {
+		want := sprintfKey(b)
+		if got := b.Key(); got != want {
+			t.Errorf("info %d: Key() = %q, want %q", i, got, want)
+		}
+		if got := string(kb.Key(b)); got != want {
+			t.Errorf("info %d: builder Key = %q, want %q", i, got, want)
+		}
+	}
+	inRange := &BlockedInfo{Threads: infos[3].Threads[:4]} // BlockKind(42) renders with Sprintf
+	if n := testing.AllocsPerRun(20, func() { kb.Key(inRange) }); n != 0 {
+		t.Errorf("a warm builder allocates %.0f times per key, want 0", n)
 	}
 }

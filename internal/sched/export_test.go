@@ -93,7 +93,7 @@ func StalledOnLocks(wants []int) *Scheduler {
 // Sync, Call and the CLF VM never do.
 func (s *Scheduler) RunThen(opts Options, main func(*Ctx), inspect func()) Outcome {
 	s.init(opts)
-	defer s.recycle()
+	defer s.recycle(true)
 	s.outcome = Completed
 	s.drive(main)
 	inspect()

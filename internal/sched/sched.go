@@ -52,8 +52,11 @@
 // than per-event clones, lock state is a dense slice indexed by object
 // ID, the wait chain and the enabled set are reused scratch buffers,
 // and every execution runs on a warm shell: New draws a scheduler, its
-// parked thread shells (coroutines included), RNG and tables from one
-// package-level set, and Run recycles the shell back into it.
+// parked thread shells (coroutines included), RNG, tables and object
+// arena from one package-level set, and Run recycles the shell back
+// into it. An object lives as long as its run unless the run published
+// it to an observer or in a panic; a Result names copies (see
+// describeCycle), so it never points into the arena.
 package sched
 
 import (
@@ -212,6 +215,11 @@ type Scheduler struct {
 	// advances seq.
 	observing bool
 	evBuf     Ev
+	// detach is describeCycle's and classifyBlocked's scratch for
+	// copying a Result's objects out of alloc, and waiters
+	// classifyBlocked's candidate list.
+	detach  detacher
+	waiters []waiter
 }
 
 // shells is the warm set: schedulers whose runs have been recycled. A
@@ -447,9 +455,11 @@ func (s *Scheduler) Run(main func(*Ctx)) *Result {
 }
 
 // execute is Run without returning the shell to the warm set: the run,
-// then the recycle step, which also runs when the run panics.
-func (s *Scheduler) execute(main func(*Ctx)) *Result {
-	defer s.recycle()
+// then the recycle step, which also runs when the run panics. The run
+// published its objects when an observer saw them or when it panicked,
+// since the panic value may hold them.
+func (s *Scheduler) execute(main func(*Ctx)) (res *Result) {
+	defer func() { s.recycle(res == nil || s.observing) }()
 	s.outcome = Completed
 	s.blocked = nil
 	s.drive(main)
@@ -474,7 +484,7 @@ func (s *Scheduler) execute(main func(*Ctx)) *Result {
 // panic on this goroutine still unwinds every parked thread.
 func (s *Scheduler) drive(main func(*Ctx)) {
 	defer s.teardown()
-	mainObj := s.alloc.New("Thread", "main", nil, []object.IndexEntry{{Loc: "main", Count: 1}})
+	mainObj := s.alloc.New("Thread", "main", nil, s.alloc.Index(object.IndexEntry{Loc: "main", Count: 1}))
 	s.retireIfExited(s.newThread("main", mainObj, main))
 	s.schedule(nil)
 	for t := s.handoff; t != nil; t = s.handoff {
@@ -611,8 +621,9 @@ func (s *Scheduler) teardown() {
 
 // recycle resets a shell whose execution has ended. It keeps the RNG,
 // scratch buffers, table capacity, lock-state free list and parked
-// thread shells; everything observable is reset.
-func (s *Scheduler) recycle() {
+// thread shells, and the object arena unless the run published its
+// objects; everything observable is reset.
+func (s *Scheduler) recycle(published bool) {
 	for i, t := range s.threads {
 		t.recycle()
 		*s.parked = append(*s.parked, t)
@@ -635,7 +646,7 @@ func (s *Scheduler) recycle() {
 	}
 	s.locks = s.locks[:0]
 	clear(s.latches)
-	s.alloc.Reset()
+	s.alloc.Reset(published)
 	s.opts = Options{}
 	s.policy = nil
 	s.solo = nil
@@ -903,7 +914,7 @@ func (s *Scheduler) applyRequest(t *Thread) bool {
 		s.emit(base)
 
 	case event.KindNew:
-		idx := t.indexer.Snapshot(r.Loc)
+		idx := t.indexer.Snapshot(r.Loc, &s.alloc)
 		obj := s.alloc.New(r.Type, r.Loc, t.this(), idx)
 		t.retObj = obj
 		base.Obj = obj
@@ -912,7 +923,7 @@ func (s *Scheduler) applyRequest(t *Thread) bool {
 	case event.KindSpawn:
 		tobj := r.ThreadObj
 		if tobj == nil {
-			idx := t.indexer.Snapshot(r.Loc)
+			idx := t.indexer.Snapshot(r.Loc, &s.alloc)
 			tobj = s.alloc.New("Thread", r.Loc, t.this(), idx)
 		}
 		child := s.newThread(r.Name, tobj, r.Body)
@@ -1166,27 +1177,51 @@ func (s *Scheduler) findDeadlock() *DeadlockInfo {
 	return nil
 }
 
-// describeCycle fills in the DeadlockInfo for a TID cycle. The edge
-// stacks are deep-copied: a DeadlockInfo outlives the execution (and the
-// reuse of its shell).
+// describeCycle fills in the DeadlockInfo for a TID cycle. A
+// DeadlockInfo outlives the execution and the reuse of its shell, so
+// the edge stacks are copied, and so are the objects they name (see
+// detacher). Every edge's Held and Context are carved, capacity-capped,
+// out of one array per slice kind.
 func (s *Scheduler) describeCycle(cyc []event.TID) *DeadlockInfo {
-	info := &DeadlockInfo{Step: s.steps, Edges: make([]DeadlockEdge, 0, len(cyc))}
+	d := &s.detach
+	nheld, nctx := 0, 0
 	for _, tid := range cyc {
 		t := s.threads[tid]
-		held := make([]*object.Obj, len(t.lockStack))
-		copy(held, t.lockStack)
-		ctx := make(event.Context, len(t.ctxStack), len(t.ctxStack)+1)
-		copy(ctx, t.ctxStack)
-		ctx = append(ctx, t.pending.Loc)
-		info.Edges = append(info.Edges, DeadlockEdge{
-			Thread:    tid,
-			ThreadObj: t.obj,
-			Want:      t.pending.Obj,
-			WantLoc:   t.pending.Loc,
-			Held:      held,
-			Context:   ctx,
-		})
+		d.add(t.obj)
+		d.add(t.pending.Obj)
+		for _, l := range t.lockStack {
+			d.add(l)
+		}
+		nheld += len(t.lockStack)
+		nctx += len(t.ctxStack) + 1
 	}
+	d.copy()
+	held := make([]*object.Obj, nheld)
+	ctxs := make(event.Context, nctx)
+	info := &DeadlockInfo{Step: s.steps, Edges: make([]DeadlockEdge, len(cyc))}
+	for i, tid := range cyc {
+		t := s.threads[tid]
+		n := len(t.lockStack)
+		h := held[:n:n]
+		held = held[n:]
+		for j, l := range t.lockStack {
+			h[j] = d.of(l)
+		}
+		n = len(t.ctxStack) + 1
+		ctx := ctxs[:n:n]
+		ctxs = ctxs[n:]
+		copy(ctx, t.ctxStack)
+		ctx[n-1] = t.pending.Loc
+		info.Edges[i] = DeadlockEdge{
+			Thread:    tid,
+			ThreadObj: d.of(t.obj),
+			Want:      d.of(t.pending.Obj),
+			WantLoc:   t.pending.Loc,
+			Held:      h,
+			Context:   ctx,
+		}
+	}
+	d.done()
 	return info
 }
 

@@ -246,41 +246,47 @@ func TestReleaseWithoutHoldFails(t *testing.T) {
 	})
 }
 
+// The two tests below read the objects' abstractions inside the run:
+// an object is valid only while its run lasts (see Ctx.New).
+
 func TestKObjectCreatorChain(t *testing.T) {
-	var inner *object.Obj
+	var creator, abs string
 	s := New(Options{Seed: 1})
 	s.Run(func(c *Ctx) {
 		outer := c.New("Factory", "ko:1")
 		c.Call("make", outer, "ko:2", func() {
-			inner = c.New("Product", "ko:3")
+			inner := c.New("Product", "ko:3")
+			creator = inner.Creator.String()
+			abs = string(object.KObject.Of(inner, 2))
 		})
 	})
-	if inner.Creator == nil || inner.Creator.Site != "ko:1" {
-		t.Fatalf("creator chain not recorded: %+v", inner)
+	if creator != "o2:Factory@ko:1" { // o1 is the main thread
+		t.Fatalf("creator chain not recorded: creator %s", creator)
 	}
-	abs := object.KObject.Of(inner, 2)
 	if abs != "ko:3<-ko:1" {
 		t.Errorf("absO_2 = %q", abs)
 	}
 }
 
 func TestExecIndexDistinguishesLoopAllocations(t *testing.T) {
-	var objs []*object.Obj
+	var execKeys, objKeys []object.Key
 	s := New(Options{Seed: 1})
 	s.Run(func(c *Ctx) {
 		for i := 0; i < 3; i++ {
-			objs = append(objs, c.New("Object", "ei:1"))
+			o := c.New("Object", "ei:1")
+			execKeys = append(execKeys, object.ExecIndex.Of(o, 4))
+			objKeys = append(objKeys, object.KObject.Of(o, 4))
 		}
 	})
 	keys := map[object.Key]bool{}
-	for _, o := range objs {
-		keys[object.ExecIndex.Of(o, 4)] = true
+	for _, k := range execKeys {
+		keys[k] = true
 	}
 	if len(keys) != 3 {
 		t.Errorf("exec-index produced %d distinct keys for 3 loop allocations, want 3", len(keys))
 	}
-	if k := object.KObject.Of(objs[0], 4); k != object.KObject.Of(objs[2], 4) {
-		t.Errorf("k-object should collapse loop allocations, got %q vs %q", k, object.KObject.Of(objs[2], 4))
+	if objKeys[0] != objKeys[2] {
+		t.Errorf("k-object should collapse loop allocations, got %q vs %q", objKeys[0], objKeys[2])
 	}
 }
 

@@ -79,11 +79,11 @@ func TestPoolSnapshotsSurviveReuse(t *testing.T) {
 }
 
 // TestPoolAcquireAllocs is the hot-path regression guard: once a shell
-// is warm, an acquire-heavy execution may allocate only per-run
-// essentials (thread/lock objects, index snapshots, the Result), never
-// per-event state. The pre-pool scheduler spent thousands of allocations
-// on a run like this; the bound fails loudly if per-step or per-acquire
-// allocation creeps back in.
+// is warm, an acquire-heavy execution may allocate only the Result:
+// objects and their indexes come from the shell's arena, and nothing
+// is allocated per event. The pre-pool scheduler spent thousands of
+// allocations on a run like this; the bound fails loudly if per-step
+// or per-acquire allocation creeps back in.
 func TestPoolAcquireAllocs(t *testing.T) {
 	shell := newShell()
 	prog := acquireHeavy(100)
@@ -91,8 +91,54 @@ func TestPoolAcquireAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(10, func() {
 		shell.Rerun(Options{Seed: 1}, prog)
 	})
-	if avg > 60 {
-		t.Errorf("acquire-heavy run on a warm shell allocates %.0f objects, want <= 60", avg)
+	t.Logf("%.0f allocations per warm acquire-heavy run", avg)
+	if avg > 1 {
+		t.Errorf("acquire-heavy run on a warm shell allocates %.0f objects, want <= 1", avg)
+	}
+}
+
+// allocAt allocates n objects under depth nested calls, each call's
+// receiver an object of the enclosing frame, so every object has a
+// creator chain and a depth+1-entry execution index.
+func allocAt(n, depth int) func(*Ctx) {
+	var nest func(c *Ctx, recv *object.Obj, d int)
+	nest = func(c *Ctx, recv *object.Obj, d int) {
+		if d == 0 {
+			for i := 0; i < n; i++ {
+				c.New("Object", "warm:new")
+			}
+			return
+		}
+		c.Call("nest", recv, "warm:call", func() {
+			nest(c, c.New("Recv", "warm:recv"), d-1)
+		})
+	}
+	return func(c *Ctx) { nest(c, nil, depth) }
+}
+
+// TestWarmObjectAllocs pins the object arena: on a warm shell, a run
+// allocating 256 objects makes as many allocations as one allocating
+// 8, at call depth 0 and at depth 3, so objects and their execution
+// indexes cost nothing per object.
+func TestWarmObjectAllocs(t *testing.T) {
+	for _, depth := range []int{0, 3} {
+		var counts []float64
+		for _, n := range []int{8, 256} {
+			shell := newShell()
+			prog := allocAt(n, depth)
+			shell.Rerun(Options{Seed: 1}, prog) // warm the shell
+			avg := testing.AllocsPerRun(10, func() {
+				shell.Rerun(Options{Seed: 1}, prog)
+			})
+			if res := shell.Rerun(Options{Seed: 1}, prog); res.Allocated != uint64(n+depth+1) {
+				t.Fatalf("depth %d: run allocated %d objects, want %d", depth, res.Allocated, n+depth+1)
+			}
+			counts = append(counts, avg)
+		}
+		t.Logf("depth %d: %.0f allocations per warm run of 8 objects, %.0f of 256", depth, counts[0], counts[1])
+		if counts[0] != counts[1] {
+			t.Errorf("depth %d: a warm run of 256 objects makes %.0f allocations, one of 8 makes %.0f", depth, counts[1], counts[0])
+		}
 	}
 }
 
@@ -128,10 +174,10 @@ func spawnJoin(n int) func(*Ctx) {
 	}
 }
 
-// spawnJoinAllocs is what a spawnJoin(4) run on a warm shell allocates,
-// per-run objects such as the spawned thread objects and the Result.
-// Creating even one coroutine would exceed it.
-const spawnJoinAllocs = 12
+// spawnJoinAllocs is what a spawnJoin(4) run on a warm shell allocates:
+// the body's thread slice and the Result. The thread objects come from
+// the shell's arena. Creating even one coroutine would exceed it.
+const spawnJoinAllocs = 2
 
 // TestPoolReusesCoroutines pins thread-shell reuse: once a scheduler
 // shell is warm, a run that spawns and joins four threads takes its five
@@ -153,6 +199,7 @@ func TestPoolReusesCoroutines(t *testing.T) {
 	if perCoro < 1 {
 		t.Fatalf("creating a coroutine allocates %.0f objects; the bound below cannot see one", perCoro)
 	}
+	t.Logf("%.0f allocations per warm spawn/join run", avg)
 	if avg > spawnJoinAllocs {
 		t.Errorf("spawn/join run on a warm shell allocates %.0f objects, want <= %d (a fresh coroutine costs %.0f)",
 			avg, spawnJoinAllocs, perCoro)

@@ -252,6 +252,10 @@ func (c *Ctx) Aborting() bool { return c.t.aborted }
 
 // New allocates an object of the given type at site. The creating object
 // (for k-object-sensitivity) is the receiver of the innermost open call.
+// Like a *Thread, the object lives as long as the run: the shell reuses
+// its memory once the run ends, unless it reached an observer or the
+// Result (see object.Allocator.Reset), so a body must not keep it for a
+// later run.
 func (c *Ctx) New(typ string, site event.Loc) *object.Obj {
 	c.t.pending = Request{Kind: event.KindNew, Type: typ, Loc: site}
 	c.t.postPending()

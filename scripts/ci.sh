@@ -36,10 +36,14 @@
 #                          every policy that takes forced runs in one
 #                          call (SoloPolicy) to its step-by-step self on
 #                          generated programs of every preset and on the
-#                          hand-written forced-run cases, and
+#                          hand-written forced-run cases,
 #                          FuzzEnabledMatchesRescan holds the enabled set
 #                          the scheduler keeps across state-neutral
-#                          grants to a full rescan on generated programs
+#                          grants to a full rescan on generated programs,
+#                          and FuzzWarmShell holds every Result kept from
+#                          generated programs run interleaved on one warm
+#                          shell (its object arena reused run after run)
+#                          to a brand-new shell's run of the same seed
 #   6. vm diff           — the bytecode VM and the test-only
 #                          tree-walking reference interpreter must be
 #                          byte-identical (events, output, campaign
@@ -101,7 +105,7 @@ make race
 echo "== bench module: traced ≡ untraced fidelity and every-workload smoke =="
 (cd bench && go test ./...)
 
-echo "== fuzz smoke: every decoder target, the VM differential, the witness encoder, the active policy, forced runs and the kept enabled set for ${FUZZTIME:-10s} each =="
+echo "== fuzz smoke: every decoder target, the VM differential, the witness encoder, the active policy, forced runs, the kept enabled set and results kept across warm-shell reuse for ${FUZZTIME:-10s} each =="
 make fuzz-smoke
 
 echo "== vm diff: bytecode VM vs test-only tree-walker byte identity =="
