@@ -62,6 +62,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -449,9 +450,19 @@ func (s *Scheduler) takeThread() *Thread {
 // Run executes main as the initial thread and returns the result. It
 // panics if a thread body panicked. Either way the shell is recycled into
 // the warm set, so the Scheduler must not be used again.
+//
+// Run ends by yielding to the Go scheduler. Threads switch by
+// coroutine, which never enters it, so on one P the garbage collector's
+// background mark worker would run only when the Go runtime preempts a
+// long run: a mark phase then stretched over many executions (a median
+// 6.5 ms of wall clock for under 1 ms of marking), with write barriers
+// on and allocations paying assists. Yielding once per execution lets
+// the worker keep its share, and the phase ends in about 2 ms.
 func (s *Scheduler) Run(main func(*Ctx)) *Result {
 	defer shells.Put(s)
-	return s.execute(main)
+	res := s.execute(main)
+	runtime.Gosched()
+	return res
 }
 
 // execute is Run without returning the shell to the warm set: the run,
