@@ -545,7 +545,10 @@ func (p *Program) WithOutput(w io.Writer) *Program {
 // Body returns the program in the form Find/Confirm/Check accept.
 // CLF runtime errors surface as panics carrying a positioned message;
 // front-end errors were already rejected by ParseCLF. The program runs
-// on the bytecode VM.
+// on the bytecode VM: the body only hands the main thread over to it,
+// and every thread then runs as a resumable machine with its own call
+// stack, so a grant to it is a plain call and a run that ends with it
+// blocked drops it without unwinding a Go stack.
 func (p *Program) Body() func(*Ctx) {
 	return lang.NewInterp(p.prog, p.out).Main()
 }

@@ -6,17 +6,21 @@ import (
 	"testing"
 
 	"dlfuzz/internal/lang"
+	"dlfuzz/internal/lang/gen"
 	"dlfuzz/internal/sched"
 )
 
 // BenchmarkCLFInterp compares the CLF back ends: each iteration is one
-// plain scheduled execution of a committed program, once per back end
+// plain scheduled execution of a program, once per back end
 // sub-benchmark, reporting steps/sec. The programs are philosophers,
-// pipeline, the compute-bound dense.clf and every committed corpus
-// entry. The corpus entries are lock-dense, so the shared handshake
-// bounds the VM's advantage there; dense.clf brackets the ratio from
-// the other side. The VM's speedup over the tree-walker here is the
-// number EXPERIMENTS.md records.
+// pipeline, the compute-bound dense.clf, every committed corpus entry
+// and gen.Large's seed-1 program, most of whose runs deadlock. The
+// corpus entries are lock-dense, so the scheduler's share bounds the
+// VM's advantage there; dense.clf brackets the ratio from the other
+// side. The VM runs its threads as sched.Machines, the tree-walker on
+// coroutines, so a cross-thread grant and a deadlocked run's teardown
+// differ in cost between the two as well. The VM's speedup over the
+// tree-walker here is the number EXPERIMENTS.md records.
 func BenchmarkCLFInterp(b *testing.B) {
 	names := []string{"philosophers.clf", "pipeline.clf", "dense.clf"}
 	corpus, err := filepath.Glob(filepath.Join(testdata, "corpus", "gen-*.clf"))
@@ -26,12 +30,19 @@ func BenchmarkCLFInterp(b *testing.B) {
 	for _, file := range corpus {
 		names = append(names, filepath.Join("corpus", filepath.Base(file)))
 	}
+	srcs := map[string]string{}
 	for _, name := range names {
 		src, err := os.ReadFile(filepath.Join(testdata, name))
 		if err != nil {
 			b.Fatal(err)
 		}
-		prog, err := lang.Parse(name, string(src))
+		srcs[name] = string(src)
+	}
+	large := "gen-large-1.clf"
+	names = append(names, large)
+	srcs[large] = gen.Generate(1, gen.Large())
+	for _, name := range names {
+		prog, err := lang.Parse(name, srcs[name])
 		if err != nil {
 			b.Fatal(err)
 		}

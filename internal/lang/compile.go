@@ -59,7 +59,8 @@ const (
 	opJoin                     // pop thread (error at in.pos); c.Join(labels[in.k])
 	opAwait                    // pop latch (error at in.pos); c.Await(labels[in.k])
 	opSignal                   // pop latch (error at in.pos); c.Signal(labels[in.k])
-	opWaitOn                   // pop lockable (error at in.pos); c.Wait(labels[in.k])
+	opWaitOn                   // top lockable (error at in.pos); post Wait at labels[in.k]
+	opWaitResume               // pop lockable; post the Acquire that ends the Wait (c.Wait's second half)
 	opNotify                   // pop lockable (error at in.pos); c.Notify/NotifyAll (in.a = all)
 	opFieldGet                 // pop object (error at in.pos); push field in.a ("unset" error at in.pos)
 	opFieldOwner               // pop; must be a plain object (error at in.pos); push back
@@ -91,8 +92,7 @@ type compiledFunc struct {
 	frame   int // nslots + deepest operand-stack use
 	code    []instr
 	consts  []vval // literal pool: opConst and opBinopK operands
-	declPos srcPos // function declaration position (main's call site)
-	declLbl int32  // declPos's label
+	declLbl int32  // the label of the declaration's line (main's call site)
 }
 
 // compiledProg is the bytecode form of a Program.
@@ -157,7 +157,6 @@ func (c *fnCompiler) function(f *FuncDecl) *compiledFunc {
 		frame:   f.numSlots + c.maxDepth,
 		code:    slices.Clone(c.code),
 		consts:  slices.Clone(c.consts),
-		declPos: at(f.Pos),
 		declLbl: c.label(f.Pos),
 	}
 }
@@ -281,7 +280,8 @@ func (c *fnCompiler) stmt(s Stmt) {
 
 	case *WaitStmt:
 		c.expr(s.Obj)
-		c.emit(instr{op: opWaitOn, pos: at(s.Obj.exprPos()), k: c.label(s.Pos)}, -1)
+		c.emit(instr{op: opWaitOn, pos: at(s.Obj.exprPos()), k: c.label(s.Pos)}, 0)
+		c.emit(instr{op: opWaitResume, k: c.label(s.Pos)}, -1)
 
 	case *NotifyStmt:
 		c.expr(s.Obj)

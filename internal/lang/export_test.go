@@ -7,3 +7,13 @@ var (
 	TreeWalkMain = treeWalkMain
 	TreeWalkRun  = treeWalkRun
 )
+
+// InterleavedUnwinds are the sources of TestVMUnwindParity's cases that
+// fail while other threads are runnable; FuzzInterp seeds from them.
+func InterleavedUnwinds() []string {
+	var srcs []string
+	for _, c := range interleavedUnwinds {
+		srcs = append(srcs, c.src)
+	}
+	return srcs
+}

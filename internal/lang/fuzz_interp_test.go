@@ -82,6 +82,11 @@ func FuzzInterp(f *testing.F) {
 	f.Add("fn main() { var ch = newchan; var v = recv ch; }")
 	f.Add("fn main() { var wg = newwg; wgadd wg, 1; wgwait wg; }")
 	f.Add("fn main() { send 0; }")
+	// Runtime and misuse errors while other threads are runnable, so
+	// that unwinds interleave with them.
+	for _, src := range lang.InterleavedUnwinds() {
+		f.Add(src)
+	}
 
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := lang.Parse("fuzz.clf", src)

@@ -131,14 +131,15 @@ func (m *machine) print(parts []string) {
 // Main returns the program body in the scheduler's form: running it
 // executes main() on the calling simulated thread. Each invocation gets
 // a fresh heap, so one Interp can safely drive many executions. The
-// body holds the compiled program, not the Program and its AST.
+// body holds the compiled program, not the Program and its AST. It
+// hands the thread over to the VM (sched.Ctx.Become) before main()'s
+// first scheduling point, so only this first step runs as a Go body;
+// main() and every thread it spawns run as sched.Machines.
 func (in *Interp) Main() func(*sched.Ctx) {
 	cp, m := in.prog.compile(), in.m
 	return func(c *sched.Ctx) {
-		run := m.getRun(cp)
-		defer run.release()
 		main := cp.main
-		run.thread(c).call(main, nil, main.declPos, cp.labels[main.declLbl])
+		c.Become(m.getRun(cp).thread(main, cp.labels[main.declLbl]))
 	}
 }
 

@@ -57,13 +57,16 @@ func TestLayout(t *testing.T) {
 
 // TestWarmSpawnAllocs pins the allocations of one warm execution of a
 // spawning program. Frames, thread records (each with its spawn
-// arguments and its body, bound once) and the per-run state are pooled,
-// so the VM allocates nothing per call or per spawn, and objects with
-// their execution indexes come from the scheduler shell's arena: the
-// one allocation is the Result. Before thread records were pooled, each
-// of philosophers' three spawns also allocated a closure and a record,
-// and main a record: 22. Before the arena, each object and its index
-// took two allocations: 15.
+// arguments) and the per-run state are pooled, so the VM allocates
+// nothing per call or per spawn, and objects with their execution
+// indexes come from the scheduler shell's arena: the one allocation is
+// the Result. Before thread records were pooled, each of philosophers'
+// three spawns also allocated a closure and a record, and main a
+// record: 22. Before the arena, each object and its index took two
+// allocations: 15. A run that deadlocks ends with its threads dropped,
+// deep in calls and sync blocks; its per-run state must return to the
+// pool all the same, so it allocates only the Result, the deadlock
+// report (six) and its two latch handles: 9.
 func TestWarmSpawnAllocs(t *testing.T) {
 	if raceEnabled || testing.CoverMode() != "" {
 		t.Skip("race and coverage instrumentation allocate")
@@ -72,17 +75,37 @@ func TestWarmSpawnAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Parse("philosophers.clf", string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := NewInterp(prog, nil).Main()
-	run := func() { sched.New(sched.Options{Seed: 3}).Run(body) }
-	run()
-	got := testing.AllocsPerRun(50, run)
-	t.Logf("%.0f allocations per warm execution", got)
-	const want = 1
-	if got > want {
-		t.Errorf("%.0f allocations per warm execution, want at most %d", got, want)
+	for _, c := range []struct {
+		name, src string
+		want      float64
+	}{
+		{"philosophers", string(src), 1},
+		{"deadlock", `
+fn worker(a, b, mine, theirs) {
+    sync (a) { signal mine; await theirs; sync (b) { } }
+}
+fn main() {
+    var a = new Object;
+    var b = new Object;
+    var x = newlatch;
+    var y = newlatch;
+    var t1 = spawn worker(a, b, x, y);
+    var t2 = spawn worker(b, a, y, x);
+    join t1;
+    join t2;
+}`, 9},
+	} {
+		prog, err := Parse(c.name+".clf", c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := NewInterp(prog, nil).Main()
+		run := func() { sched.New(sched.Options{Seed: 3}).Run(body) }
+		run()
+		got := testing.AllocsPerRun(50, run)
+		t.Logf("%s: %.0f allocations per warm execution", c.name, got)
+		if got > c.want {
+			t.Errorf("%s: %.0f allocations per warm execution, want at most %.0f", c.name, got, c.want)
+		}
 	}
 }

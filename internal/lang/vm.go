@@ -1,22 +1,30 @@
 package lang
 
 // The CLF bytecode VM. It executes the instruction streams compile.go
-// produces, driving the same sched.Ctx primitives as the tree-walker but
-// with pointer-free values (vval), slot-addressed frames instead of map
-// environments, a slice-indexed heap instead of nested maps, and frames
-// and thread records pooled across the thousands of executions one
-// Interp drives.
+// produces, posting the same scheduler requests as the tree-walker's
+// sched.Ctx calls but with pointer-free values (vval), slot-addressed
+// frames instead of map environments, a slice-indexed heap instead of
+// nested maps, and frames and thread records pooled across the
+// thousands of executions one Interp drives.
+//
+// Each thread is a sched.Machine. Its calls, operand stacks and open
+// sync blocks live in its own pooled frames, not on a Go stack: a CLF
+// call or return switches frames inside the dispatch loop, and a post
+// that hands the turn to another thread saves the frame's pc and sp and
+// returns. The scheduler resumes the thread with a plain call when it
+// grants the request, and drops it without resuming it when the run
+// ends first.
 //
 // Byte-identity with the tree-walker, the test-only reference back end
-// in treewalk_test.go, is the contract (see vmdiff_test.go):
-// same Ctx call sequence with the same labels, same print bytes, same
-// RuntimeError strings and positions — including the panic-unwind path,
-// where open sync blocks release innermost-first before each frame's
-// Return event, exactly as the walker's stacked defers do.
+// in treewalk_test.go, is the contract (see vmdiff_test.go): same
+// requests with the same labels, same print bytes, same RuntimeError
+// strings and positions — including a runtime error's unwind, where
+// open sync blocks release innermost-first before each frame's Return
+// event, exactly as the walker's stacked defers do. The VM replays that
+// unwind as posts it can stop at and resume, like any other.
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"dlfuzz/internal/event"
 	"dlfuzz/internal/object"
@@ -144,10 +152,15 @@ func (r *vmRun) eq(a, b vval) bool {
 func (r *vmRun) format(v vval) string { return format(r.toValue(v)) }
 
 // vmFrame is one pooled call frame: named-variable slots followed by the
-// operand stack, plus the stack of open sync blocks (for panic unwind).
+// operand stack, the stack of open sync blocks (for a runtime error's
+// unwind), and where the call stands while its thread is not running.
 type vmFrame struct {
+	fn    *compiledFunc
 	slots []vval
 	syncs []syncEnt
+	pc    int       // the next instruction to run
+	sp    int       // the operand stack's top
+	site  event.Loc // the call site, which the Return event names
 }
 
 type syncEnt struct {
@@ -158,9 +171,10 @@ type syncEnt struct {
 // vmRun is the per-execution state: the field heap, the frame pool and
 // the thread records. It is shared by every simulated thread of one
 // execution and recycled across executions through the machine's pool.
-// All access happens while the owning thread holds the scheduling baton
-// (exactly one simulated thread runs at a time), except the refcount,
-// which spawned goroutines release as they unwind during teardown.
+// Every access happens on the one stack that holds the scheduling baton:
+// the scheduler runs each thread as a sched.Machine, by plain calls, so
+// frames, records and the refcount are touched by one flow of control
+// at a time.
 type vmRun struct {
 	m        *machine
 	cp       *compiledProg
@@ -170,7 +184,7 @@ type vmRun struct {
 	frames   []*vmFrame
 	threads  []*vmThread // thread records, kept across executions
 	nthread  int         // records handed out in this execution
-	refcount atomic.Int32
+	refcount int         // threads started and neither ended nor dropped
 }
 
 func (m *machine) getRun(cp *compiledProg) *vmRun {
@@ -178,16 +192,15 @@ func (m *machine) getRun(cp *compiledProg) *vmRun {
 	if r == nil {
 		r = &vmRun{m: m, cp: cp}
 	}
-	r.refcount.Store(1)
 	return r
 }
 
-// release drops one reference; the last holder zeroes the heap (the zero
-// vval is an unset field) and the thread records and returns the run to
-// the pool. Field slices, frame slots and records keep their capacity
-// for the next execution.
+// release drops one thread's reference; the last holder zeroes the heap
+// (the zero vval is an unset field) and the thread records and returns
+// the run to the pool. Field slices, frame slots and records keep their
+// capacity for the next execution.
 func (r *vmRun) release() {
-	if r.refcount.Add(-1) != 0 {
+	if r.refcount--; r.refcount != 0 {
 		return
 	}
 	for _, fs := range r.heap {
@@ -198,50 +211,49 @@ func (r *vmRun) release() {
 	r.strs = r.strs[:0]
 	for _, t := range r.threads[:r.nthread] {
 		clear(t.args)
-		t.c, t.fn = nil, nil
+		t.c, t.fn, t.err = nil, nil, nil
 	}
 	r.nthread = 0
 	r.m.pool.Put(r)
 }
 
-// thread hands out the next free thread record, making one (and binding
-// its body once) when the execution has more threads than any before it.
-func (r *vmRun) thread(c *sched.Ctx) *vmThread {
+// thread hands out the next free thread record, making one when the
+// execution has more threads than any before it. The caller sets the
+// entry call the record's first Resume makes.
+func (r *vmRun) thread(fn *compiledFunc, site event.Loc) *vmThread {
 	if r.nthread == len(r.threads) {
-		t := &vmThread{run: r}
-		t.body = t.spawned
-		r.threads = append(r.threads, t)
+		r.threads = append(r.threads, &vmThread{run: r})
 	}
 	t := r.threads[r.nthread]
 	r.nthread++
-	t.c, t.depth = c, 0
+	t.fn, t.site = fn, site
 	return t
 }
 
-// getFrame pops a pooled frame sized for one call. Every frame is made
-// as large as the program's largest, so a pooled frame fits any call.
-func (r *vmRun) getFrame(size int) *vmFrame {
-	n := len(r.frames)
-	if n == 0 {
-		return &vmFrame{slots: make([]vval, size, r.cp.maxFrame)}
+// getFrame pops a pooled frame for a call of fn at site, its slots
+// zeroed and its operand stack empty. Every frame is made as large as
+// the program's largest, so a pooled frame fits any call.
+func (r *vmRun) getFrame(fn *compiledFunc, site event.Loc) *vmFrame {
+	var f *vmFrame
+	if n := len(r.frames); n == 0 {
+		f = &vmFrame{slots: make([]vval, fn.frame, r.cp.maxFrame)}
+	} else {
+		f = r.frames[n-1]
+		r.frames = r.frames[:n-1]
+		f.slots = f.slots[:fn.frame]
 	}
-	f := r.frames[n-1]
-	r.frames = r.frames[:n-1]
-	f.slots = f.slots[:size]
+	f.fn, f.site, f.pc, f.sp = fn, site, 0, fn.nslots
 	return f
 }
 
-// putFrame recycles a frame, on normal return and panic unwinds alike.
-// Unwinds never race on the freelist: a runtime-error unwind holds the
-// baton between scheduling points, and teardown aborts parked threads
-// one at a time, waiting for each goroutine to exit before poking the
-// next (sched.(*Scheduler).teardown), so at most one thread touches the
-// run's state at any moment.
+// putFrame recycles a frame: on return, on a runtime error's unwind,
+// and when the scheduler drops a thread that is still deep in calls.
 func (r *vmRun) putFrame(f *vmFrame) {
 	for i := range f.slots {
 		f.slots[i] = vval{}
 	}
 	f.syncs = f.syncs[:0]
+	f.fn = nil
 	r.frames = append(r.frames, f)
 }
 
@@ -265,78 +277,178 @@ func (r *vmRun) setField(obj int64, id int, v vval) {
 	r.heap[i][id] = v
 }
 
-// vmThread executes bytecode for one simulated thread. A spawned
-// thread's entry function, arguments and spawn site wait in its record
-// until its body, bound once per record, starts running.
+// vmThread executes bytecode for one simulated thread. It is a
+// sched.Machine: its calls live in pooled frames, not on a Go stack,
+// so the scheduler resumes it with a plain call and drops it at the end
+// of a run without unwinding anything. A thread's entry function,
+// arguments and call site wait in its record until its first Resume.
 type vmThread struct {
 	c     *sched.Ctx
 	run   *vmRun
-	depth int
-	fn    *compiledFunc
+	calls []*vmFrame    // open calls, innermost last
+	err   *RuntimeError // the runtime error being unwound, nil otherwise
+	fn    *compiledFunc // the entry function, nil once the thread started
 	args  []vval
-	pos   srcPos
 	site  event.Loc
-	body  func(*sched.Ctx) // t.spawned
 }
 
-// spawned is a spawned thread's body: it calls the entry function the
-// record holds. The thread takes its reference on the run when its body
-// starts, not when its parent posts the Spawn: teardown can abort the
-// parent inside Spawn, and then no body starts to drop that reference.
-// The parent holds its own reference until the child's first scheduling
-// point, so the count cannot reach zero in between.
-func (t *vmThread) spawned(c *sched.Ctx) {
-	t.run.refcount.Add(1)
-	defer t.run.release()
-	t.c = c
-	t.call(t.fn, t.args, t.pos, t.site)
-}
-
-// call invokes fn with args at call site pos/site, bracketing the body in
-// Call/Return events exactly like the walker's callFunction. The deferred
-// unwinder releases any sync blocks a panic left open, innermost first,
-// before c.Call's own defer posts the Return — the same event order the
-// walker's per-block `defer Release` plus per-call `defer Return` yield.
-// A scheduler abort posts nothing on the way out, so one abort unwinds
-// the whole VM stack.
-func (t *vmThread) call(fn *compiledFunc, args []vval, pos srcPos, site event.Loc) vval {
-	if t.depth >= maxCallDepth {
-		panic(t.run.cp.errAt(pos, "call depth exceeds %d (runaway recursion?)", maxCallDepth))
+// Resume implements sched.Machine. The first resume enters the entry
+// function; a later one completes the instruction whose post stopped
+// the thread, or goes on with an unwind, and runs until the next post
+// that stops it or until the body ends.
+func (t *vmThread) Resume(c *sched.Ctx) (ended bool) {
+	if t.fn != nil {
+		t.c = c
+		t.run.refcount++
+		fn := t.fn
+		t.fn = nil
+		if t.enter(fn, t.args, t.site) {
+			return false
+		}
+	} else if t.err == nil {
+		t.finish()
 	}
-	f := t.run.getFrame(fn.frame)
-	copy(f.slots, args)
-	var ret vval
-	t.depth++
-	t.c.Call(fn.name, nil, site, func() {
-		// Registered first so it runs last: the frame is recycled after
-		// the unwinder below has drained f.syncs, even when a release
-		// re-panics (an abort surfacing mid-unwind skips no defers).
-		defer t.run.putFrame(f)
-		defer func() {
-			t.depth--
-			if t.c.Aborting() {
-				return // putFrame drops the open syncs
-			}
-			for i := len(f.syncs) - 1; i >= 0; i-- {
-				s := f.syncs[i]
-				f.syncs = f.syncs[:i]
-				t.c.Release(s.obj, s.loc)
-			}
-		}()
-		ret = t.exec(fn, f)
-	})
-	return ret
+	if t.err == nil && len(t.calls) > 0 && t.execute() {
+		return false
+	}
+	if t.err != nil {
+		if t.unwind() {
+			return false
+		}
+		c.Fail(t.err)
+		t.err = nil
+	}
+	t.run.release()
+	return true
 }
 
-// exec is the dispatch loop. st is the frame's slot array: named
-// variables in [0, nslots), the operand stack above them.
-func (t *vmThread) exec(fn *compiledFunc, f *vmFrame) vval {
-	run := t.run
+// Drop implements sched.Machine: the run ended with the thread alive,
+// so its frames go back to the pool and it drops its reference.
+func (t *vmThread) Drop() {
+	for i, f := range t.calls {
+		t.run.putFrame(f)
+		t.calls[i] = nil
+	}
+	t.calls = t.calls[:0]
+	t.run.release()
+}
+
+// enter opens a call of fn with args, made at site, and posts its
+// Call event, like the walker's callFunction; it reports whether the
+// post stopped the thread, which then resumes at the callee's first
+// instruction.
+func (t *vmThread) enter(fn *compiledFunc, args []vval, site event.Loc) (stopped bool) {
+	f := t.run.getFrame(fn, site)
+	copy(f.slots, args)
+	t.calls = append(t.calls, f)
+	*t.c.Request() = sched.Request{Kind: event.KindCall, Method: fn.name, Loc: site}
+	return !t.c.Post()
+}
+
+// execute runs the dispatch loop, turning a runtime error into an
+// unwind (t.err). It reports whether the thread stopped at a post; false
+// means the body returned or failed.
+func (t *vmThread) execute() (stopped bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			err, ok := r.(*RuntimeError)
+			if !ok {
+				panic(r)
+			}
+			t.err, stopped = err, false
+		}
+	}()
+	return t.exec()
+}
+
+// unwind replays a runtime error's unwind the way the walker's deferred
+// calls perform it: from the innermost call out, each call releases its
+// open sync blocks, innermost first, and then posts its Return. Every
+// one of those posts is a scheduling point where other threads may run,
+// so unwind stops like exec does and the next Resume goes on from where
+// it stopped. It reports whether the thread stopped.
+func (t *vmThread) unwind() (stopped bool) {
+	req := t.c.Request()
+	for n := len(t.calls); n > 0; n = len(t.calls) {
+		f := t.calls[n-1]
+		if k := len(f.syncs); k > 0 {
+			s := f.syncs[k-1]
+			f.syncs = f.syncs[:k-1]
+			*req = sched.Request{Kind: event.KindRelease, Obj: s.obj, Loc: s.loc}
+		} else {
+			*req = sched.Request{Kind: event.KindReturn, Method: f.fn.name, Loc: f.site}
+			t.calls[n-1] = nil
+			t.calls = t.calls[:n-1]
+			t.run.putFrame(f)
+		}
+		if !t.c.Post() {
+			return true
+		}
+	}
+	return false
+}
+
+// finish completes, on resume, the instruction whose post stopped the
+// thread: a granted request's result goes on the operand stack. A call
+// stopped at its Call post starts its callee (pc 0), and one stopped at
+// its Return post has already pushed its value, so neither has anything
+// to complete.
+func (t *vmThread) finish() {
+	if n := len(t.calls); n > 0 {
+		if f := t.calls[n-1]; f.pc > 0 {
+			f.sp = t.result(&f.fn.code[f.pc-1], f.slots, f.sp)
+		}
+	}
+}
+
+// result completes a granted instruction that produces a value, and
+// returns the new operand-stack top.
+func (t *vmThread) result(in *instr, st []vval, sp int) int {
+	run, c := t.run, t.c
+	switch in.op {
+	case opNewObj:
+		o := c.Created()
+		st[sp] = run.ref(vObj, o, o)
+	case opNewLatch:
+		l := c.LatchOf(c.Created())
+		st[sp] = run.ref(vLatch, l.Obj(), l)
+	case opNewWG:
+		wg := sched.WaitGroupOf(c.Created())
+		st[sp] = run.ref(vWG, wg.Obj(), wg)
+	case opNewChan:
+		capacity := 0
+		if in.a != 0 {
+			capacity = int(st[sp].i) // popped before the post, still in its slot
+		}
+		ch := sched.ChanOf(c.Created(), capacity)
+		st[sp] = run.ref(vChan, ch.Obj(), ch)
+	case opSpawn:
+		th := c.Started()
+		st[sp] = run.ref(vThread, th.Obj(), th)
+	case opRecv:
+		st[sp-1] = run.fromValue(c.Received())
+		return sp
+	default:
+		return sp
+	}
+	return sp + 1
+}
+
+// exec is the dispatch loop over the innermost call. st is the frame's
+// slot array: named variables in [0, nslots), the operand stack above
+// them. A scheduling instruction fills in the thread's request and jumps
+// to post; when the post stops the thread, the frame keeps pc and sp
+// and exec returns true. Calls and returns switch frames in place, so a
+// CLF call costs no Go call.
+func (t *vmThread) exec() (stopped bool) {
+	run, c := t.run, t.c
 	cp := run.cp
-	code, consts, labels := fn.code, fn.consts, cp.labels
-	st := f.slots
-	sp := fn.nslots
-	for pc := 0; ; pc++ {
+	labels := cp.labels
+	req := c.Request()
+	f := t.calls[len(t.calls)-1]
+	code, consts := f.fn.code, f.fn.consts
+	st, sp := f.slots, f.sp
+	for pc := f.pc; ; pc++ {
 		in := &code[pc]
 		switch in.op {
 		case opConst:
@@ -452,99 +564,6 @@ func (t *vmThread) exec(fn *compiledFunc, f *vmFrame) vval {
 			if v := st[sp-1]; v.kind != vWG {
 				panic(cp.errAt(in.pos, "expected waitgroup, got %s", vtype(v)))
 			}
-		case opNewObj:
-			o := t.c.New(cp.strs[in.a], labels[in.k])
-			st[sp] = run.ref(vObj, o, o)
-			sp++
-		case opNewLatch:
-			l := t.c.NewLatch(labels[in.k])
-			st[sp] = run.ref(vLatch, l.Obj(), l)
-			sp++
-		case opNewWG:
-			wg := t.c.NewWaitGroup(labels[in.k])
-			st[sp] = run.ref(vWG, wg.Obj(), wg)
-			sp++
-		case opNewChan:
-			capacity := int64(0)
-			if in.a != 0 {
-				sp--
-				capacity = st[sp].i // pre-checked by opIntChk
-				if capacity < 0 {
-					panic(cp.errAt(in.pos, "newchan(%d): negative capacity", capacity))
-				}
-			}
-			ch := t.c.NewChan(int(capacity), labels[in.k])
-			st[sp] = run.ref(vChan, ch.Obj(), ch)
-			sp++
-		case opRecv:
-			ch := t.asChan(st[sp-1], in.pos)
-			st[sp-1] = run.fromValue(t.c.Recv(ch, labels[in.k]))
-		case opSend:
-			var v vval
-			if in.a != 0 {
-				sp--
-				v = st[sp]
-			} else {
-				v = vval{kind: vNil}
-			}
-			sp--
-			ch := run.refs[st[sp].i].(*sched.Chan) // pre-checked by opChanChk
-			t.c.Send(ch, run.toValue(v), labels[in.k])
-		case opClose:
-			sp--
-			t.c.Close(t.asChan(st[sp], in.pos), labels[in.k])
-		case opWGAdd:
-			sp -= 2
-			wg := run.refs[st[sp].i].(*sched.WaitGroup) // pre-checked by opWGChk
-			t.c.WGAdd(wg, int(st[sp+1].i), labels[in.k])
-		case opWGDone:
-			sp--
-			t.c.WGDone(t.asWG(st[sp], in.pos), labels[in.k])
-		case opWGWait:
-			sp--
-			t.c.WGWait(t.asWG(st[sp], in.pos), labels[in.k])
-		case opSyncEnter:
-			sp--
-			o := t.asObject(st[sp], in.pos)
-			t.c.Acquire(o, labels[in.k])
-			f.syncs = append(f.syncs, syncEnt{obj: o, loc: labels[in.k]})
-		case opSyncExit:
-			s := f.syncs[len(f.syncs)-1]
-			f.syncs = f.syncs[:len(f.syncs)-1]
-			t.c.Release(s.obj, s.loc)
-		case opWork:
-			sp--
-			n := st[sp].i // pre-checked by opIntChk
-			if n < 0 {
-				panic(cp.errAt(in.pos, "work(%d): negative amount", n))
-			}
-			t.c.Work(int(n), labels[in.k])
-		case opStep:
-			t.c.Step(labels[in.k])
-		case opJoin:
-			sp--
-			v := st[sp]
-			if v.kind != vThread {
-				panic(cp.errAt(in.pos, "join requires a thread, got %s", vtype(v)))
-			}
-			t.c.Join(run.refs[v.i].(*sched.Thread), labels[in.k])
-		case opAwait:
-			sp--
-			t.c.Await(t.asLatch(st[sp], in.pos), labels[in.k])
-		case opSignal:
-			sp--
-			t.c.Signal(t.asLatch(st[sp], in.pos), labels[in.k])
-		case opWaitOn:
-			sp--
-			t.c.Wait(t.asObject(st[sp], in.pos), labels[in.k])
-		case opNotify:
-			sp--
-			o := t.asObject(st[sp], in.pos)
-			if in.a != 0 {
-				t.c.NotifyAll(o, labels[in.k])
-			} else {
-				t.c.Notify(o, labels[in.k])
-			}
 		case opFieldGet:
 			obj := t.asFieldOwner(st[sp-1], in.pos)
 			v, ok := run.getField(obj, int(in.a))
@@ -558,28 +577,164 @@ func (t *vmThread) exec(fn *compiledFunc, f *vmFrame) vval {
 		case opFieldSet:
 			sp -= 2
 			run.setField(st[sp].i, int(in.a), st[sp+1]) // object pre-checked by opFieldOwner
-		case opCall:
-			n := int(in.b)
-			sp -= n
-			st[sp] = t.call(cp.funcs[in.a], st[sp:sp+n], in.pos, labels[in.k])
-			sp++
+
+		// Scheduling points: each fills in the request and posts it.
+		case opNewObj:
+			*req = sched.Request{Kind: event.KindNew, Type: cp.strs[in.a], Loc: labels[in.k]}
+			goto post
+		case opNewLatch:
+			*req = sched.Request{Kind: event.KindNew, Type: "Latch", Loc: labels[in.k]}
+			goto post
+		case opNewWG:
+			*req = sched.Request{Kind: event.KindNew, Type: "WaitGroup", Loc: labels[in.k]}
+			goto post
+		case opNewChan:
+			if in.a != 0 {
+				sp--
+				if capacity := st[sp].i; capacity < 0 { // pre-checked by opIntChk
+					panic(cp.errAt(in.pos, "newchan(%d): negative capacity", capacity))
+				}
+			}
+			*req = sched.Request{Kind: event.KindNew, Type: "Chan", Loc: labels[in.k]}
+			goto post
+		case opRecv:
+			ch := t.asChan(st[sp-1], in.pos)
+			*req = sched.Request{Kind: event.KindChanRecv, Ch: ch, Loc: labels[in.k]}
+			goto post
+		case opSend:
+			var v vval
+			if in.a != 0 {
+				sp--
+				v = st[sp]
+			} else {
+				v = vval{kind: vNil}
+			}
+			sp--
+			ch := run.refs[st[sp].i].(*sched.Chan) // pre-checked by opChanChk
+			*req = sched.Request{Kind: event.KindChanSend, Ch: ch, Val: run.toValue(v), Loc: labels[in.k]}
+			goto post
+		case opClose:
+			sp--
+			*req = sched.Request{Kind: event.KindChanClose, Ch: t.asChan(st[sp], in.pos), Loc: labels[in.k]}
+			goto post
+		case opWGAdd:
+			sp -= 2
+			wg := run.refs[st[sp].i].(*sched.WaitGroup) // pre-checked by opWGChk
+			*req = sched.Request{Kind: event.KindWGAdd, WG: wg, Delta: int(st[sp+1].i), Loc: labels[in.k]}
+			goto post
+		case opWGDone:
+			sp--
+			*req = sched.Request{Kind: event.KindWGAdd, WG: t.asWG(st[sp], in.pos), Delta: -1, Loc: labels[in.k]}
+			goto post
+		case opWGWait:
+			sp--
+			*req = sched.Request{Kind: event.KindWGWait, WG: t.asWG(st[sp], in.pos), Loc: labels[in.k]}
+			goto post
+		case opSyncEnter:
+			sp--
+			o := t.asObject(st[sp], in.pos)
+			// The block is open from the grant on; until then the thread
+			// runs no instruction that could fail and unwind it.
+			f.syncs = append(f.syncs, syncEnt{obj: o, loc: labels[in.k]})
+			*req = sched.Request{Kind: event.KindAcquire, Obj: o, Loc: labels[in.k]}
+			goto post
+		case opSyncExit:
+			s := f.syncs[len(f.syncs)-1]
+			f.syncs = f.syncs[:len(f.syncs)-1]
+			*req = sched.Request{Kind: event.KindRelease, Obj: s.obj, Loc: s.loc}
+			goto post
+		case opWork:
+			sp--
+			n := st[sp].i // pre-checked by opIntChk
+			if n < 0 {
+				panic(cp.errAt(in.pos, "work(%d): negative amount", n))
+			}
+			if n == 0 {
+				continue // no step, like Ctx.Work
+			}
+			*req = sched.Request{Kind: event.KindStep, Loc: labels[in.k], Steps: int(n)}
+			goto post
+		case opStep:
+			*req = sched.Request{Kind: event.KindStep, Loc: labels[in.k]}
+			goto post
+		case opJoin:
+			sp--
+			v := st[sp]
+			if v.kind != vThread {
+				panic(cp.errAt(in.pos, "join requires a thread, got %s", vtype(v)))
+			}
+			*req = sched.Request{Kind: event.KindJoin, Target: run.refs[v.i].(*sched.Thread).ID(), Loc: labels[in.k]}
+			goto post
+		case opAwait:
+			sp--
+			*req = sched.Request{Kind: event.KindAwait, Obj: t.asLatch(st[sp], in.pos).Obj(), Loc: labels[in.k]}
+			goto post
+		case opSignal:
+			sp--
+			*req = sched.Request{Kind: event.KindSignal, Obj: t.asLatch(st[sp], in.pos).Obj(), Loc: labels[in.k]}
+			goto post
+		case opWaitOn:
+			*req = sched.Request{Kind: event.KindWait, Obj: t.asObject(st[sp-1], in.pos), Loc: labels[in.k]}
+			goto post
+		case opWaitResume:
+			sp--
+			*req = sched.Request{Kind: event.KindAcquire, Obj: t.asObject(st[sp], in.pos), Loc: labels[in.k], WaitResume: true}
+			goto post
+		case opNotify:
+			sp--
+			*req = sched.Request{Kind: event.KindNotify, Obj: t.asObject(st[sp], in.pos), Loc: labels[in.k], All: in.a != 0}
+			goto post
 		case opSpawn:
 			n := int(in.b)
 			sp -= n
-			child := run.thread(nil)
-			child.fn, child.pos, child.site = cp.funcs[in.a], in.pos, labels[in.k]
+			child := run.thread(cp.funcs[in.a], labels[in.k])
 			child.args = append(child.args[:0], st[sp:sp+n]...)
-			th := t.c.Spawn(child.fn.name, nil, child.site, child.body)
-			st[sp] = run.ref(vThread, th.Obj(), th)
-			sp++
-		case opReturn:
-			if in.a != 0 {
-				return st[sp-1]
+			*req = sched.Request{Kind: event.KindSpawn, Name: child.fn.name, Val: child, Loc: child.site}
+			goto post
+		case opCall:
+			n := int(in.b)
+			sp -= n
+			if len(t.calls) >= maxCallDepth {
+				panic(cp.errAt(in.pos, "call depth exceeds %d (runaway recursion?)", maxCallDepth))
 			}
-			return vval{kind: vNil}
+			f.pc, f.sp = pc+1, sp
+			if t.enter(cp.funcs[in.a], st[sp:sp+n], labels[in.k]) {
+				return true
+			}
+			f = t.calls[len(t.calls)-1]
+			code, consts = f.fn.code, f.fn.consts
+			st, sp, pc = f.slots, f.sp, -1
+		case opReturn:
+			ret := vval{kind: vNil}
+			if in.a != 0 {
+				ret = st[sp-1]
+			}
+			*req = sched.Request{Kind: event.KindReturn, Method: f.fn.name, Loc: f.site}
+			n := len(t.calls) - 1
+			t.calls[n] = nil
+			t.calls = t.calls[:n]
+			run.putFrame(f)
+			if n == 0 {
+				return !c.Post() // the body ends once its Return is granted
+			}
+			f = t.calls[n-1]
+			f.slots[f.sp] = ret
+			f.sp++
+			if !c.Post() {
+				return true
+			}
+			code, consts = f.fn.code, f.fn.consts
+			st, sp, pc = f.slots, f.sp, f.pc-1
 		default:
 			panic(fmt.Sprintf("lang: unknown opcode %d", in.op))
 		}
+		continue
+	post:
+		if !c.Post() {
+			f.pc, f.sp = pc+1, sp
+			return true
+		}
+		sp = t.result(in, st, sp)
 	}
 }
 

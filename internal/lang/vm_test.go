@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dlfuzz/internal/event"
 	"dlfuzz/internal/sched"
 )
 
@@ -18,6 +19,14 @@ func (r *recEvents) OnEvent(ev sched.Ev) { r.events = append(r.events, ev) }
 // seed and fails the test unless the Results, event streams, print bytes
 // and error strings all match; it returns the VM side's observations.
 func runBoth(t *testing.T, src string, seed int64) (*sched.Result, error, string) {
+	t.Helper()
+	res, err, out, _ := runBothWith(t, src, sched.Options{Seed: seed, MaxSteps: 100000})
+	return res, err, out
+}
+
+// runBothWith is runBoth under the given options, a stateless policy
+// included; it also returns the VM side's event stream.
+func runBothWith(t *testing.T, src string, opts sched.Options) (*sched.Result, error, string, []sched.Ev) {
 	t.Helper()
 	prog, err := Parse("vm.clf", src)
 	if err != nil {
@@ -37,10 +46,9 @@ func runBoth(t *testing.T, src string, seed int64) (*sched.Result, error, string
 			run = func(opts sched.Options) (*sched.Result, error) { return treeWalkRun(in, opts) }
 		}
 		rec := &recEvents{}
-		res, err := run(sched.Options{
-			Seed: seed, MaxSteps: 100000,
-			Observers: []sched.Observer{rec},
-		})
+		opts := opts
+		opts.Observers = []sched.Observer{rec}
+		res, err := run(opts)
 		return obs{res: res, err: err, print: out.String(), events: rec.events}
 	}
 	vm, tree := run(false), run(true)
@@ -64,7 +72,7 @@ func runBoth(t *testing.T, src string, seed int64) (*sched.Result, error, string
 		}
 		t.Fatalf("event streams diverged in length: %d vs %d", len(vm.events), len(tree.events))
 	}
-	return vm.res, vm.err, vm.print
+	return vm.res, vm.err, vm.print, vm.events
 }
 
 func TestVMRuntimeErrorParity(t *testing.T) {
@@ -254,6 +262,154 @@ fn main() { f(1); f(0); g(); print(f(1), g()); }`},
 				runBoth(t, c.src, seed)
 			}
 		})
+	}
+	// Unwinds and misuse errors while two or more other threads are
+	// runnable: every post of the unwind is a scheduling point where they
+	// may run. For each runtime-error case some seed must show at least
+	// two other threads running inside the failing thread's unwind.
+	for _, c := range interleavedUnwinds {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			best := 0
+			for seed := int64(0); seed < 64; seed++ {
+				_, err, _, events := runBothWith(t, c.src, sched.Options{Seed: seed, MaxSteps: 100000})
+				if err == nil {
+					t.Fatalf("seed %d: no runtime error", seed)
+				}
+				best = max(best, othersInUnwind(events))
+			}
+			if c.unwinds && best < 2 {
+				t.Errorf("at most %d other threads ran inside the unwind at seeds 0-63, want 2", best)
+			}
+		})
+	}
+}
+
+// interleavedUnwinds are programs whose thread fails while two or more
+// other threads are runnable. FuzzInterp seeds from them too. unwinds
+// marks a runtime error, which unwinds the failing thread's calls; a
+// misuse error ends the run where it happens.
+var interleavedUnwinds = []struct {
+	name, src string
+	unwinds   bool
+}{
+	{"error-two-calls-deep-in-spawned-thread", `
+fn spin(o, n) { sync (o) { var i = 0; while i < n { work(1); i = i + 1; } } }
+fn g(a, b) { sync (a) { sync (b) { work(1); var x = 1 + nil; } } }
+fn f(a, b) { var r = g(a, b); }
+fn main() {
+    var a = new Object;
+    var b = new Object;
+    var s1 = spawn spin(new Object, 40);
+    var s2 = spawn spin(new Object, 40);
+    var t = spawn f(a, b);
+    join s1;
+    join s2;
+    join t;
+}`, true},
+	{"error-in-main-while-children-hold-locks", `
+fn hold(o, n) { sync (o) { var i = 0; while i < n { work(1); i = i + 1; } } }
+fn g(a, b) { sync (a) { sync (b) { work(2); var x = nil.f; } } }
+fn f(a, b) { g(a, b); }
+fn main() {
+    var t1 = spawn hold(new Object, 40);
+    var t2 = spawn hold(new Object, 40);
+    work(3);
+    f(new Object, new Object);
+}`, true},
+	{"call-depth-overflow-inside-sync", `
+fn spin(l, n) { await l; var i = 0; while i < n { work(1); i = i + 1; } }
+fn r(o, l, d) { sync (o) { if d == 995 { signal l; } r(o, l, d + 1); } }
+fn main() {
+    var l = newlatch;
+    var s1 = spawn spin(l, 100);
+    var s2 = spawn spin(l, 100);
+    r(new Object, l, 0);
+}`, true},
+	{"double-close-in-spawned-thread", `
+fn spin(n) { var i = 0; while i < n { work(1); i = i + 1; } }
+fn closer(ch, o) { sync (o) { work(2); close ch; close ch; } }
+fn main() {
+    var s1 = spawn spin(40);
+    var s2 = spawn spin(40);
+    var t = spawn closer(newchan, new Object);
+    join t;
+}`, false},
+	{"negative-waitgroup-in-spawned-thread", `
+fn spin(n) { var i = 0; while i < n { work(1); i = i + 1; } }
+fn done(wg, o) { sync (o) { work(2); wgdone wg; } }
+fn main() {
+    var s1 = spawn spin(40);
+    var s2 = spawn spin(40);
+    var t = spawn done(newwg, new Object);
+    join t;
+}`, false},
+}
+
+// othersInUnwind returns how many threads other than the failing one
+// emitted events inside its unwind: the failing thread posts the run's
+// last event, its Exit, and its unwind is its trailing run of Release
+// and Return events before that.
+func othersInUnwind(events []sched.Ev) int {
+	if len(events) == 0 || events[len(events)-1].Kind != event.KindExit {
+		return 0
+	}
+	failing := events[len(events)-1].Thread
+	others := map[event.TID]bool{}
+	var window []event.TID
+	for i := len(events) - 2; i >= 0; i-- {
+		ev := events[i]
+		if ev.Thread != failing {
+			window = append(window, ev.Thread)
+			continue
+		}
+		if ev.Kind != event.KindRelease && ev.Kind != event.KindReturn {
+			break
+		}
+		for _, o := range window {
+			others[o] = true
+		}
+		window = window[:0]
+	}
+	return len(others)
+}
+
+// lowestPolicy grants the lowest enabled TID, so a run's schedule can be
+// worked out by hand.
+type lowestPolicy struct{}
+
+func (lowestPolicy) Next(_ *sched.Scheduler, enabled []event.TID) event.TID { return enabled[0] }
+
+// TestVMMechanismCounters pins Result.CrossGrants and Result.Unwound on
+// a run worked out by hand, under both back ends. With the lowest TID
+// always granted:
+//
+//   - main (t0) posts Call(main), and its first grant hands it the turn:
+//     cross-grant 1. It creates the latch and spawns a (t1), which runs
+//     to its Call(w1) post, both self-grants.
+//   - main's join a blocks, so a's Call is granted: cross-grant 2. a's
+//     Step and Return are self-grants; its Exit unblocks main: 3.
+//   - main spawns b (t2) and joins it; b's Call is granted: 4. b's
+//     await never returns, and the run stalls.
+//   - teardown ends main and b, still alive: Unwound 2.
+func TestVMMechanismCounters(t *testing.T) {
+	src := `
+fn w1() { work(1); }
+fn w2(l) { await l; }
+fn main() {
+    var l = newlatch;
+    var a = spawn w1();
+    join a;
+    var b = spawn w2(l);
+    join b;
+}`
+	res, err, _, _ := runBothWith(t, src, sched.Options{Policy: lowestPolicy{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != sched.Stall || res.CrossGrants != 4 || res.Unwound != 2 {
+		t.Errorf("%v with %d cross-grants and %d threads unwound, want stall with 4 and 2",
+			res.Outcome, res.CrossGrants, res.Unwound)
 	}
 }
 

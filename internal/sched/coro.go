@@ -20,13 +20,16 @@ func (t *Thread) startCoro() {
 
 // newShell returns a brand-new scheduler shell. The cleanup must not
 // reference s (it would never run). Every thread shell is on the parked
-// list once its run is recycled, parked between bodies, so stopping the
-// list ends every coroutine of a shell the warm set has dropped.
+// list once its run is recycled, its coroutine (if it ran a Go body)
+// parked between bodies, so stopping the list ends every coroutine of a
+// shell the warm set has dropped.
 func newShell() *Scheduler {
 	s := &Scheduler{parked: new([]*Thread)}
 	runtime.AddCleanup(s, func(parked *[]*Thread) {
 		for _, t := range *parked {
-			t.stop()
+			if t.stop != nil {
+				t.stop()
+			}
 		}
 	}, s.parked)
 	return s

@@ -32,6 +32,24 @@ func (s *Scheduler) ShellStackCaps() (locks, ctxs []int) {
 	return locks, ctxs
 }
 
+// ShellState is what one thread of a run holds of its thread shell.
+type ShellState struct {
+	// Coroutine reports whether the shell holds a coroutine.
+	Coroutine bool
+	// Aborted reports whether teardown resumed the thread to unwind it.
+	Aborted bool
+}
+
+// ThreadShells returns the shell state of each thread of s's current
+// run, in TID order, and the run's Unwound count so far.
+func (s *Scheduler) ThreadShells() ([]ShellState, int) {
+	var out []ShellState
+	for _, t := range s.threads {
+		out = append(out, ShellState{Coroutine: t.next != nil, Aborted: t.aborted})
+	}
+	return out, s.unwound
+}
+
 // WaitCycles returns copies of the cycle the chain walk finds from
 // thread tid's wait edge and of the one the reference wait-for graph
 // finds, nil for none.

@@ -349,3 +349,42 @@ func checkNoLeaks(t *testing.T, c leakCase) {
 		settle(t, fmt.Sprintf("campaign width %d", width), base)
 	}
 }
+
+// TestCLFTeardownResumesNothing shows that CLF threads run without
+// coroutines. On a warm shell, a CLF run deadlocks with two spawned
+// threads each 30 calls and sync blocks deep and main blocked joining
+// them. Only main's shell holds a coroutine, the one its body starts on
+// before it hands over to the VM; no spawned thread's shell holds one;
+// and teardown ends all three threads without resuming any of them.
+func TestCLFTeardownResumesNothing(t *testing.T) {
+	body := clfBody(t, "deadlock")
+	opts := sched.Options{Seed: 1, MaxSteps: 2000}
+	s := sched.NewShell()
+	for i := 0; i < 2; i++ {
+		if res := s.Rerun(opts, body); res.Outcome != sched.Deadlock {
+			t.Fatalf("warm-up run %d: outcome %v, want deadlock", i, res.Outcome)
+		}
+	}
+	var shells []sched.ShellState
+	var unwound int
+	if out := s.RunThen(opts, body, func() { shells, unwound = s.ThreadShells() }); out != sched.Deadlock {
+		t.Fatalf("outcome %v, want deadlock", out)
+	}
+	if len(shells) != 3 {
+		t.Fatalf("%d threads, want main and two workers", len(shells))
+	}
+	if !shells[0].Coroutine {
+		t.Error("main's shell holds no coroutine: its body is a func(*Ctx) and must start on one")
+	}
+	for tid, sh := range shells {
+		if tid > 0 && sh.Coroutine {
+			t.Errorf("t%d: a spawned CLF thread's shell holds a coroutine", tid)
+		}
+		if sh.Aborted {
+			t.Errorf("t%d: teardown resumed the thread to unwind it", tid)
+		}
+	}
+	if unwound != 3 {
+		t.Errorf("teardown ended %d threads, want 3", unwound)
+	}
+}

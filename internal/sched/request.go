@@ -27,7 +27,7 @@ type Request struct {
 	Type string
 	// Target is the joined thread for Join requests.
 	Target event.TID
-	// Body and Name describe Spawn requests.
+	// Body and Name describe Spawn requests (see also Val).
 	Body func(*Ctx)
 	Name string
 	// ThreadObj optionally carries a pre-allocated thread object for
@@ -39,8 +39,10 @@ type Request struct {
 	WaitResume bool
 	// All marks a Notify as notify-all.
 	All bool
-	// Ch is the channel for ChanSend/ChanRecv/ChanClose requests, and
-	// Val the sent value (ChanSend only).
+	// Ch is the channel for ChanSend/ChanRecv/ChanClose requests. Val
+	// is the sent value of a ChanSend, and the body of a Spawn whose
+	// body is a Machine instead of a Body. (A field of its own would
+	// grow the request every post writes whole.)
 	Ch  *Chan
 	Val any
 	// WG is the WaitGroup for WGAdd/WGWait requests, Delta the counter
@@ -174,4 +176,12 @@ type Result struct {
 	Spawned int
 	// Allocated is the total number of objects allocated.
 	Allocated uint64
+	// CrossGrants counts the grants that handed the turn to a thread
+	// other than the one that posted, the main thread's first grant
+	// included: each resumes that thread, by a coroutine switch for a Go
+	// body and by a call for a Machine.
+	CrossGrants int
+	// Unwound counts the threads still alive when the run ended, which
+	// teardown aborted (Go bodies) or dropped (Machines).
+	Unwound int
 }

@@ -1,18 +1,22 @@
 // Package sched implements the deterministic cooperative scheduler that
 // substitutes for the JVM thread scheduler the paper instruments.
 //
-// Each simulated thread runs as a coroutine (iter.Pull): a thread posts
-// its next observable operation (a Request) and runs the scheduling loop
-// on its own stack, between its post and its next grant. The loop picks
-// one enabled thread per step (delegating the choice to a pluggable
-// Policy) and executes its request; when the chosen thread is the
-// poster, the grant is a plain return with zero switches, and only a
-// grant to a different thread yields to Run's goroutine, which resumes
-// the chosen coroutine directly — no channel and no trip through the Go
-// run queue. Exactly one stack runs at any instant and the decision
-// sequence is identical to a strict lockstep loop, so an execution
-// remains a pure function of (program, policy, seed). This is what makes
-// the paper's probabilities measurable and its experiments replayable.
+// A simulated thread posts its next observable operation (a Request) and
+// runs the scheduling loop itself, between its post and its next grant.
+// The loop picks one enabled thread per step (delegating the choice to a
+// pluggable Policy) and executes its request; when the chosen thread is
+// the poster, the grant is a plain return with zero switches. A thread
+// body comes in one of two kinds. A Go body (func(*Ctx)) runs as a
+// coroutine (iter.Pull): a grant to a different thread yields to Run's
+// goroutine, which resumes the chosen coroutine directly — no channel
+// and no trip through the Go run queue. A Machine keeps its own state
+// between scheduling points, as the CLF VM's threads do: it runs by a
+// plain call on whichever stack takes the turn to it, and a grant away
+// from it is a return to Run's goroutine. Exactly one stack runs at any
+// instant and the decision sequence is identical to a strict lockstep
+// loop, so an execution remains a pure function of (program, policy,
+// seed). This is what makes the paper's probabilities measurable and
+// its experiments replayable.
 //
 // Invisible work (Ctx.Work) is batched: a thread posts one request for n
 // steps and receives its n grants without reposting, so every step is
@@ -32,10 +36,11 @@
 // thread's membership can change, and only when it posts again. Any
 // other grant, and a post of Exit or ChanRecv, forces a full rescan.
 //
-// A run that ends with threads still blocked tears them down: each is
-// resumed once with an abort and unwinds, its stack's deferred Returns
-// and Releases skipping their posts (Ctx.Aborting) rather than
-// re-raising the abort frame by frame.
+// A run that ends with threads still blocked tears them down. A Machine
+// is dropped without being resumed. A Go body is resumed once with an
+// abort and unwinds, the deferred Returns and Releases of Ctx.Call and
+// Ctx.Sync skipping their posts rather than re-raising the abort frame
+// by frame.
 //
 // The scheduler confirms resource deadlocks the way Algorithm 4 does: the
 // moment an Acquire blocks, it follows the new waiter's wait-for chain
@@ -45,13 +50,14 @@
 // graph.
 //
 // The execution hot path is engineered to be allocation-free at steady
-// state (see DESIGN.md "Performance"): a cross-thread grant is two
-// direct coroutine switches, event construction is skipped entirely when
-// no observer is attached, event snapshots of lock and context stacks
-// are O(1) persistent shares guarded by copy-on-write watermarks rather
-// than per-event clones, lock state is a dense slice indexed by object
-// ID, the wait chain and the enabled set are reused scratch buffers,
-// and every execution runs on a warm shell: New draws a scheduler, its
+// state (see DESIGN.md "Performance"): a cross-thread grant is a return
+// and a call for a Machine and two direct coroutine switches for a Go
+// body, event construction is skipped entirely when no observer is
+// attached, event snapshots of lock and context stacks are O(1)
+// persistent shares guarded by copy-on-write watermarks rather than
+// per-event clones, lock state is a dense slice indexed by object ID,
+// the wait chain and the enabled set are reused scratch buffers, and
+// every execution runs on a warm shell: New draws a scheduler, its
 // parked thread shells (coroutines included), RNG, tables and object
 // arena from one package-level set, and Run recycles the shell back
 // into it. An object lives as long as its run unless the run published
@@ -185,9 +191,13 @@ type Scheduler struct {
 	blocked  *BlockedInfo
 	panicVal any
 	outcome  Outcome
+	// crossGrants and unwound are Result.CrossGrants and Result.Unwound.
+	crossGrants int
+	unwound     int
 
-	// handoff is the thread a cross-grant chose: the granting coroutine
-	// yields to Run's goroutine, which resumes handoff (see schedule).
+	// handoff is the thread a cross-grant chose: the granting thread
+	// stops (a Go body yields its coroutine, a Machine returns) and Run's
+	// goroutine resumes handoff (see schedule and drive).
 	handoff *Thread
 
 	// parked holds the thread shells of finished runs, their coroutines
@@ -368,11 +378,13 @@ func (s *Scheduler) registerLatch(l *Latch) {
 }
 
 // newThread registers a thread and runs its body up to its first
-// scheduling point: only its coroutine runs until it yields, so
-// determinism holds. Recycled thread shells keep their coroutine parked
-// between bodies, so re-spawning one skips creating it and keeps its
-// grown stack.
-func (s *Scheduler) newThread(name string, obj *object.Obj, body func(*Ctx)) *Thread {
+// scheduling point: only that body runs until it posts, so determinism
+// holds. A Machine body runs by a plain call. A Go body runs on the
+// shell's coroutine; recycled thread shells keep theirs parked between
+// bodies, so re-spawning one skips creating it and keeps its grown
+// stack. A Go body that hands over to a machine (Ctx.Become) has
+// returned when the coroutine yields, and the machine then runs.
+func (s *Scheduler) newThread(name string, obj *object.Obj, body func(*Ctx), m Machine) *Thread {
 	t := s.takeThread()
 	t.id = event.TID(len(s.threads))
 	t.name = name
@@ -380,12 +392,18 @@ func (s *Scheduler) newThread(name string, obj *object.Obj, body func(*Ctx)) *Th
 	t.sched = s
 	t.alive = true
 	t.body = body
+	t.machine = m
 	s.threads = append(s.threads, t)
 	s.alive = append(s.alive, t) // ids are minted ascending, so alive stays sorted
-	if t.next == nil {
-		t.startCoro()
+	if m == nil {
+		if t.next == nil {
+			t.startCoro()
+		}
+		t.next()
 	}
-	t.next()
+	if t.machine != nil {
+		t.resume()
+	}
 	return t
 }
 
@@ -403,7 +421,8 @@ func (t *Thread) loop(yield func(struct{}) bool) {
 }
 
 // run executes the current body, posting Exit (or recording a user
-// panic) on the way out.
+// panic) on the way out, unless the body handed the thread over to a
+// machine.
 func (t *Thread) run() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -416,14 +435,16 @@ func (t *Thread) run() {
 		}
 	}()
 	t.body(&t.ctx)
-	t.postExit()
+	if t.machine == nil {
+		t.postExit()
+	}
 }
 
 // postExit posts the Exit request, which is never granted. A body that
 // never reached a scheduling point leaves it to its creator to retire;
 // otherwise the scheduling loop retires the thread and runs until the
-// turn moves on or the run ends. Either way the coroutine then parks
-// between bodies.
+// turn moves on or the run ends. Either way a Go body's coroutine then
+// parks between bodies.
 func (t *Thread) postExit() {
 	t.pending = Request{Kind: event.KindExit}
 	if t.posted {
@@ -451,13 +472,15 @@ func (s *Scheduler) takeThread() *Thread {
 // panics if a thread body panicked. Either way the shell is recycled into
 // the warm set, so the Scheduler must not be used again.
 //
-// Run ends by yielding to the Go scheduler. Threads switch by
-// coroutine, which never enters it, so on one P the garbage collector's
-// background mark worker would run only when the Go runtime preempts a
-// long run: a mark phase then stretched over many executions (a median
-// 6.5 ms of wall clock for under 1 ms of marking), with write barriers
-// on and allocations paying assists. Yielding once per execution lets
-// the worker keep its share, and the phase ends in about 2 ms.
+// Run ends by yielding to the Go scheduler. An execution never enters
+// it otherwise: Machines take the turn by plain calls and Go bodies by
+// coroutine switches, which bypass it. So on one P the garbage
+// collector's background mark worker would run only when the Go runtime
+// preempts a long run: a mark phase then stretched over many executions
+// (a median 6.5 ms of wall clock for under 1 ms of marking), with write
+// barriers on and allocations paying assists. Yielding once per
+// execution lets the worker keep its share, and the phase ends in about
+// 2 ms.
 func (s *Scheduler) Run(main func(*Ctx)) *Result {
 	defer shells.Put(s)
 	res := s.execute(main)
@@ -478,29 +501,36 @@ func (s *Scheduler) execute(main func(*Ctx)) (res *Result) {
 		panic(s.panicVal)
 	}
 	return &Result{
-		Outcome:   s.outcome,
-		Deadlock:  s.deadlock,
-		Blocked:   s.blocked,
-		Steps:     s.steps,
-		Events:    s.seq,
-		Acquires:  s.acquires,
-		Spawned:   len(s.threads),
-		Allocated: s.alloc.Count(),
+		Outcome:     s.outcome,
+		Deadlock:    s.deadlock,
+		Blocked:     s.blocked,
+		Steps:       s.steps,
+		Events:      s.seq,
+		Acquires:    s.acquires,
+		Spawned:     len(s.threads),
+		Allocated:   s.alloc.Count(),
+		CrossGrants: s.crossGrants,
+		Unwound:     s.unwound,
 	}
 }
 
 // drive runs the execution on Run's goroutine: it schedules until the
 // main thread's first grant, then resumes each cross-granted thread in
-// turn until the run is over. Teardown is deferred so that a policy
-// panic on this goroutine still unwinds every parked thread.
+// turn until the run is over: a machine by a call, a Go body by a
+// switch to its coroutine. Teardown is deferred so that a policy panic
+// on this goroutine still ends every thread left alive.
 func (s *Scheduler) drive(main func(*Ctx)) {
 	defer s.teardown()
 	mainObj := s.alloc.New("Thread", "main", nil, s.alloc.Index(object.IndexEntry{Loc: "main", Count: 1}))
-	s.retireIfExited(s.newThread("main", mainObj, main))
+	s.retireIfExited(s.newThread("main", mainObj, main, nil))
 	s.schedule(nil)
 	for t := s.handoff; t != nil; t = s.handoff {
 		s.handoff = nil
-		t.next()
+		if t.machine != nil {
+			t.resume()
+		} else {
+			t.next()
+		}
 	}
 }
 
@@ -521,19 +551,22 @@ func (s *Scheduler) retire(t *Thread) {
 	s.emit(&Ev{Kind: event.KindExit, Thread: t.id, ThreadObj: t.obj})
 }
 
-// schedule is the scheduling loop. It runs on the coroutine of a thread
-// whose user code just posted (poster), or on Run's goroutine right
-// after the main thread's first post (poster == nil). It returns true
-// when it granted the poster itself, false when the poster must yield:
-// either the turn went to s.handoff, or the run is over (handoff nil).
+// schedule is the scheduling loop. It runs on the stack of a thread
+// whose user code just posted (poster): a Go body's coroutine, or Run's
+// goroutine under a Machine's Resume. It also runs on Run's goroutine
+// right after the main thread's first post (poster == nil). It returns
+// true when it granted the poster itself, false when the poster must
+// stop: either the turn went to s.handoff, or the run is over (handoff
+// nil).
 //
 // Each iteration takes one scheduling decision and applies the chosen
 // request. Granting the poster itself simply returns: user code resumes
 // on this very stack with zero switches — this is what makes runs of
 // consecutive grants to one thread (program prologues, solo sections)
 // switch-free. Granting another thread records it in s.handoff; the
-// poster yields to Run's goroutine, which resumes the chosen thread, and
-// that thread continues the loop at its next post. The decision
+// poster yields its coroutine or returns from its Resume, Run's
+// goroutine resumes the chosen thread, and that thread continues the
+// loop at its next post. The decision
 // sequence, RNG draws and event stream are identical to a classic
 // one-goroutine scheduler loop — only which stack evaluates each
 // decision changes, and exactly one of them runs at any instant.
@@ -614,30 +647,45 @@ func (s *Scheduler) schedule(poster *Thread) bool {
 			return true // self-grant: poster's post returns, no switch
 		}
 		s.handoff = t
+		s.crossGrants++
 		return false
 	}
 }
 
-// teardown resumes every still-blocked thread once with an abort so its
-// body unwinds, leaving each coroutine parked between bodies for the
-// shell's next run.
+// teardown ends every thread still alive. A machine is dropped without
+// being resumed. A Go body is resumed once with an abort so that it
+// unwinds, leaving its coroutine parked between bodies for the shell's
+// next run.
 func (s *Scheduler) teardown() {
 	for _, t := range s.threads {
-		if t.alive && t.pending.Kind != event.KindExit && t.next != nil {
+		if !t.alive || t.pending.Kind == event.KindExit {
+			continue
+		}
+		switch {
+		case t.machine != nil:
+			t.machine.Drop()
+		case t.next != nil:
 			t.aborted = true
 			t.next()
+		default:
+			continue
 		}
+		s.unwound++
 	}
 }
 
 // recycle resets a shell whose execution has ended. It keeps the RNG,
 // scratch buffers, table capacity, lock-state free list and parked
 // thread shells, and the object arena unless the run published its
-// objects; everything observable is reset.
+// objects; everything observable is reset. Thread shells park in
+// reverse TID order, so the next run's threads take them back in TID
+// order: its main thread gets the main thread's shell, which has the
+// coroutine a CLF main thread starts on, and a spawned machine thread
+// gets a shell that needs none.
 func (s *Scheduler) recycle(published bool) {
-	for i, t := range s.threads {
-		t.recycle()
-		*s.parked = append(*s.parked, t)
+	for i := len(s.threads) - 1; i >= 0; i-- {
+		s.threads[i].recycle()
+		*s.parked = append(*s.parked, s.threads[i])
 		s.threads[i] = nil
 	}
 	s.threads = s.threads[:0]
@@ -664,6 +712,8 @@ func (s *Scheduler) recycle(published bool) {
 	s.steps = 0
 	s.seq = 0
 	s.acquires = 0
+	s.crossGrants = 0
+	s.unwound = 0
 	s.deadlock = nil
 	s.blocked = nil
 	s.panicVal = nil
@@ -937,7 +987,8 @@ func (s *Scheduler) applyRequest(t *Thread) bool {
 			idx := t.indexer.Snapshot(r.Loc, &s.alloc)
 			tobj = s.alloc.New("Thread", r.Loc, t.this(), idx)
 		}
-		child := s.newThread(r.Name, tobj, r.Body)
+		m, _ := r.Val.(Machine)
+		child := s.newThread(r.Name, tobj, r.Body, m)
 		t.retThread = child
 		base.Obj = tobj
 		base.Target = child.id

@@ -5,18 +5,20 @@ import (
 	"dlfuzz/internal/object"
 )
 
-// abortPanic is raised in a thread's coroutine when the scheduler tears
+// abortPanic is raised in a Go body's coroutine when the scheduler tears
 // down an unfinished execution (deadlock, stall, step limit) so its body
-// unwinds instead of staying parked. Each aborted thread raises it once:
+// unwinds instead of staying parked; a Machine is dropped instead (see
+// teardown). Each aborted thread raises it once:
 // the scheduler's own deferred posts (Call's Return, Sync's Release) skip
 // themselves while the thread is aborting, so the one panic unwinds the
 // whole stack.
 type abortPanic struct{}
 
-// Thread is one simulated thread. Its body runs as a coroutine (see
-// Thread.loop), and of Run's goroutine and the run's coroutines exactly
-// one runs at any instant, so every field is touched by one flow of
-// control at a time.
+// Thread is one simulated thread. A Go body runs as a coroutine (see
+// Thread.loop); a Machine body runs with plain calls on whichever stack
+// grants it the turn (see Thread.resume). Of Run's goroutine and the
+// run's coroutines exactly one runs at any instant, so every field is
+// touched by one flow of control at a time.
 type Thread struct {
 	id    event.TID
 	name  string
@@ -31,8 +33,10 @@ type Thread struct {
 	yield func(struct{}) bool
 	stop  func()
 	// body is the thread body the coroutine runs at its next resume
-	// between bodies.
-	body func(*Ctx)
+	// between bodies; machine, when set, is the body instead (or, after
+	// Ctx.Become, the rest of it), and the thread needs no coroutine.
+	body    func(*Ctx)
+	machine Machine
 	// ctx is the reusable Ctx handed to this shell's bodies, so starting
 	// a thread does not allocate one.
 	ctx Ctx
@@ -171,6 +175,7 @@ func (t *Thread) recycle() {
 	t.sched = nil
 	t.pending = Request{}
 	t.body = nil
+	t.machine = nil
 	t.alive = false
 	t.posted = false
 	t.aborted = false
@@ -199,8 +204,9 @@ func (t *Thread) recycle() {
 	t.retVal = nil
 }
 
-// postPending hands the pending request to the scheduler and returns
-// once the scheduler has executed it. It panics with abortPanic when the
+// postPending hands a Go body's pending request to the scheduler and
+// returns once the scheduler has executed it (Ctx.Post is a Machine's
+// counterpart). It panics with abortPanic when the
 // scheduler is tearing down — including on re-entry from user code that
 // posts while an abort is already unwinding (the deferred posts Call and
 // Sync own check for the abort first and never get here). Callers (the
@@ -243,12 +249,6 @@ func (c *Ctx) Thread() *Thread { return c.t }
 
 // Scheduler returns the owning scheduler.
 func (c *Ctx) Scheduler() *Scheduler { return c.t.sched }
-
-// Aborting reports whether teardown is unwinding this thread. Deferred
-// cleanup that would post a request (a Release, a Return) checks it and
-// skips the post: posting while aborting only re-raises the abort, and
-// the run's state is discarded anyway.
-func (c *Ctx) Aborting() bool { return c.t.aborted }
 
 // New allocates an object of the given type at site. The creating object
 // (for k-object-sensitivity) is the receiver of the innermost open call.
@@ -344,10 +344,7 @@ func (c *Ctx) Work(n int, site event.Loc) {
 
 // NewLatch allocates a fresh latch at site.
 func (c *Ctx) NewLatch(site event.Loc) *Latch {
-	obj := c.New("Latch", site)
-	l := &Latch{obj: obj}
-	c.t.sched.registerLatch(l)
-	return l
+	return c.LatchOf(c.New("Latch", site))
 }
 
 // Await blocks until l has been signaled.
@@ -394,11 +391,7 @@ func (c *Ctx) NotifyAll(o *object.Obj, site event.Loc) {
 // (capacity 0 = unbuffered rendezvous, like Go). Negative capacities
 // are clamped to 0.
 func (c *Ctx) NewChan(capacity int, site event.Loc) *Chan {
-	if capacity < 0 {
-		capacity = 0
-	}
-	obj := c.New("Chan", site)
-	return &Chan{obj: obj, capacity: capacity}
+	return ChanOf(c.New("Chan", site), capacity)
 }
 
 // Send sends v on ch at site, blocking until a receiver rendezvous
@@ -427,8 +420,7 @@ func (c *Ctx) Close(ch *Chan, site event.Loc) {
 
 // NewWaitGroup allocates a WaitGroup (counter 0) at site.
 func (c *Ctx) NewWaitGroup(site event.Loc) *WaitGroup {
-	obj := c.New("WaitGroup", site)
-	return &WaitGroup{obj: obj}
+	return WaitGroupOf(c.New("WaitGroup", site))
 }
 
 // WGAdd adjusts wg's counter by delta at site. Driving the counter

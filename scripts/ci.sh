@@ -6,12 +6,14 @@
 #   2. go build          — every package compiles
 #   3. go test           — the full suite (runs campaigns through the
 #                          parallel engine by default)
-#   3b. go test at one P — the scheduler, the campaign engine and the
-#                          root suites again at GOMAXPROCS=1, the P
-#                          count the benchmark runs at
-#   4. go test -race     — the scheduler (whose thread coroutines hand
-#                          the turn between goroutines, and whose warm
-#                          shells move between goroutines), the analysis
+#   3b. go test at one P — the scheduler, the campaign engine, the CLF
+#                          VM (its unwind parity included) and the root
+#                          suites again at GOMAXPROCS=1, the P count the
+#                          benchmark runs at
+#   4. go test -race     — the scheduler (whose Go-bodied threads hand
+#                          the turn between coroutines, whose CLF threads
+#                          start on one, and whose warm shells move
+#                          between goroutines), the analysis
 #                          pipeline, the concurrent campaign engine, the
 #                          harness built on them, the Phase II runner
 #                          drawing shells from the shared warm set, the
@@ -96,8 +98,8 @@ go build ./...
 echo "== go test ./... =="
 go test ./...
 
-echo "== go test at GOMAXPROCS=1 (sched + campaign + root suites) =="
-GOMAXPROCS=1 go test -count=1 ./internal/sched/ ./internal/campaign/ .
+echo "== go test at GOMAXPROCS=1 (sched + campaign + lang + root suites) =="
+GOMAXPROCS=1 go test -count=1 ./internal/sched/ ./internal/campaign/ ./internal/lang/ .
 
 echo "== go test -race (sched + analysis + campaign + harness + fuzzer + obs + lang + dlfuzz CLI) =="
 make race
